@@ -8,6 +8,7 @@ let () =
       ("host-isa", Test_host.suite);
       ("ir-passes", Test_ir.suite);
       ("translator-units", Test_translate_units.suite);
+      ("translator-golden", Test_golden_translate.suite);
       ("tiled-substrate", Test_tiled.suite);
       ("core-units", Test_core_units.suite);
       ("memory-system", Test_memsys.suite);
