@@ -44,21 +44,20 @@ let linearize t =
     t;
   out
 
-let succ_positions items pos =
-  let n = Array.length items in
-  (* Label ids -> positions, computed on demand (arrays are small). *)
-  let label_pos id =
-    let rec find i =
-      if i >= n then malformed "undefined label %d" id
-      else match items.(i) with L id' when id' = id -> i | _ -> find (i + 1)
-    in
-    find 0
-  in
-  match items.(pos) with
-  | L _ -> [ pos + 1 ]
-  | I (Hinsn.Jump id) -> [ label_pos id ]
-  | I (Hinsn.Branch (_, _, _, id)) -> [ pos + 1; label_pos id ]
-  | I _ -> [ pos + 1 ]
+(* An allocation-free bound on the register ids an instruction names
+   explicitly (implicit Mul64/Div64 operands are hardware registers). *)
+let insn_reg_bound : Hinsn.t -> int = function
+  | Alu3 (_, a, b, c) | Shiftv (_, a, b, c) -> max a (max b c)
+  | Alui (_, a, b, _) | Shifti (_, a, b, _) | Ext (a, b, _, _)
+  | Ins (a, b, _, _) | Load (_, a, b, _) | Store (_, a, b, _)
+  | Branch (_, a, b, _) -> max a b
+  | Lui (a, _) | Trap (_, a) | Mul64 a | Div64 { divisor = a; _ } -> a
+  | Jump _ | Nop -> 0
+
+let reg_count t =
+  List.fold_left
+    (fun n -> function L _ -> n | I insn -> max n (insn_reg_bound insn + 1))
+    Hinsn.first_vreg t
 
 let pp ppf t =
   List.iter
