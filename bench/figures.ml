@@ -57,11 +57,24 @@ let check_outcome key (b : Suite.benchmark) (r : Vm.result) =
   | Exec.Fault m -> failwith (Printf.sprintf "%s/%s faulted: %s" b.name key m)
   | Exec.Out_of_fuel -> failwith (b.name ^ "/" ^ key ^ ": out of fuel")
 
-let run_vm ?(faults = Fault.empty) key (b : Suite.benchmark) cfg =
+(* Guest instructions retired by runs a figure makes while it renders
+   (the cells [cells_for] does not prefill); [run_all] adds them to the
+   figure's count. *)
+let inline_insns = ref 0
+
+let run_inline ?faults ?trace ?checkpoint_every cfg (b : Suite.benchmark) =
+  let r =
+    Vm.run ~fuel ?faults ~memo:(memo_for b) ?trace ?checkpoint_every cfg
+      (Suite.load b)
+  in
+  inline_insns := !inline_insns + r.Vm.guest_insns;
+  r
+
+let run_vm ?faults key (b : Suite.benchmark) cfg =
   match Hashtbl.find_opt run_cache (b.name, key) with
   | Some r -> r
   | None ->
-    let r = Vm.run ~fuel ~faults ~memo:(memo_for b) cfg (Suite.load b) in
+    let r = run_inline ?faults cfg b in
     check_outcome key b r;
     Hashtbl.replace run_cache (b.name, key) r;
     r
@@ -416,10 +429,7 @@ let recovery_run ?checkpoint_every (b : Suite.benchmark) n =
   | Some r -> r
   | None ->
     let cfg = Config.default in
-    let r =
-      Vm.run ~fuel ~faults:(recovery_plan cfg n) ~memo:(memo_for b)
-        ?checkpoint_every cfg (Suite.load b)
-    in
+    let r = run_inline ~faults:(recovery_plan cfg n) ?checkpoint_every cfg b in
     Hashtbl.replace recovery_cache (b.Suite.name, key) r;
     r
 
@@ -546,7 +556,7 @@ let corruption () =
 let trace_traced key cfg =
   let b = Suite.find "gcc" in
   let trace = Vat_trace.Trace.create () in
-  let r = Vm.run ~fuel ~memo:(memo_for b) ~trace cfg (Suite.load b) in
+  let r = run_inline ~trace cfg b in
   check_outcome key b r;
   (trace, r)
 
@@ -798,7 +808,9 @@ let run_all ~jobs ~json_file wanted =
       let tasks = List.map compute_cell fresh in
       let publishers = Pool.run ~jobs tasks in
       let insns = List.fold_left (fun acc p -> acc + p ()) 0 publishers in
+      inline_insns := 0;
       render ();
+      let insns = insns + !inline_insns in
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       total_insns := !total_insns + insns;
       timings := { fig = name; wall_ms; fig_guest_insns = insns } :: !timings)
