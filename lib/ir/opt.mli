@@ -21,7 +21,8 @@ val copy_propagate : Lblock.t -> Lblock.t
 
 val eliminate_dead : live_out:Hinsn.reg list -> Lblock.t -> Lblock.t
 (** Remove instructions whose results are never observed. Loads, stores,
-    traps, branches and the macro-ops are never removed. *)
+    traps, branches and the macro-ops are never removed. Raises
+    {!Lblock.Malformed} on a branch to an undefined or earlier label. *)
 
 val forward_loads : Lblock.t -> Lblock.t
 (** Redundant-load elimination with store-to-load forwarding. A repeated
