@@ -61,9 +61,17 @@ let test_outcomes_match_solo () =
   | Exec.Exited n -> Alcotest.(check int) "guest b exit code" code_b n
   | _ -> Alcotest.fail "guest b did not exit"
 
+let test_cycle_limit () =
+  let a, b = progs () in
+  Alcotest.check_raises "cycle limit" (Failure "fabric cycle limit") (fun () ->
+      ignore
+        (Fabric.run ~max_cycles:1_000 ~policy:(Fabric.Static (3, 3)) (a, "a")
+           (b, "b")))
+
 let suite =
   [ Alcotest.test_case "static split" `Slow test_static;
     Alcotest.test_case "bad split rejected" `Quick test_static_rejects_bad_split;
+    Alcotest.test_case "small max_cycles fails" `Quick test_cycle_limit;
     Alcotest.test_case "dynamic sharing trades tiles" `Slow
       test_shared_trades_and_helps;
     Alcotest.test_case "fabric outcomes match solo runs" `Slow

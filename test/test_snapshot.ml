@@ -298,6 +298,36 @@ let test_dirty_parity_rollback () =
   Alcotest.(check bool) "bank quarantined" true
     (Metrics.get rv "recovery.quarantined_banks" >= 1)
 
+(* With no rollbacks allowed, the first terminal fault ends the run with
+   the message formed where the fault struck. *)
+let give_up_outcome ~at ~site ~kind cfg items =
+  let plan = Fault.make ~seed:1 [ { Fault.at; site; kind } ] in
+  let rv =
+    Vm.run ~fuel ~faults:plan ~checkpoint_every:10_000 ~max_rollbacks:0 cfg
+      (Program.of_asm items)
+  in
+  Alcotest.(check int) "counted as unrecoverable" 1
+    (Metrics.get rv "fault.unrecoverable");
+  match rv.Vm.outcome with
+  | Exec.Fault m -> m
+  | Exec.Exited _ | Exec.Out_of_fuel -> Alcotest.fail "expected a give-up fault"
+
+let test_give_up_manager () =
+  Alcotest.(check string) "message" "unrecoverable fault: manager tile failed"
+    (give_up_outcome ~at:25_000 ~site:(Fault.site "manager")
+       ~kind:Fault.Fail_stop ft_cfg workload_program)
+
+let test_give_up_dirty_parity () =
+  let m =
+    give_up_outcome ~at:100_000 ~site:(Fault.site ~index:0 "l2d")
+      ~kind:Fault.Corrupt_storage
+      { Config.default with fault_tolerance = true }
+      store_heavy_program
+  in
+  let prefix = "uncorrectable L2D parity error (bank " in
+  Alcotest.(check string) "message prefix" prefix
+    (String.sub m 0 (min (String.length m) (String.length prefix)))
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +461,10 @@ let suite =
       test_manager_failstop_recovery;
     Alcotest.test_case "vm: dirty L2D parity loss recovered by rollback" `Quick
       test_dirty_parity_rollback;
+    Alcotest.test_case "vm: rollback give-up keeps the manager message" `Quick
+      test_give_up_manager;
+    Alcotest.test_case "vm: rollback give-up keeps the parity message" `Quick
+      test_give_up_dirty_parity;
     QCheck_alcotest.to_alcotest prop_checkpoint_transparent;
     QCheck_alcotest.to_alcotest prop_resume_identity;
     QCheck_alcotest.to_alcotest prop_no_fault_terminal ]

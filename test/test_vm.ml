@@ -139,6 +139,13 @@ let vm_out_of_fuel () =
   | Exec.Out_of_fuel -> ()
   | Exec.Exited _ | Exec.Fault _ -> Alcotest.fail "expected out-of-fuel"
 
+let vm_cycle_limit () =
+  let rv = Vm.run ~fuel ~max_cycles:1_000 Config.default (Program.of_asm looped_sum) in
+  match rv.outcome with
+  | Exec.Fault m ->
+    Alcotest.(check string) "outcome" "simulation cycle limit exceeded" m
+  | Exec.Exited _ | Exec.Out_of_fuel -> Alcotest.fail "expected the cycle limit"
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [ quick "basic program" vm_basic;
@@ -146,7 +153,8 @@ let suite =
     quick "chaining engages on hot loops" vm_chaining_counts;
     quick "speculation stays ahead of demand" vm_speculation_runs_ahead;
     quick "slowdown vs PIII is sane" vm_slowdown_sane;
-    quick "infinite loop hits fuel" vm_out_of_fuel ]
+    quick "infinite loop hits fuel" vm_out_of_fuel;
+    quick "small max_cycles ends the run" vm_cycle_limit ]
   @ List.init 6 (fun i ->
         quick (Printf.sprintf "random program %d" i) (vm_random (4000 + i)))
   @ List.init 3 (fun i ->
