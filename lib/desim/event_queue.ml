@@ -98,3 +98,11 @@ let run_until t ~limit =
   done
 
 let run t = while step t do () done
+
+type stop = Finished | Cycle_limit | Deadlock
+
+let rec drive t ~max_cycles ~finished =
+  if finished () then Finished
+  else if t.clock > max_cycles then Cycle_limit
+  else if step t then drive t ~max_cycles ~finished
+  else Deadlock

@@ -47,3 +47,11 @@ val run_until : t -> limit:int -> unit
 
 val run : t -> unit
 (** Fire events until the queue is empty. *)
+
+type stop = Finished | Cycle_limit | Deadlock
+
+val drive : t -> max_cycles:int -> finished:(unit -> bool) -> stop
+(** The whole-system drive loop. Before each event it checks, in order:
+    [finished ()] ([Finished]), then whether the clock has passed
+    [max_cycles] ([Cycle_limit]); an empty queue ends it with
+    [Deadlock]. Allocates nothing per event. *)
