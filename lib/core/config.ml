@@ -29,7 +29,6 @@ type t = {
   dispatch_cycles : int;
   chain_cycles : int;
   l1_install_bytes_per_cycle : int;
-  smc_check_cycles : int;
   max_outstanding : int;
   l15_lookup_cycles : int;
   mgr_lookup_cycles : int;
@@ -89,7 +88,6 @@ let default =
     dispatch_cycles = 30;
     chain_cycles = 1;
     l1_install_bytes_per_cycle = 2;
-    smc_check_cycles = 0;             (* folded into store occupancy *)
     max_outstanding = 4;
     l15_lookup_cycles = 18;
     mgr_lookup_cycles = 40;

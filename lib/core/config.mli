@@ -51,7 +51,6 @@ type t = {
   dispatch_cycles : int;     (** L1 code-cache lookup in the dispatch loop *)
   chain_cycles : int;        (** chained block-to-block transfer *)
   l1_install_bytes_per_cycle : int;
-  smc_check_cycles : int;    (** per-store translated-page check *)
   max_outstanding : int;     (** in-flight load misses under the scoreboard *)
   (* Code-cache service costs. *)
   l15_lookup_cycles : int;
