@@ -300,6 +300,28 @@ let test_linearize_rejects_backward () =
   | _ -> Alcotest.fail "backward branch accepted"
   | exception Lblock.Malformed _ -> ()
 
+(* A forward label resolves to the index of the next instruction; a label
+   at the block end resolves to [length], the fall-through. Any other
+   target would make a translated block loop or never fall through. *)
+let test_linearize_forward_targets () =
+  let items =
+    [ Lblock.I Hinsn.Nop;
+      Lblock.I (Hinsn.Branch (Beq, 0, 0, 1));
+      Lblock.I Hinsn.Nop;
+      Lblock.L 1;
+      Lblock.I Hinsn.Nop;
+      Lblock.I (Hinsn.Jump 2);
+      Lblock.L 2 ]
+  in
+  let code = Lblock.linearize items in
+  Alcotest.(check int) "length" 5 (Array.length code);
+  (match code.(1) with
+   | Hinsn.Branch (Beq, 0, 0, t) -> Alcotest.(check int) "branch target" 3 t
+   | _ -> Alcotest.fail "branch moved");
+  match code.(4) with
+  | Hinsn.Jump t -> Alcotest.(check int) "block-end target" 5 t
+  | _ -> Alcotest.fail "jump moved"
+
 let test_spill_pressure () =
   (* More simultaneously-live values than hardware temporaries: forces
      spilling, which must still compute the right answer. *)
@@ -324,6 +346,8 @@ let suite =
     Alcotest.test_case "dead loads survive" `Quick test_loads_never_deleted;
     Alcotest.test_case "linearize rejects backward branches" `Quick
       test_linearize_rejects_backward;
+    Alcotest.test_case "linearize resolves forward targets" `Quick
+      test_linearize_forward_targets;
     Alcotest.test_case "register spilling" `Quick test_spill_pressure ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_opt_preserves; prop_sched_preserves; prop_sched_order;
