@@ -241,7 +241,7 @@ let fig10 =
 (* ------------------------------------------------------------------ *)
 
 let fig11 () =
-  let emu = Analysis.emulator_intrinsics Config.default in
+  let emu = Analysis.emulator_intrinsics in
   let ref_ = Analysis.piii_intrinsics in
   Printf.printf "\nFigure 11: architecture intrinsics (emulator vs Pentium III)\n";
   Printf.printf "%-14s %22s %18s\n" "intrinsic" "Raw emulator" "PIII";
@@ -264,7 +264,7 @@ let fig11 () =
 let analysis_config = ("spec-6", List.assoc "spec-6" fig5_configs)
 
 let analysis () =
-  let d = Analysis.paper_decomposition Config.default in
+  let d = Analysis.paper_decomposition in
   Printf.printf
     "\nSection 4.5 analysis: expected slowdown decomposition (paper: 3.9 x 1.3 x 1.1 = 5.5)\n";
   Printf.printf
@@ -277,7 +277,7 @@ let analysis () =
     (fun b ->
       let r = vm (sweep_cell "fig5-" b analysis_config) in
       let dec =
-        Analysis.decompose Config.default
+        Analysis.decompose
           ~mem_access_rate:(min 0.6 (Metrics.mem_access_rate r))
           ~l1_miss_rate:(Metrics.l1d_miss_rate r)
           ~l2_miss_rate:

@@ -10,24 +10,24 @@ type intrinsics = {
   exec_units : int;
 }
 
-let emulator_intrinsics (cfg : Config.t) =
+let emulator_intrinsics =
   let layout = Layout.create (Grid.create ()) in
   let to_mmu = Layout.lat_exec_mmu layout in
   let to_bank = Layout.lat_mmu_bank layout 0 in
   let back = Layout.lat_bank_exec layout 0 in
   let l2_hit =
-    cfg.l1d_occupancy + to_mmu + cfg.mmu_tlb_hit_cycles + to_bank
-    + cfg.l2d_bank_cycles + back
+    Config.l1d_occupancy + to_mmu + Config.mmu_tlb_hit_cycles + to_bank
+    + Config.l2d_bank_cycles + back
   in
-  let l2_miss = l2_hit + cfg.dram_cycles in
-  { l1_hit_latency = cfg.l1d_hit_latency;
-    l1_hit_occupancy = cfg.l1d_occupancy;
+  let l2_miss = l2_hit + Config.dram_cycles in
+  { l1_hit_latency = Config.l1d_hit_latency;
+    l1_hit_occupancy = Config.l1d_occupancy;
     l2_hit_latency = l2_hit;
     (* The transactor pipeline's serial occupancy: MMU plus bank stages. *)
-    l2_hit_occupancy = cfg.mmu_tlb_hit_cycles + cfg.l2d_bank_cycles;
+    l2_hit_occupancy = Config.mmu_tlb_hit_cycles + Config.l2d_bank_cycles;
     l2_miss_latency = l2_miss;
     l2_miss_occupancy =
-      cfg.mmu_tlb_hit_cycles + cfg.l2d_bank_cycles + cfg.dram_cycles;
+      Config.mmu_tlb_hit_cycles + Config.l2d_bank_cycles + Config.dram_cycles;
     exec_units = 1 }
 
 let piii_intrinsics =
@@ -56,9 +56,9 @@ type decomposition = {
   expected_slowdown : float;
 }
 
-let decompose cfg ~mem_access_rate ~l1_miss_rate ~l2_miss_rate =
+let decompose ~mem_access_rate ~l1_miss_rate ~l2_miss_rate =
   let emu =
-    cpi (emulator_intrinsics cfg) ~mem_access_rate ~l1_miss_rate ~l2_miss_rate
+    cpi emulator_intrinsics ~mem_access_rate ~l1_miss_rate ~l2_miss_rate
       ~non_mem_cpi:1.0
   in
   let ref_cpi =
@@ -74,5 +74,5 @@ let decompose cfg ~mem_access_rate ~l1_miss_rate ~l2_miss_rate =
     flags_factor;
     expected_slowdown = memory_factor *. ilp_factor *. flags_factor }
 
-let paper_decomposition cfg =
-  decompose cfg ~mem_access_rate:0.3 ~l1_miss_rate:0.06 ~l2_miss_rate:0.25
+let paper_decomposition =
+  decompose ~mem_access_rate:0.3 ~l1_miss_rate:0.06 ~l2_miss_rate:0.25

@@ -14,8 +14,8 @@ type intrinsics = {
   exec_units : int;
 }
 
-val emulator_intrinsics : Config.t -> intrinsics
-(** Computed from the configuration's cost constants and the floorplan's
+val emulator_intrinsics : intrinsics
+(** Computed from {!Config}'s cost constants and the floorplan's
     network latencies (uses bank 0's position). *)
 
 val piii_intrinsics : intrinsics
@@ -38,7 +38,6 @@ type decomposition = {
 }
 
 val decompose :
-  Config.t ->
   mem_access_rate:float ->
   l1_miss_rate:float ->
   l2_miss_rate:float ->
@@ -47,6 +46,6 @@ val decompose :
     miss rates, holding [mem_access_rate] and non-memory CPI fixed across
     both machines as §4.5 does. *)
 
-val paper_decomposition : Config.t -> decomposition
+val paper_decomposition : decomposition
 (** With the paper's numbers: mem rate 0.3, SpecInt miss rates from the
     Cantin & Hill data (L1 6%, L2 25%), non-memory CPI 1. *)

@@ -1,5 +1,7 @@
-(** Virtual-architecture configuration: tile-role allocation, capacities,
-    and calibrated cycle costs.
+(** Virtual-architecture configuration: tile-role allocation, feature
+    toggles and fault-tolerance parameters (the fields of {!t}), plus the
+    capacities and calibrated cycle costs, which no experiment varies and
+    so are plain constants.
 
     The cost constants are calibrated so the simulated memory-system
     intrinsics match the paper's Figure 11 (emulator L1 data hit latency 6 /
@@ -34,45 +36,7 @@ type t = {
           the optimizer to chew on, at the cost of code duplication when
           execution enters mid-trace (bigger code-cache footprint). *)
   morph : morph_policy;
-  (* Capacities. *)
-  l1_code_bytes : int;
-  l15_bank_bytes : int;
-  l2_code_bytes : int;
-  l1d_bytes : int;
-  l1d_ways : int;
-  l2d_bank_bytes : int;
-  l2d_ways : int;
-  line_bytes : int;
-  tlb_entries : int;
   max_block_insns : int;     (** guest instructions per translation block *)
-  (* Execution-tile costs. *)
-  l1d_hit_latency : int;
-  l1d_occupancy : int;
-  dispatch_cycles : int;     (** L1 code-cache lookup in the dispatch loop *)
-  chain_cycles : int;        (** chained block-to-block transfer *)
-  l1_install_bytes_per_cycle : int;
-  max_outstanding : int;     (** in-flight load misses under the scoreboard *)
-  (* Code-cache service costs. *)
-  l15_lookup_cycles : int;
-  mgr_lookup_cycles : int;
-  mgr_install_cycles : int;
-  (* Translation costs (slave occupancy). *)
-  translate_base_cycles : int;
-  translate_per_guest_insn : int;
-  optimize_per_host_insn : int;
-  (* Data-memory pipeline costs. *)
-  mmu_tlb_hit_cycles : int;
-  mmu_walk_cycles : int;
-  l2d_bank_cycles : int;
-  dram_cycles : int;
-  writeback_cycles : int;
-  (* Syscall tile. *)
-  syscall_base_cycles : int;
-  syscall_per_byte_cycles : int;
-  (* Reconfiguration costs. *)
-  morph_flush_per_line : int;
-  morph_role_switch_cycles : int;
-  sample_interval : int;
   (* Fault tolerance. When [fault_tolerance] is off (the default) none of
      the recovery machinery is armed and timing is identical to a build
      without it; {!Vm.run} arms it automatically when given a non-empty
@@ -81,14 +45,8 @@ type t = {
   fill_deadline_cycles : int;
       (** Base deadline for a code fill before it is retried. *)
   fill_max_retries : int;
-  fill_backoff_mult : int;
-      (** Each retry multiplies the deadline (exponential backoff). *)
   mem_deadline_cycles : int;
       (** Base deadline for a data-memory access before it is retried. *)
-  mem_max_retries : int;
-  demand_translate_penalty_cycles : int;
-      (** Extra cycles when the manager demand-translates a block itself
-          (the degraded path after fill retries are exhausted). *)
   watchdog_stall_cycles : int;
       (** Abort when no guest instruction retires for this many cycles. *)
   checksum_cycles : int;
@@ -110,6 +68,56 @@ type t = {
 val default : t
 (** 6 translators / 4 L2D banks / 2 L1.5 banks, speculation and
     optimization on, no morphing. *)
+
+(** {2 Capacities and calibrated costs}
+
+    No experiment varies these, so they are constants, not fields. *)
+
+val l1_code_bytes : int
+val l15_bank_bytes : int
+val l2_code_bytes : int
+val l1d_bytes : int
+val l1d_ways : int
+val l2d_bank_bytes : int
+val l2d_ways : int
+val line_bytes : int
+val tlb_entries : int
+(* Execution-tile costs. *)
+val l1d_hit_latency : int
+val l1d_occupancy : int
+val dispatch_cycles : int  (* L1 code-cache lookup in the dispatch loop *)
+val chain_cycles : int     (* chained block-to-block transfer *)
+val l1_install_bytes_per_cycle : int
+val max_outstanding : int  (* in-flight load misses under the scoreboard *)
+(* Code-cache service costs. *)
+val l15_lookup_cycles : int
+val mgr_lookup_cycles : int
+val mgr_install_cycles : int
+(* Translation costs (slave occupancy). *)
+val translate_base_cycles : int
+val translate_per_guest_insn : int
+val optimize_per_host_insn : int
+(* Data-memory pipeline costs. *)
+val mmu_tlb_hit_cycles : int
+val mmu_walk_cycles : int
+val l2d_bank_cycles : int
+val dram_cycles : int
+val writeback_cycles : int
+(* Syscall tile. *)
+val syscall_base_cycles : int
+val syscall_per_byte_cycles : int
+(* Reconfiguration costs. *)
+val morph_flush_per_line : int
+val morph_role_switch_cycles : int
+val sample_interval : int
+(* Fault tolerance. *)
+val fill_backoff_mult : int
+(** Each retry multiplies the deadline (exponential backoff). *)
+
+val mem_max_retries : int
+val demand_translate_penalty_cycles : int
+(** Extra cycles when the manager demand-translates a block itself (the
+    degraded path after fill retries are exhausted). *)
 
 val fixed_tiles : int
 (** Tiles not available to the translator/L2D pool (exec, MMU, manager,

@@ -10,7 +10,9 @@ type outcome =
   | Fault of string
   | Out_of_fuel
 
-let scratch_base = Xrun.scratch_base
+(* Reserved address region for register-allocator spill slots; guest
+   programs must not touch addresses at or above it. *)
+let scratch_base = 0xFFF00000
 
 type syscall_req = {
   s_eax : int;
@@ -107,9 +109,9 @@ let create q stats cfg layout prog ~manager ~memsys ?input
     Service.create q ~name:"syscall"
       ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
         let occupancy =
-          cfg.Config.syscall_base_cycles
+          Config.syscall_base_cycles
           + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
-               cfg.Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
+               Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
              else 0)
         in
         ( occupancy,
@@ -167,10 +169,10 @@ let create q stats cfg layout prog ~manager ~memsys ?input
     scratch = Array.make 4096 0;
     ready_at = Array.make 32 0;
     pending = Array.make 32 false;
-    l1 = Code_cache.L1.create ~capacity:cfg.Config.l1_code_bytes;
+    l1 = Code_cache.L1.create ~capacity:Config.l1_code_bytes;
     l1d =
-      Cache.create ~name:"l1d" ~size_bytes:cfg.Config.l1d_bytes
-        ~ways:cfg.Config.l1d_ways ~line_bytes:cfg.Config.line_bytes;
+      Cache.create ~name:"l1d" ~size_bytes:Config.l1d_bytes
+        ~ways:Config.l1d_ways ~line_bytes:Config.line_bytes;
     syscall_svc;
     pending_mask = 0;
     t_local = 0;
@@ -186,7 +188,6 @@ let create q stats cfg layout prog ~manager ~memsys ?input
 let local_time t = t.t_local
 let guest_instructions t = t.guest_insns
 let output t = Syscall.output t.world
-let guest_reg t r = t.regs.(Translate.guest_pin r)
 
 let digest t =
   let h = ref (Mem.checksum t.prog.Program.mem) in
@@ -369,13 +370,13 @@ and exec_load t insn w rd base off =
     | v ->
       Stats.bump t.k.c_l1d_loads;
       let issue = t.t_local in
-      t.t_local <- t.t_local + t.cfg.Config.l1d_occupancy;
+      t.t_local <- t.t_local + Config.l1d_occupancy;
       t.regs.(rd) <- v;
       let { Cache.hit; writeback; parity = _ } =
         Cache.access t.l1d ~addr ~write:false
       in
       if hit then begin
-        t.ready_at.(rd) <- issue + t.cfg.Config.l1d_hit_latency;
+        t.ready_at.(rd) <- issue + Config.l1d_hit_latency;
         t.pc <- t.pc + 1;
         step t
       end
@@ -391,7 +392,7 @@ and exec_load t insn w rd base off =
         if not t.cfg.Config.scoreboard then
           (* Scoreboarding disabled (ablation): block until the reply. *)
           issue_miss t rd addr ~blocking:true
-        else if t.outstanding >= t.cfg.Config.max_outstanding then begin
+        else if t.outstanding >= Config.max_outstanding then begin
           (* All miss slots busy: retry this load when one frees up. *)
           t.wait <- Wait_capacity t.pc;
           Stats.bump t.k.c_capacity_suspends
@@ -441,7 +442,7 @@ and exec_store t w rv base off =
     | exception Guest_mem_fault msg -> finish t (Fault msg)
     | () ->
       Stats.bump t.k.c_l1d_stores;
-      t.t_local <- t.t_local + t.cfg.Config.l1d_occupancy;
+      t.t_local <- t.t_local + Config.l1d_occupancy;
       (* Self-modifying-code detection: a store into a page holding
          translated code invalidates that page's blocks everywhere. *)
       let page = Mem.page_of addr in
@@ -512,7 +513,7 @@ and leave_direct t entry dir target =
   match chained with
   | Some next_entry ->
     Stats.bump t.k.c_chained_transfers;
-    t.t_local <- t.t_local + t.cfg.Config.chain_cycles;
+    t.t_local <- t.t_local + Config.chain_cycles;
     Tr.emit t.pb.p_chain ~cycle:t.t_local
       ~arg:next_entry.Code_cache.L1.block.Block.guest_addr;
     enter t next_entry
@@ -520,7 +521,7 @@ and leave_direct t entry dir target =
 
 and dispatch t ~chain_slot target =
   Stats.bump t.k.c_dispatches;
-  t.t_local <- t.t_local + t.cfg.Config.dispatch_cycles;
+  t.t_local <- t.t_local + Config.dispatch_cycles;
   match Code_cache.L1.find t.l1 target with
   | Some next_entry ->
     Stats.bump t.k.c_l1code_hits;
@@ -540,7 +541,7 @@ and dispatch t ~chain_slot target =
             let now = Event_queue.now t.q in
             if now > t.t_local then t.t_local <- now;
             let install_cost =
-              (Block.size_bytes block / t.cfg.Config.l1_install_bytes_per_cycle)
+              (Block.size_bytes block / Config.l1_install_bytes_per_cycle)
               + (if t.cfg.Config.fault_tolerance then
                    t.cfg.Config.checksum_cycles
                  else 0)
@@ -637,7 +638,7 @@ and wake t =
     t.pc <- pc;
     t.wait <- Running;
     step t
-  | Wait_capacity pc when t.outstanding < t.cfg.Config.max_outstanding ->
+  | Wait_capacity pc when t.outstanding < Config.max_outstanding ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
     t.pc <- pc;

@@ -62,9 +62,8 @@ val corrupt_l1code : t -> salt:int -> bool
 
 val guest_instructions : t -> int
 val output : t -> string
-val guest_reg : t -> Insn.reg -> int
 val digest : t -> int
-(** Comparable with {!Vat_guest.Interp.digest} / {!Xrun.digest}. *)
+(** Comparable with {!Vat_guest.Interp.digest}. *)
 
 val capture : t -> string
 (** Checkpoint section payload: registers, memory/scratch digests,

@@ -86,9 +86,9 @@ let run ?(fuel = 50_000_000) ?(max_cycles = 2_000_000_000) ~policy
           end
         end);
        if !done_a = None || !done_b = None then
-         Event_queue.after q ~delay:Config.default.Config.sample_interval sample
+         Event_queue.after q ~delay:Config.sample_interval sample
      in
-     Event_queue.after q ~delay:Config.default.Config.sample_interval sample);
+     Event_queue.after q ~delay:Config.sample_interval sample);
   Vm.start inst_a ~fuel ~on_finish:(fun o ->
       done_a := Some (o, Event_queue.now q);
       Stats.add stats ("fabric.finish." ^ name_a) (Event_queue.now q));

@@ -168,7 +168,7 @@ and send_install t i (block : Block.t) gens =
               Stats.incr t.stats "corrupt.install_retransmits";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
               submit ();
-              watch (retries + 1) (deadline * t.cfg.Config.fill_backoff_mult)
+              watch (retries + 1) (deadline * Config.fill_backoff_mult)
             end
             else begin
               Hashtbl.remove t.unacked seq;
@@ -208,8 +208,8 @@ let add_waiter t addr reply =
 (* Serving a block occupies the tile for the lookup plus the time to
    stream the code over the network — the congestion behind the paper's
    Figure 5/6 anomaly comes from exactly this serialization. *)
-let stream_cycles t (block : Block.t) =
-  Block.size_bytes block / t.cfg.Config.l1_install_bytes_per_cycle
+let stream_cycles (block : Block.t) =
+  Block.size_bytes block / Config.l1_install_bytes_per_cycle
 
 let verify_cost t = if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles else 0
 
@@ -224,8 +224,8 @@ let serve_mgr t req =
           the block before streaming it. *)
        Tr.emit t.pr.l2_hit ~cycle:(Event_queue.now t.q) ~arg:addr;
        let occupancy =
-         t.cfg.Config.mgr_lookup_cycles + t.cfg.Config.dram_cycles
-         + stream_cycles t block + verify_cost t
+         Config.mgr_lookup_cycles + Config.dram_cycles
+         + stream_cycles block + verify_cost t
        in
        ( occupancy,
          fun () ->
@@ -245,7 +245,7 @@ let serve_mgr t req =
         | None -> ());
        Stats.incr t.stats "l2code.misses";
        Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
-       ( t.cfg.Config.mgr_lookup_cycles + verify_cost t,
+       ( Config.mgr_lookup_cycles + verify_cost t,
          fun () ->
            add_waiter t addr reply;
            (* If the block was invalidated (SMC) or evicted after being
@@ -258,8 +258,7 @@ let serve_mgr t req =
        the bookkeeping and half-rate streaming, not the DRAM round trip
        (fills, which execution waits on, still do). *)
     let occupancy =
-      t.cfg.Config.mgr_install_cycles + (stream_cycles t block / 2)
-      + verify_cost t
+      Config.mgr_install_cycles + (stream_cycles block / 2) + verify_cost t
     in
     ( occupancy,
       fun () ->
@@ -321,7 +320,7 @@ let serve_l15 t { addr; bank; corrupt; reply } =
   | Some (block, sum) when (not ft) || sum = block.Block.checksum ->
     Stats.incr t.stats "l15.hits";
     Tr.emit t.pr.l15_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
-    ( t.cfg.Config.l15_lookup_cycles + stream_cycles t block + verify_cost t,
+    ( Config.l15_lookup_cycles + stream_cycles block + verify_cost t,
       fun () ->
         let sum =
           if corrupt then begin
@@ -345,7 +344,7 @@ let serve_l15 t { addr; bank; corrupt; reply } =
      | None -> ());
     Stats.incr t.stats "l15.misses";
     Tr.emit t.pr.l15_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
-    ( t.cfg.Config.l15_lookup_cycles + verify_cost t,
+    ( Config.l15_lookup_cycles + verify_cost t,
       fun () ->
         (* Forward to the manager; when the block comes back, keep a copy
            in this bank before handing it to the execution tile. A
@@ -399,10 +398,10 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       fetch;
       page_gen;
       memo;
-      l2 = Code_cache.L2.create ~capacity:cfg.Config.l2_code_bytes;
+      l2 = Code_cache.L2.create ~capacity:Config.l2_code_bytes;
       l15_banks =
         Array.init (max 1 cfg.Config.n_l15_banks) (fun _ ->
-            Code_cache.L15.create ~capacity:cfg.Config.l15_bank_bytes);
+            Code_cache.L15.create ~capacity:Config.l15_bank_bytes);
       spec = Spec.create cfg stats;
       slaves =
         Array.init 9 (fun i ->
@@ -494,7 +493,7 @@ let degraded_fill t ~addr ~reply =
   in
   Event_queue.after t.q
     ~delay:
-      (t.cfg.Config.demand_translate_penalty_cycles
+      (Config.demand_translate_penalty_cycles
       + Layout.lat_manager_exec t.layout)
     (fun () -> reply block block.Block.checksum)
 
@@ -524,7 +523,7 @@ let request_fill t ~addr ~on_ready =
             if retries < t.cfg.Config.fill_max_retries then begin
               Stats.incr t.stats "fault.fill_retries";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:3;
-              attempt (retries + 1) (deadline * t.cfg.Config.fill_backoff_mult)
+              attempt (retries + 1) (deadline * Config.fill_backoff_mult)
             end
             else degraded_fill t ~addr ~reply
           end)
@@ -553,9 +552,6 @@ let l15_max_queue t =
 
 let active_slaves t =
   Array.fold_left (fun acc s -> if s.active then acc + 1 else acc) 0 t.slaves
-
-let busy_slaves t =
-  Array.fold_left (fun acc s -> if s.busy then acc + 1 else acc) 0 t.slaves
 
 let usable_slaves t =
   Array.fold_left (fun acc s -> if s.failed then acc else acc + 1) 0 t.slaves
@@ -638,8 +634,6 @@ let slow_translator t i ~factor ~cycles =
     s.slow_factor <- factor;
     s.slow_until <- Event_queue.now t.q + max 0 cycles
   end
-
-let alive_l15_banks t = Array.length t.l15_alive
 
 let retire_l15 t i ~stat =
   if i < 0 || i >= Array.length t.l15_services then

@@ -72,8 +72,6 @@ val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
     the affected slaves to finish their current block. Fail-stopped slaves
     are never reactivated; the target is met from surviving tiles. *)
 
-val busy_slaves : t -> int
-
 (** {2 Fault injection and recovery}
 
     With {!Config.t.fault_tolerance} armed, {!request_fill} carries a
@@ -106,7 +104,6 @@ val fail_l15_bank : t -> int -> unit
 (** Fail-stop an L1.5 bank: queued and future lookups re-route to the
     manager; the surviving banks absorb the address space. *)
 
-val alive_l15_banks : t -> int
 val l15_drop : t -> int -> int -> unit
 val l15_slow : t -> int -> factor:int -> cycles:int -> unit
 val mgr_drop : t -> int -> unit

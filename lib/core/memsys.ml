@@ -95,15 +95,14 @@ let translate t vaddr =
   in
   (frame * Mem.page_size) + (vaddr mod Mem.page_size)
 
-let bank_of t paddr = paddr / t.cfg.Config.line_bytes mod t.n_banks
+let bank_of t paddr = paddr / Config.line_bytes mod t.n_banks
 
 (* Line-interleaved banking: bank [b] holds lines congruent to [b], so its
    cache must be indexed by the bank-local line number or it would only
    ever touch 1/n_banks of its sets. *)
 let bank_local_addr t paddr =
-  let line = paddr / t.cfg.Config.line_bytes in
-  ((line / t.n_banks) * t.cfg.Config.line_bytes)
-  + (paddr mod t.cfg.Config.line_bytes)
+  let line = paddr / Config.line_bytes in
+  ((line / t.n_banks) * Config.line_bytes) + (paddr mod Config.line_bytes)
 
 let make_bank_service t idx =
   Service.create t.q ~name:(Printf.sprintf "l2d_bank%d" idx)
@@ -117,14 +116,14 @@ let make_bank_service t idx =
         if hit then begin
           Stats.incr t.stats "l2d.hits";
           Tr.emit t.pr.bank_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
-          t.cfg.Config.l2d_bank_cycles
+          Config.l2d_bank_cycles
         end
         else begin
           Stats.incr t.stats "l2d.misses";
           Tr.emit t.pr.bank_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
-          t.cfg.Config.l2d_bank_cycles + t.cfg.Config.dram_cycles
+          Config.l2d_bank_cycles + Config.dram_cycles
           + (match writeback with
-             | Some _ -> t.cfg.Config.writeback_cycles
+             | Some _ -> Config.writeback_cycles
              | None -> 0)
         end
       in
@@ -138,7 +137,7 @@ let make_bank_service t idx =
         | Cache.Corrected ->
           Stats.incr t.stats "corrupt.parity_corrected";
           t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-          (occupancy + t.cfg.Config.dram_cycles, None)
+          (occupancy + Config.dram_cycles, None)
         | Cache.Uncorrectable ->
           Stats.incr t.stats "corrupt.parity_uncorrectable";
           t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
@@ -160,15 +159,14 @@ let make_mmu t =
       let vpage = vaddr / Mem.page_size in
       let hit = tlb_lookup t vpage in
       let occupancy =
-        if hit then t.cfg.Config.mmu_tlb_hit_cycles
-        else t.cfg.Config.mmu_walk_cycles
+        if hit then Config.mmu_tlb_hit_cycles else Config.mmu_walk_cycles
       in
       let paddr = translate t vaddr in
       if Array.length t.bank_map = 0 then begin
         (* Every bank is dead: the MMU serves straight from DRAM. *)
         Stats.incr t.stats "fault.uncached_dram_accesses";
         Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:3;
-        ( occupancy + t.cfg.Config.dram_cycles,
+        ( occupancy + Config.dram_cycles,
           fun () ->
             Event_queue.after t.q ~delay:(Layout.lat_exec_mmu t.layout) on_done )
       end
@@ -186,8 +184,8 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
     Array.init max_banks (fun i ->
         Cache.create
           ~name:(Printf.sprintf "l2d%d" i)
-          ~size_bytes:cfg.Config.l2d_bank_bytes ~ways:cfg.Config.l2d_ways
-          ~line_bytes:cfg.Config.line_bytes)
+          ~size_bytes:Config.l2d_bank_bytes ~ways:Config.l2d_ways
+          ~line_bytes:Config.line_bytes)
   in
   let n_banks = min max_banks (max 1 cfg.Config.n_l2d_banks) in
   let mmu_track = Tr.track trace "mmu" in
@@ -207,8 +205,8 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       cfg;
       layout;
       page_table;
-      tlb_tags = Array.make cfg.Config.tlb_entries (-1);
-      tlb_lru = Array.make cfg.Config.tlb_entries 0;
+      tlb_tags = Array.make Config.tlb_entries (-1);
+      tlb_lru = Array.make Config.tlb_entries 0;
       tlb_tick = 0;
       tlb_hits = 0;
       tlb_misses = 0;
@@ -261,15 +259,15 @@ let access t ~addr ~write ~on_done =
       Event_queue.after t.q ~delay:deadline (fun () ->
           if not !done_ then begin
             Stats.incr t.stats "fault.mem_timeouts";
-            if retries < t.cfg.Config.mem_max_retries then begin
+            if retries < Config.mem_max_retries then begin
               Stats.incr t.stats "fault.mem_retries";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
-              attempt (retries + 1) (deadline * t.cfg.Config.fill_backoff_mult)
+              attempt (retries + 1) (deadline * Config.fill_backoff_mult)
             end
             else begin
               Stats.incr t.stats "fault.mem_direct_dram";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:2;
-              Event_queue.after t.q ~delay:t.cfg.Config.dram_cycles reply
+              Event_queue.after t.q ~delay:Config.dram_cycles reply
             end
           end)
     in
@@ -300,8 +298,7 @@ let reshape t n ~on_done =
     t.n_banks <- n;
     t.bank_map <- compute_map t n;
     let cost =
-      (!dirty * t.cfg.Config.morph_flush_per_line)
-      + t.cfg.Config.morph_role_switch_cycles
+      (!dirty * Config.morph_flush_per_line) + Config.morph_role_switch_cycles
     in
     Event_queue.after t.q ~delay:(max 1 cost) (fun () ->
         (* A bank can die during the switch window itself; never leave a

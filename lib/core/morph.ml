@@ -115,18 +115,18 @@ let create ?(trace = Tr.disabled) q stats cfg manager memsys =
    | Config.Morph { threshold; dwell } ->
      let rec loop () =
        sample t ~threshold ~dwell;
-       Event_queue.after q ~delay:cfg.Config.sample_interval loop
+       Event_queue.after q ~delay:Config.sample_interval loop
      in
-     Event_queue.after q ~delay:cfg.Config.sample_interval loop);
+     Event_queue.after q ~delay:Config.sample_interval loop);
   (* The quarantine loop only runs with fault tolerance armed, so
      fault-free runs schedule no extra events and stay byte-identical. *)
   if cfg.Config.fault_tolerance && cfg.Config.quarantine_threshold > 0 then begin
     let threshold = cfg.Config.quarantine_threshold in
     let rec qloop () =
       quarantine_scan t ~threshold;
-      Event_queue.after q ~delay:cfg.Config.sample_interval qloop
+      Event_queue.after q ~delay:Config.sample_interval qloop
     in
-    Event_queue.after q ~delay:cfg.Config.sample_interval qloop
+    Event_queue.after q ~delay:Config.sample_interval qloop
   end;
   t
 

@@ -106,8 +106,6 @@ let forget_done t addr =
     Hashtbl.remove t.depth addr
   | Some (Queued _ | In_flight) | None -> ()
 
-let is_known t addr = Hashtbl.mem t.status addr
-
 let is_done t addr =
   match Hashtbl.find_opt t.status addr with
   | Some Done -> true

@@ -38,9 +38,6 @@ val forget : t -> int -> unit
 (** Unconditionally drop all record of the address (used when an
     in-flight translation is discarded as stale). *)
 
-val is_known : t -> int -> bool
-(** Queued, in flight, or done. *)
-
 val is_done : t -> int -> bool
 (** The address's block reached the L2 code cache (used by the
     fault-recovery deadline on slave dispatch). *)

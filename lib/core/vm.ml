@@ -76,7 +76,6 @@ let start t ~fuel ~on_finish = Exec.start t.i_exec ~fuel ~on_finish
 let manager_of t = t.i_manager
 let exec_of t = t.i_exec
 let memsys_of t = t.i_memsys
-let layout_of t = t.i_layout
 
 (* ------------------------------------------------------------------ *)
 (* One simulation attempt                                              *)
@@ -334,8 +333,7 @@ let start_watchdog exec stats q ~stall_cycles =
 (* Decimated queue-depth sampler. It observes from the event-queue probe
    and schedules nothing, so the traced run replays the exact event
    sequence of the untraced one. *)
-let install_sampler trace cfg q manager memsys =
-  let interval = max 1 cfg.Config.sample_interval in
+let install_sampler trace q manager memsys =
   let gauge name = Tr.emitter trace ~track:(Tr.track trace name) Tr.Queue_depth in
   let d_trans = gauge "translate-queue" in
   let d_mgr = gauge "mgr-queue" in
@@ -344,7 +342,7 @@ let install_sampler trace cfg q manager memsys =
   let next = ref 0 in
   Event_queue.set_probe q (fun ~now ~pending ->
       if now >= !next then begin
-        next := now + interval;
+        next := now + Config.sample_interval;
         Tr.emit d_trans ~cycle:now ~arg:(Manager.queue_length manager);
         Tr.emit d_mgr ~cycle:now ~arg:(Manager.mgr_queue_length manager);
         Tr.emit d_l2d ~cycle:now ~arg:(Memsys.bank_queue_total memsys);
@@ -385,7 +383,7 @@ let build s ~ledger =
           { t_at = Event_queue.now q; t_role = "l2d"; t_index = bank;
             t_kind = ""; t_msg });
   if Tr.enabled trace then
-    install_sampler trace cfg q inst.i_manager inst.i_memsys;
+    install_sampler trace q inst.i_manager inst.i_memsys;
   let fault_emit =
     Tr.emitter trace ~track:(Tr.track trace "faults") Tr.Fault_inject
   in

@@ -47,7 +47,7 @@ val run :
     [trace] (default {!Vat_trace.Trace.disabled}) records a time-resolved
     event trace: per-tile service/translate/fill spans, code-cache and
     block-entry events, sampled queue depths (every
-    {!Config.t.sample_interval} cycles, via an event-queue observation
+    {!Config.sample_interval} cycles, via an event-queue observation
     probe that schedules nothing), morph decisions, and fault/recovery
     instants. Tracing never changes modelled timing: a traced run's
     cycles, digest, and stats are identical to the untraced run's, and
@@ -131,4 +131,3 @@ val start :
 val manager_of : instance -> Manager.t
 val exec_of : instance -> Exec.t
 val memsys_of : instance -> Memsys.t
-val layout_of : instance -> Layout.t

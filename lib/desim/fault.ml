@@ -99,8 +99,6 @@ let site_to_string s =
 let event_to_string e =
   Printf.sprintf "@%d %s %s" e.at (site_to_string e.site) (kind_to_string e.kind)
 
-let pp_event ppf e = Format.pp_print_string ppf (event_to_string e)
-
 let pp ppf p =
   Format.fprintf ppf "plan(seed=%d)" p.seed;
   List.iter (fun e -> Format.fprintf ppf " [%s]" (event_to_string e)) p.events

@@ -89,5 +89,4 @@ val count_before : plan -> cycle:int -> int
 val kind_to_string : kind -> string
 val site_to_string : site -> string
 val event_to_string : event -> string
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> plan -> unit

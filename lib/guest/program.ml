@@ -39,8 +39,3 @@ let symbol t name =
   match Hashtbl.find_opt t.symbols name with
   | Some v -> v
   | None -> raise (Asm.Error (Printf.sprintf "unknown symbol %s" name))
-
-let translate_page t ~vpage =
-  if vpage < 0 || vpage >= Array.length t.page_table then
-    raise (Mem.Fault { addr = vpage * Mem.page_size; access = "page-walk" })
-  else t.page_table.(vpage)

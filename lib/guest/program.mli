@@ -35,7 +35,3 @@ val clone : t -> t
 
 val symbol : t -> string -> int
 (** Raises [Asm.Error] for unknown symbols. *)
-
-val translate_page : t -> vpage:int -> int
-(** Walk the page table: virtual page number -> physical frame number.
-    Raises [Mem.Fault] for unmapped pages. *)

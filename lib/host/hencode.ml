@@ -121,5 +121,3 @@ let decode word : Hinsn.t =
   | 27 -> Div64 { divisor = rs; signed = true }
   | 28 -> Trap ((if rest land 1 = 0 then Divide_error else Divide_overflow), rs)
   | n -> invalid "unknown major opcode %d" n
-
-let code_bytes code = Array.length code * bytes_per_insn

@@ -20,6 +20,3 @@ val encode : Hinsn.t -> int
 
 val decode : int -> Hinsn.t
 (** Raises {!Invalid} on an unknown major opcode. *)
-
-val code_bytes : Hinsn.t array -> int
-(** Size of a code array in bytes. *)

@@ -99,8 +99,6 @@ let map_target f = function
   | Jump tgt -> Jump (f tgt)
   | insn -> insn
 
-let is_branch = function Branch _ | Jump _ -> true | _ -> false
-
 let has_side_effect = function
   | Store _ | Branch _ | Jump _ | Trap _ | Mul64 _ | Div64 _ | Load _ -> true
   | Alu3 _ | Alui _ | Lui _ | Shifti _ | Shiftv _ | Ext _ | Ins _ | Nop -> false

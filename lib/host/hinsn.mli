@@ -90,7 +90,6 @@ val map_regs : (reg -> reg) -> t -> t
 val map_target : (int -> int) -> t -> t
 (** Remap local branch/jump targets (used by linearization). *)
 
-val is_branch : t -> bool
 val has_side_effect : t -> bool
 (** Stores, traps, branches, jumps, and the macro-ops: instructions DCE must
     never delete. Loads are also kept (they can fault). *)

@@ -145,15 +145,3 @@ let rec allocate items =
         | I insn -> Lblock.I (Hinsn.map_regs rename insn))
       items
   | Error spills -> allocate (rewrite_spills (List.sort_uniq compare spills) items)
-
-let spill_slots_used items =
-  let max_off = ref (-4) in
-  List.iter
-    (fun (item : Lblock.item) ->
-      match item with
-      | I (Hinsn.Load (W32, _, base, off)) | I (Hinsn.Store (W32, _, base, off))
-        when base = scratch_base_reg ->
-        if off > !max_off then max_off := off
-      | _ -> ())
-    items;
-  (!max_off + 4) / 4

@@ -24,7 +24,3 @@ val allocate : Lblock.t -> Lblock.t
 (** Returns a body free of virtual registers. Raises {!Alloc_error} only if
     an instruction needs more than two spilled sources (impossible for this
     ISA). *)
-
-val spill_slots_used : Lblock.t -> int
-(** Upper bound on distinct spill slots in an allocated body, from scanning
-    scratch-area offsets; used by tests and the engine's scratch sizing. *)

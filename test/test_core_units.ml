@@ -179,7 +179,7 @@ let test_spec_forget_done () =
 (* --- Analysis ---------------------------------------------------------- *)
 
 let test_analysis_decomposition () =
-  let d = Analysis.paper_decomposition Config.default in
+  let d = Analysis.paper_decomposition in
   (* The paper computes 3.9 * 1.3 * 1.1 = 5.5; our intrinsics land near. *)
   if d.memory_factor < 2.5 || d.memory_factor > 5.0 then
     Alcotest.failf "memory factor %.2f out of range" d.memory_factor;
@@ -189,7 +189,7 @@ let test_analysis_decomposition () =
     Alcotest.failf "expected slowdown %.2f out of range" d.expected_slowdown
 
 let test_analysis_intrinsics_match_fig11 () =
-  let i = Analysis.emulator_intrinsics Config.default in
+  let i = Analysis.emulator_intrinsics in
   Alcotest.(check int) "L1 lat" 6 i.l1_hit_latency;
   Alcotest.(check int) "L1 occ" 4 i.l1_hit_occupancy;
   (* Paper: lat 87 / 151; calibrated within a few cycles. *)
@@ -199,7 +199,7 @@ let test_analysis_intrinsics_match_fig11 () =
     Alcotest.failf "L2 miss latency %d too far from 151" i.l2_miss_latency
 
 let test_cpi_monotone () =
-  let i = Analysis.emulator_intrinsics Config.default in
+  let i = Analysis.emulator_intrinsics in
   let cpi l2m =
     Analysis.cpi i ~mem_access_rate:0.3 ~l1_miss_rate:0.1 ~l2_miss_rate:l2m
       ~non_mem_cpi:1.0

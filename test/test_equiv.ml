@@ -1,7 +1,8 @@
-(* Differential tests: the translated execution (Xrun) of a program must
-   finish in the same state as the reference interpreter. This is the
-   central soundness property of the whole translator stack (decode ->
-   codegen -> optimizer -> scheduler -> register allocation). *)
+(* Differential tests: the translated execution of a program on the
+   virtual machine must finish in the same state as the reference
+   interpreter. This is the central soundness property of the whole
+   translator stack (decode -> codegen -> optimizer -> scheduler ->
+   register allocation), checked through the engine that runs it. *)
 
 open Vat_desim
 open Vat_guest
@@ -14,46 +15,28 @@ let outcome_to_string = function
   | Interp.Out_of_fuel -> "out of fuel"
   | Interp.Fault m -> Printf.sprintf "fault: %s" m
 
-let xoutcome_to_string = function
-  | Xrun.Exited n -> Printf.sprintf "exited %d" n
-  | Xrun.Out_of_fuel -> "out of fuel"
-  | Xrun.Fault m -> Printf.sprintf "fault: %s" m
+let vm_outcome_to_string = function
+  | Exec.Exited n -> Printf.sprintf "exited %d" n
+  | Exec.Out_of_fuel -> "out of fuel"
+  | Exec.Fault m -> Printf.sprintf "fault: %s" m
 
 (* Runs a program both ways and checks outcome + digest equality. *)
 let check_equiv ?(cfg = Config.default) ?input items =
-  let prog_i = Program.of_asm items in
-  let interp = Interp.create ?input prog_i in
+  let interp = Interp.create ?input (Program.of_asm items) in
   let oi = Interp.run ~fuel interp in
-  let prog_x = Program.of_asm items in
-  let x = Xrun.create ?input cfg prog_x in
-  let ox = Xrun.run ~fuel:(fuel * 2) x in
-  (match (oi, ox) with
-   | Interp.Exited a, Xrun.Exited b when a = b -> ()
-   | Interp.Fault _, Xrun.Fault _ -> () (* states may differ mid-fault *)
+  let r = Vm.run ?input ~fuel:(fuel * 2) cfg (Program.of_asm items) in
+  (match (oi, r.outcome) with
+   | Interp.Exited a, Exec.Exited b when a = b -> ()
+   | Interp.Fault _, Exec.Fault _ -> () (* states may differ mid-fault *)
    | _ ->
-     Alcotest.failf "outcomes differ: interp=%s xrun=%s"
-       (outcome_to_string oi) (xoutcome_to_string ox));
+     Alcotest.failf "outcomes differ: interp=%s vm=%s"
+       (outcome_to_string oi) (vm_outcome_to_string r.outcome));
   match oi with
   | Interp.Exited _ ->
-    Alcotest.(check string)
-      "output" (Interp.output interp) (Xrun.output x);
-    if Interp.digest interp <> Xrun.digest x then begin
-      let regs_i =
-        String.concat " "
-          (List.map
-             (fun r -> Printf.sprintf "%x" (Interp.reg interp r))
-             (Array.to_list Insn.all_regs))
-      in
-      let regs_x =
-        String.concat " "
-          (List.map
-             (fun r -> Printf.sprintf "%x" (Xrun.guest_reg x r))
-             (Array.to_list Insn.all_regs))
-      in
-      Alcotest.failf
-        "digest mismatch:\n interp regs: %s flags %x\n xrun regs:   %s flags %x"
-        regs_i (Interp.flags interp) regs_x (Xrun.flags x)
-    end
+    Alcotest.(check string) "output" (Interp.output interp) r.output;
+    if Interp.digest interp <> r.digest then
+      Alcotest.failf "digest mismatch after %s: interp %x, vm %x"
+        (outcome_to_string oi) (Interp.digest interp) r.digest
   | Interp.Out_of_fuel | Interp.Fault _ -> ()
 
 let random_case seed () =

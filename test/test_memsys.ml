@@ -46,10 +46,9 @@ let test_tlb_walk_costs () =
   (* Same line, so the only difference is the TLB: first access walks. *)
   let cold = round_trip q ms 0x5000 in
   let warm = round_trip q ms 0x5004 in
-  let cfg = Config.default in
   Alcotest.(check int) "walk premium"
-    (cfg.Config.mmu_walk_cycles - cfg.Config.mmu_tlb_hit_cycles)
-    (cold - warm - cfg.Config.dram_cycles)
+    (Config.mmu_walk_cycles - Config.mmu_tlb_hit_cycles)
+    (cold - warm - Config.dram_cycles)
 
 let test_bank_parallelism () =
   (* Two misses to different banks overlap; to the same bank serialize. *)

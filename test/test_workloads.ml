@@ -26,24 +26,6 @@ let test_terminates (b : Suite.benchmark) () =
     Alcotest.failf "%s too short: %d instructions" b.name
       (Interp.instret interp)
 
-let test_translated_equivalence (b : Suite.benchmark) () =
-  let o, interp = interp_run b in
-  exits b.name o;
-  let x = Xrun.create Config.default (Suite.load b) in
-  (match Xrun.run ~fuel:(2 * fuel) x with
-   | Xrun.Exited _ -> ()
-   | Xrun.Fault m -> Alcotest.failf "translated run faulted: %s" m
-   | Xrun.Out_of_fuel -> Alcotest.fail "translated run out of fuel");
-  Alcotest.(check bool) "digest" true (Interp.digest interp = Xrun.digest x)
-
-let test_deterministic (b : Suite.benchmark) () =
-  (* Program construction is deterministic: same digest twice. *)
-  let _, i1 = interp_run b in
-  let _, i2 = interp_run b in
-  Alcotest.(check bool) "same digest" true (Interp.digest i1 = Interp.digest i2)
-
-(* Characteristics: the axes that drive the paper's figures. *)
-
 let vm_result =
   let cache = Hashtbl.create 16 in
   fun (b : Suite.benchmark) ->
@@ -56,6 +38,19 @@ let vm_result =
        | _ -> Alcotest.failf "%s did not exit on the VM" b.name);
       Hashtbl.replace cache b.name r;
       r
+
+let test_translated_equivalence (b : Suite.benchmark) () =
+  let o, interp = interp_run b in
+  exits b.name o;
+  Alcotest.(check int) "digest" (Interp.digest interp) (vm_result b).digest
+
+let test_deterministic (b : Suite.benchmark) () =
+  (* Program construction is deterministic: same digest twice. *)
+  let _, i1 = interp_run b in
+  let _, i2 = interp_run b in
+  Alcotest.(check bool) "same digest" true (Interp.digest i1 = Interp.digest i2)
+
+(* Characteristics: the axes that drive the paper's figures. *)
 
 let test_code_working_set_axis () =
   (* The big-code group must show far higher L2 code-cache traffic than
