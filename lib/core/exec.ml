@@ -212,7 +212,6 @@ let finish t outcome =
 
 let abort t msg = finish t (Fault msg)
 let finished t = t.outcome <> None
-let slow_syscall t ~factor ~cycles = Service.slow t.syscall_svc ~factor ~cycles
 
 (* Schedule an interaction with another tile at the engine's local time
    (the queue may be lagging behind the engine). *)
@@ -647,7 +646,23 @@ and wake t =
   | Running | Wait_reg _ | Wait_capacity _ | Wait_fill | Wait_syscall
   | Finished -> ()
 
-let corrupt_l1code t ~salt = Code_cache.L1.corrupt_one t.l1 ~salt
+let inject t (e : Fault.event) =
+  match (e.site.role, e.kind) with
+  | "syscall", (Fault.Slow _ as k) ->
+    Service.inject t.syscall_svc k;
+    `Applied
+  (* A dead syscall proxy can swallow an exit in flight; treat it as the
+     unrecoverable loss it is rather than hang until the watchdog. *)
+  | "syscall", (Fault.Fail_stop | Fault.Drop_requests _) ->
+    `Unrecoverable "syscall"
+  | "exec", Fault.Corrupt_storage ->
+    if Code_cache.L1.corrupt_one t.l1 ~salt:(Fault.salt e) then `Applied
+    else `Absorbed
+  | ("syscall" | "exec"),
+    (Fault.Corrupt_payload _ | Fault.Corrupt_storage
+    | Fault.Duplicate_delivery _) -> `Absorbed
+  | "exec", _ -> `Unrecoverable "execution"
+  | role, _ -> invalid_arg ("Exec.inject: not an execution-side site: " ^ role)
 
 (* Checkpoint section: the complete guest-visible architectural state
    plus the engine's own scheduling state. Big arrays (guest memory,

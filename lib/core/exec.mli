@@ -50,15 +50,16 @@ val abort : t -> string -> unit
 
 val finished : t -> bool
 
-val slow_syscall : t -> factor:int -> cycles:int -> unit
-(** Degrade the syscall proxy tile (fault injection). *)
-
-val corrupt_l1code : t -> salt:int -> bool
-(** Soft error in the execution tile's instruction memory: flip a bit in
-    the stored sum of a resident L1 code entry. Detected at the next entry
-    of that block (with fault tolerance armed the L1 is flushed and the
-    block refetched; corrupt code is never executed); false when the L1 is
-    empty and the fault is absorbed. *)
+val inject :
+  t -> Fault.event -> [ `Applied | `Absorbed | `Unrecoverable of string ]
+(** Apply one fault at an ["exec"] or ["syscall"] site. [Slow] degrades
+    the syscall proxy; its fail-stop or a dropped request is
+    [`Unrecoverable "syscall"]. [Corrupt_storage] at exec flips the
+    stored sum of a resident L1 code entry, detected at the block's next
+    entry (corrupt code is never executed); [`Absorbed] when the L1 is
+    empty. Any other exec fault is [`Unrecoverable "execution"]; other
+    corruption is [`Absorbed].
+    @raise Invalid_argument for any other role. *)
 
 val guest_instructions : t -> int
 val output : t -> string

@@ -55,12 +55,6 @@ val queue_length : t -> int
 val mgr_queue_length : t -> int
 (** Requests waiting at (or in service on) the manager tile right now. *)
 
-val mgr_max_queue : t -> int
-(** High-water mark of the manager tile's request queue over the run. *)
-
-val l15_max_queue : t -> int
-(** Largest request-queue high-water mark across the L1.5 bank tiles. *)
-
 val recovery_code_names : (int * string) list
 (** Meaning of the arg carried by [Recovery] records on the manager
     track (install-retransmit, fill-retry, demand-translate, ...). *)
@@ -88,49 +82,23 @@ val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
     idempotent); a resident L2/L1.5 line whose stored sum stops matching
     is dropped and retranslated on demand. Corrupt code is never run. *)
 
-val fail_translator : t -> int -> unit
-(** Fail-stop slave [i]: permanently evicted from the pool; its in-flight
-    translation is requeued for a surviving slave. *)
-
-val slow_translator : t -> int -> factor:int -> cycles:int -> unit
+val inject :
+  t -> Fault.event -> [ `Applied | `Absorbed | `Unrecoverable of string ]
+(** Apply one fault at a ["translator"], ["l15"] or ["manager"] site. A
+    failed slave is evicted for good (its in-flight translation is
+    requeued); a failed L1.5 bank's lookups re-route to the manager.
+    [Corrupt_storage] flips the stored sum of one resident L1.5 or L2
+    code line ([`Absorbed] when the store is empty); other kinds go to
+    the tile's {!Vat_tiled.Service}. Corruption aimed at a slave is
+    [`Absorbed]; a manager fail-stop is [`Unrecoverable "manager"].
+    @raise Invalid_argument for any other role. *)
 
 val usable_slaves : t -> int
 (** Slaves that have not fail-stopped (the morph ceiling). *)
 
-val slave_pool_slot : t -> int -> int
-(** The pool-tile slot (see {!Layout.pool}) slave [i] occupies. *)
-
-val fail_l15_bank : t -> int -> unit
-(** Fail-stop an L1.5 bank: queued and future lookups re-route to the
-    manager; the surviving banks absorb the address space. *)
-
-val l15_drop : t -> int -> int -> unit
-val l15_slow : t -> int -> factor:int -> cycles:int -> unit
-val mgr_drop : t -> int -> unit
-val mgr_slow : t -> factor:int -> cycles:int -> unit
-
-(** {2 Transient-corruption injection} *)
-
-val mgr_corrupt_next : t -> int -> unit
-(** Garble the next [n] messages through the manager service: a fill is
-    served with a tampered sum, an install arrives with one. *)
-
-val mgr_duplicate_next : t -> int -> unit
-(** Deliver the next [n] manager messages twice. *)
-
-val l15_corrupt_next : t -> int -> int -> unit
-val l15_duplicate_next : t -> int -> int -> unit
-
-val corrupt_l15_store : t -> int -> salt:int -> bool
-(** Flip a bit in the stored sum of a resident line of L1.5 bank [i];
-    false when the bank holds nothing (fault absorbed). *)
-
-val corrupt_l2code : t -> salt:int -> bool
-(** Same for the manager's L2 code cache. *)
-
 val quarantine_slave : t -> int -> unit
 (** Retire a slave whose deliveries keep failing verification — same
-    mechanics as {!fail_translator}, separate accounting. Refuses to
+    mechanics as a translator fail-stop, separate accounting. Refuses to
     retire the last usable slave (a policy monitor must not reduce the
     machine to demand-translation forever; a real fail-stop still can). *)
 
@@ -142,13 +110,10 @@ val slave_corruptions : t -> int array
 
 val l15_bank_corruptions : t -> int array
 
-val dropped_requests : t -> int
-(** Requests lost to faults across the manager and L1.5 services. *)
-
-val corrupted_messages : t -> int
-(** Messages garbled in flight across the manager and L1.5 services. *)
-
-val duplicated_messages : t -> int
+val record_totals : t -> unit
+(** Once, at the end of a run: add the manager and L1.5 services' queue
+    high-water marks (["svc.*_queue_hwm"]) and lost, garbled and
+    redelivered messages to the stats. *)
 
 val capture : t -> string
 (** Checkpoint section payload: slave states, code-cache digests,

@@ -346,8 +346,6 @@ let retire_bank t i ~stat =
           Stats.add t.stats "fault.rebank_writebacks" dirty)
   end
 
-let fail_bank t i = retire_bank t i ~stat:"fault.l2d_bank_failures"
-
 (* The corruption-rate monitor must never retire the last working bank: a
    machine with zero banks still runs (uncached DRAM), but losing the
    final bank to a *policy* decision — rather than an actual fault — is
@@ -370,45 +368,57 @@ let corrupt_bank ?prefer_dirty t i ~salt ~allow_dirty =
 
 let bank_corruptions t = Array.copy t.bank_corruptions
 
-let bank_drop t i n = Service.drop_next t.bank_services.(i) n
-let bank_slow t i ~factor ~cycles = Service.slow t.bank_services.(i) ~factor ~cycles
-let mmu_drop t n = Service.drop_next (the_mmu t) n
-let mmu_slow t ~factor ~cycles = Service.slow (the_mmu t) ~factor ~cycles
-
 (* No corrupt transformer is installed on the data-path services: a
    bit-flipped MMU or bank request is undecodable and is dropped at
    arrival (counted by the service), and the access-level deadline retry
    recovers it. Duplicated deliveries are absorbed by the first-reply-wins
    dedup in [access]. *)
-let bank_corrupt_next t i n = Service.corrupt_next t.bank_services.(i) n
-let bank_duplicate_next t i n = Service.duplicate_next t.bank_services.(i) n
-let mmu_corrupt_next t n = Service.corrupt_next (the_mmu t) n
-let mmu_duplicate_next t n = Service.duplicate_next (the_mmu t) n
-
-let dropped_requests t =
-  Service.dropped (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.dropped s) 0 t.bank_services
-
-let corrupted_messages t =
-  Service.corrupted (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.corrupted s) 0 t.bank_services
-
-let duplicated_messages t =
-  Service.duplicated (the_mmu t)
-  + Array.fold_left (fun acc s -> acc + Service.duplicated s) 0 t.bank_services
-
-let parity_events t =
-  Array.fold_left (fun acc c -> acc + Cache.parity_events c) 0 t.banks
+let inject t ~rollback (e : Fault.event) =
+  let i = e.site.index in
+  match (e.site.role, e.kind) with
+  | "l2d", Fault.Fail_stop ->
+    Grid.fail_tile (Layout.grid t.layout) (Layout.pool t.layout i);
+    retire_bank t i ~stat:"fault.l2d_bank_failures";
+    `Applied
+  | "l2d", Fault.Corrupt_storage -> (
+    (* Without rollback, only clean lines: corrupting the sole copy of
+       dirty data is an unrecoverable fault, which the random recoverable
+       menu must never produce (the parity unit tests exercise that path
+       directly). With rollback armed the dirty-loss path is survivable —
+       and is deliberately preferred, so recovery actually gets
+       exercised. *)
+    match
+      corrupt_bank t i ~salt:(Fault.salt e) ~allow_dirty:rollback
+        ~prefer_dirty:rollback
+    with
+    | `Clean | `Dirty -> `Applied
+    | `Absorbed -> `Absorbed)
+  | "l2d", k ->
+    Service.inject t.bank_services.(i) k;
+    `Applied
+  | "mmu", Fault.Fail_stop -> `Unrecoverable "MMU"
+  | "mmu", Fault.Corrupt_storage -> `Absorbed
+  | "mmu", k ->
+    Service.inject (the_mmu t) k;
+    `Applied
+  | role, _ -> invalid_arg ("Memsys.inject: not a memory-side site: " ^ role)
 
 let bank_queue_total t =
   Array.fold_left (fun acc s -> acc + Service.queue_length s) 0 t.bank_services
 
-let mmu_max_queue t = Service.max_queue_length (the_mmu t)
-
-let bank_max_queue t =
-  Array.fold_left
-    (fun acc s -> max acc (Service.max_queue_length s))
-    0 t.bank_services
+let record_totals t =
+  let banks op f = Array.fold_left (fun acc s -> op acc (f s)) 0 t.bank_services in
+  let mmu = the_mmu t in
+  Stats.add t.stats "mmu.tlb_hits" t.tlb_hits;
+  Stats.add t.stats "mmu.tlb_misses" t.tlb_misses;
+  Stats.set_max t.stats "svc.mmu_queue_hwm" (Service.max_queue_length mmu);
+  Stats.set_max t.stats "svc.l2d_queue_hwm" (banks max Service.max_queue_length);
+  Stats.add t.stats "fault.dropped_requests"
+    (Service.dropped mmu + banks ( + ) Service.dropped);
+  Stats.add t.stats "corrupt.messages"
+    (Service.corrupted mmu + banks ( + ) Service.corrupted);
+  Stats.add t.stats "corrupt.duplicated"
+    (Service.duplicated mmu + banks ( + ) Service.duplicated)
 
 let tlb_hits t = t.tlb_hits
 let tlb_misses t = t.tlb_misses

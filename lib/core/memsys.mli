@@ -41,19 +41,21 @@ val reconfigure_banks : t -> int -> on_done:(int -> unit) -> unit
 
 (** {2 Fault injection and recovery} *)
 
-val fail_bank : t -> int -> unit
-(** Fail-stop physical bank [i]: its queued and in-flight requests are
-    lost (recovered by the access deadline), and a morph-style re-bank
-    drains the survivors, flushes them, and re-hashes the line interleave
-    over the remaining alive banks. With no banks left, the MMU serves
-    accesses straight from DRAM. *)
+val inject :
+  t -> rollback:bool -> Fault.event ->
+  [ `Applied | `Absorbed | `Unrecoverable of string ]
+(** Apply one fault at an ["l2d"] or ["mmu"] site. A failed bank loses
+    its queued and in-flight requests (the access deadline recovers
+    them) and a morph-style re-bank spreads the interleave over the
+    survivors; with none left the MMU serves straight from DRAM.
+    [Corrupt_storage] hits one resident bank line ({!corrupt_bank});
+    dirty lines are eligible, and preferred, only under [rollback].
+    Other kinds go to the tile's {!Vat_tiled.Service}. An MMU fail-stop
+    is [`Unrecoverable "MMU"].
+    @raise Invalid_argument for any other role. *)
 
 val alive_banks : t -> int
 val bank_alive : t -> int -> bool
-val bank_drop : t -> int -> int -> unit
-val bank_slow : t -> int -> factor:int -> cycles:int -> unit
-val mmu_drop : t -> int -> unit
-val mmu_slow : t -> factor:int -> cycles:int -> unit
 
 (** {2 Transient corruption}
 
@@ -76,7 +78,7 @@ val corrupt_bank :
 
 val quarantine_bank : t -> int -> unit
 (** Retire a bank whose parity-error rate crossed the quarantine
-    threshold — same mechanics as {!fail_bank}, separate accounting.
+    threshold — same mechanics as a bank fail-stop, separate accounting.
     Refuses to retire the last alive bank (a policy monitor must not
     finish off the machine; an actual fault still can). *)
 
@@ -90,30 +92,12 @@ val bank_corruptions : t -> int array
 (** Detected parity events per physical bank (what the quarantine monitor
     samples). *)
 
-val bank_corrupt_next : t -> int -> int -> unit
-(** Garble the next [n] requests arriving at bank [i]; an undecodable
-    data-path message is dropped and the access deadline recovers it. *)
-
-val bank_duplicate_next : t -> int -> int -> unit
-val mmu_corrupt_next : t -> int -> unit
-val mmu_duplicate_next : t -> int -> unit
-
-val dropped_requests : t -> int
-(** Requests lost to faults across the MMU and bank services. *)
-
-val corrupted_messages : t -> int
-val duplicated_messages : t -> int
-
-val parity_events : t -> int
-(** Corrupt clean lines scrubbed across all banks. *)
-
 val bank_queue_total : t -> int
 
-val mmu_max_queue : t -> int
-(** High-water mark of the MMU tile's request queue over the run. *)
-
-val bank_max_queue : t -> int
-(** Largest request-queue high-water mark across the L2D bank tiles. *)
+val record_totals : t -> unit
+(** Once, at the end of a run: add the TLB hit/miss counts, the MMU and
+    bank services' queue high-water marks (["svc.*_queue_hwm"]) and
+    their lost, garbled and redelivered messages to the stats. *)
 
 val recovery_code_names : (int * string) list
 (** Meaning of the arg carried by [Recovery] records on the "mmu" track. *)

@@ -164,102 +164,38 @@ let fault_menu ?(recoverable_only = true) ?(classes = Fault.legacy_classes) cfg 
   end;
   Array.of_list (List.rev !menu)
 
-(* Transient corruption: bit flips in flight, in resident code-cache
-   lines, in L2D banks, and duplicated network deliveries. All of these
-   are recoverable — checksums, acks, and parity turn them into retries
-   and refetches, never into silently wrong guest state. *)
-let corrupt a (e : Fault.event) =
-  let m = a.inst.i_manager and ms = a.inst.i_memsys in
-  let idx = e.site.index in
-  (* Deterministic victim-selection seed for storage corruption: a pure
-     function of the event, so runs replay byte-identically. *)
-  let salt = (e.at * 31) + idx in
-  let absorbed () = Stats.incr a.stats "corrupt.absorbed" in
-  match (e.site.role, e.kind) with
-  | "l2d", Fault.Corrupt_payload n -> Memsys.bank_corrupt_next ms idx n
-  | "l2d", Fault.Duplicate_delivery n -> Memsys.bank_duplicate_next ms idx n
-  | "l2d", Fault.Corrupt_storage -> begin
-    (* Without rollback, only clean lines: corrupting the sole copy of
-       dirty data is an unrecoverable fault, which the random recoverable
-       menu must never produce (the parity unit tests exercise that path
-       directly). With rollback armed the dirty-loss path is survivable —
-       and is deliberately preferred, so recovery actually gets
-       exercised. *)
-    let dirty_ok = rollback a in
-    match Memsys.corrupt_bank ms idx ~salt ~allow_dirty:dirty_ok
-            ~prefer_dirty:dirty_ok with
-    | `Clean | `Dirty -> ()
-    | `Absorbed -> absorbed ()
-  end
-  | "l15", Fault.Corrupt_payload n -> Manager.l15_corrupt_next m idx n
-  | "l15", Fault.Duplicate_delivery n -> Manager.l15_duplicate_next m idx n
-  | "l15", Fault.Corrupt_storage ->
-    if not (Manager.corrupt_l15_store m idx ~salt) then absorbed ()
-  | "manager", Fault.Corrupt_payload n -> Manager.mgr_corrupt_next m n
-  | "manager", Fault.Duplicate_delivery n -> Manager.mgr_duplicate_next m n
-  | "manager", Fault.Corrupt_storage ->
-    if not (Manager.corrupt_l2code m ~salt) then absorbed ()
-  | "mmu", Fault.Corrupt_payload n -> Memsys.mmu_corrupt_next ms n
-  | "mmu", Fault.Duplicate_delivery n -> Memsys.mmu_duplicate_next ms n
-  | "exec", Fault.Corrupt_storage ->
-    if not (Exec.corrupt_l1code a.inst.i_exec ~salt) then absorbed ()
-  | _ ->
-    (* A corruption kind aimed at a site with no matching store or message
-       stream (hand-built plans only): the particle hits nothing. *)
-    absorbed ()
-
+(* Each component decides what a fault does at the sites it owns; the
+   VM only routes by role and acts on the answer. *)
 let apply_fault a (e : Fault.event) =
-  let m = a.inst.i_manager and ms = a.inst.i_memsys and x = a.inst.i_exec in
-  let grid = Layout.grid a.inst.i_layout in
-  let idx = e.site.index in
   Stats.incr a.stats "fault.injected";
   (match Fault.class_of_kind e.kind with
    | Fault.C_corrupt_payload | Fault.C_corrupt_storage | Fault.C_duplicate ->
      Stats.incr a.stats "corrupt.injected"
    | Fault.C_fail_stop | Fault.C_drop | Fault.C_slow -> ());
-  let unrecoverable what =
+  let applied =
+    match e.site.role with
+    | "translator" | "l15" | "manager" -> Manager.inject a.inst.i_manager e
+    | "l2d" | "mmu" -> Memsys.inject a.inst.i_memsys ~rollback:(rollback a) e
+    | "exec" | "syscall" -> Exec.inject a.inst.i_exec e
+    | role -> invalid_arg ("Vm.apply_fault: unknown fault site " ^ role)
+  in
+  match applied with
+  | `Applied -> ()
+  | `Absorbed ->
+    (* Corruption that hit no resident line or message stream. All other
+       corruption is recoverable: checksums, acks and parity turn it into
+       retries and refetches, never into silently wrong guest state. *)
+    Stats.incr a.stats "corrupt.absorbed"
+  | `Unrecoverable what ->
     let t_msg = Printf.sprintf "unrecoverable fault: %s tile failed" what in
     if rollback a then
       record a
-        { t_at = e.at; t_role = e.site.role; t_index = idx;
+        { t_at = e.at; t_role = e.site.role; t_index = e.site.index;
           t_kind = Fault.kind_to_string e.kind; t_msg }
     else begin
       Stats.incr a.stats "fault.unrecoverable";
-      Exec.abort x t_msg
+      Exec.abort a.inst.i_exec t_msg
     end
-  in
-  match (e.site.role, e.kind) with
-  | _, (Fault.Corrupt_payload _ | Fault.Corrupt_storage
-       | Fault.Duplicate_delivery _) -> corrupt a e
-  | "translator", Fault.Fail_stop ->
-    Grid.fail_tile grid (Layout.pool a.inst.i_layout (Manager.slave_pool_slot m idx));
-    Manager.fail_translator m idx
-  | "translator", Fault.Slow { factor; cycles } ->
-    Manager.slow_translator m idx ~factor ~cycles
-  | "translator", Fault.Drop_requests _ -> ()
-  | "l2d", Fault.Fail_stop ->
-    Grid.fail_tile grid (Layout.pool a.inst.i_layout idx);
-    Memsys.fail_bank ms idx
-  | "l2d", Fault.Drop_requests n -> Memsys.bank_drop ms idx n
-  | "l2d", Fault.Slow { factor; cycles } -> Memsys.bank_slow ms idx ~factor ~cycles
-  | "l15", Fault.Fail_stop ->
-    Grid.fail_tile grid (Layout.l15_bank a.inst.i_layout idx);
-    Manager.fail_l15_bank m idx
-  | "l15", Fault.Drop_requests n -> Manager.l15_drop m idx n
-  | "l15", Fault.Slow { factor; cycles } -> Manager.l15_slow m idx ~factor ~cycles
-  | "manager", Fault.Fail_stop -> unrecoverable "manager"
-  | "manager", Fault.Drop_requests n -> Manager.mgr_drop m n
-  | "manager", Fault.Slow { factor; cycles } -> Manager.mgr_slow m ~factor ~cycles
-  | "mmu", Fault.Fail_stop -> unrecoverable "MMU"
-  | "mmu", Fault.Drop_requests n -> Memsys.mmu_drop ms n
-  | "mmu", Fault.Slow { factor; cycles } -> Memsys.mmu_slow ms ~factor ~cycles
-  | "syscall", Fault.Slow { factor; cycles } -> Exec.slow_syscall x ~factor ~cycles
-  | "syscall", (Fault.Fail_stop | Fault.Drop_requests _) ->
-    (* A dead syscall proxy can swallow an exit in flight; treat it as the
-       unrecoverable loss it is rather than hang until the watchdog. *)
-    unrecoverable "syscall"
-  | "exec", _ -> unrecoverable "execution"
-  | role, _ -> invalid_arg ("Vm.apply_fault: unknown fault site " ^ role)
 
 let fault_class_code k =
   match Fault.class_of_kind k with
@@ -543,29 +479,18 @@ let start_checkpoints a ~every =
   chain every
 
 let finalize a outcome =
-  let stats = a.stats and manager = a.inst.i_manager
-  and memsys = a.inst.i_memsys and exec = a.inst.i_exec in
+  let stats = a.stats and exec = a.inst.i_exec in
   let cycles = max (Event_queue.now a.q) (Exec.local_time exec) in
   Stats.add stats "total.cycles" cycles;
   Stats.add stats "total.guest_insns" (Exec.guest_instructions exec);
   Stats.add stats "morph.count" (Morph.morphs a.morph);
-  Stats.add stats "mmu.tlb_hits" (Memsys.tlb_hits memsys);
-  Stats.add stats "mmu.tlb_misses" (Memsys.tlb_misses memsys);
   (* Service-queue high-water marks (tracked unconditionally; see
      Service.max_queue_length) — the congestion signature behind the
-     paper's Figure 5 without needing a full trace. *)
-  Stats.set_max stats "svc.mgr_queue_hwm" (Manager.mgr_max_queue manager);
-  Stats.set_max stats "svc.l15_queue_hwm" (Manager.l15_max_queue manager);
-  Stats.set_max stats "svc.mmu_queue_hwm" (Memsys.mmu_max_queue memsys);
-  Stats.set_max stats "svc.l2d_queue_hwm" (Memsys.bank_max_queue memsys);
-  Stats.add stats "fault.dropped_requests"
-    (Manager.dropped_requests manager + Memsys.dropped_requests memsys);
+     paper's Figure 5 without needing a full trace — and fault totals. *)
+  Manager.record_totals a.inst.i_manager;
+  Memsys.record_totals a.inst.i_memsys;
   Stats.add stats "fault.failed_tiles"
     (Grid.failed_tiles (Layout.grid a.inst.i_layout));
-  Stats.add stats "corrupt.messages"
-    (Manager.corrupted_messages manager + Memsys.corrupted_messages memsys);
-  Stats.add stats "corrupt.duplicated"
-    (Manager.duplicated_messages manager + Memsys.duplicated_messages memsys);
   { outcome;
     cycles;
     guest_insns = Exec.guest_instructions exec;

@@ -84,6 +84,8 @@ let random ~seed ~horizon ~menu ~count =
     make ~seed (List.rev !events)
   end
 
+let salt e = (e.at * 31) + e.site.index
+
 let kind_to_string = function
   | Fail_stop -> "fail-stop"
   | Drop_requests n -> Printf.sprintf "drop-%d" n

@@ -86,6 +86,10 @@ val count_before : plan -> cycle:int -> int
     checkpoint boundary (a pure function of the plan, so reference and
     replayed runs agree on it). *)
 
+val salt : event -> int
+(** Victim-selection seed for {!Corrupt_storage}: a pure function of the
+    event, so a faulty run replays byte-identically. *)
+
 val kind_to_string : kind -> string
 val site_to_string : site -> string
 val event_to_string : event -> string

@@ -199,22 +199,23 @@ let fail t =
 
 let failed t = t.failed
 
-let slow t ~factor ~cycles =
-  if factor <= 1 then begin
+let inject t (kind : Fault.kind) =
+  match kind with
+  | Fault.Slow { factor; _ } when factor <= 1 ->
     t.slow_factor <- 1;
     t.slow_until <- 0
-  end
-  else begin
+  | Fault.Slow { factor; cycles } ->
     t.slow_factor <- factor;
     t.slow_until <- Event_queue.now t.q + max 0 cycles
-  end
-
-let drop_next t n = if n > 0 then t.drop_budget <- t.drop_budget + n
+  | Fault.Drop_requests n -> t.drop_budget <- t.drop_budget + max 0 n
+  | Fault.Corrupt_payload n -> t.corrupt_budget <- t.corrupt_budget + max 0 n
+  | Fault.Duplicate_delivery n -> t.dup_budget <- t.dup_budget + max 0 n
+  | Fault.Fail_stop | Fault.Corrupt_storage ->
+    invalid_arg
+      ("Service.inject: not a message-level fault: "
+      ^ Fault.kind_to_string kind)
 
 let dropped t = t.dropped
-
-let corrupt_next t n = if n > 0 then t.corrupt_budget <- t.corrupt_budget + n
-let duplicate_next t n = if n > 0 then t.dup_budget <- t.dup_budget + n
 let corrupted t = t.corrupted
 let duplicated t = t.duplicated
 

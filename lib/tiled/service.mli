@@ -75,12 +75,16 @@ val fail : 'req t -> 'req list
 
 val failed : _ t -> bool
 
-val slow : _ t -> factor:int -> cycles:int -> unit
-(** Multiply service occupancy by [factor] for the next [cycles] cycles
-    (a degraded, not dead, tile). [factor <= 1] restores nominal speed. *)
-
-val drop_next : _ t -> int -> unit
-(** Transient fault: silently lose the next [n] requests that arrive. *)
+val inject : _ t -> Fault.kind -> unit
+(** Apply a message-level fault. [Slow] multiplies service occupancy by
+    [factor] for [cycles] cycles ([factor <= 1] restores nominal speed).
+    The counted kinds hit the next [n] arrivals: [Drop_requests] loses
+    them; [Corrupt_payload] passes them through the owner's corrupt
+    transformer ({!set_corrupt_handler}), or, without one, loses them as
+    undecodable; [Duplicate_delivery] delivers them twice, so the owner's
+    handler must be idempotent.
+    @raise Invalid_argument on [Fail_stop] (use {!fail}) and
+    [Corrupt_storage] (a service stores nothing). *)
 
 val dropped : _ t -> int
 (** Total requests lost to faults (queued at fail-stop, abandoned in
@@ -90,22 +94,11 @@ val set_reject_handler : 'req t -> ('req -> unit) -> unit
 (** Called (at arrival time) for each request arriving at a failed
     service; lets an owner re-route traffic to surviving tiles. *)
 
-val corrupt_next : 'req t -> int -> unit
-(** Soft-error injection: the next [n] requests that arrive are delivered
-    through the owner's corrupt transformer (see {!set_corrupt_handler}).
-    If no transformer is installed, a corrupted message is undecodable and
-    is silently lost (counted in {!dropped} and {!corrupted}); upper-layer
-    deadlines recover it. *)
-
-val duplicate_next : 'req t -> int -> unit
-(** The next [n] requests that arrive are delivered twice (a duplicated
-    network delivery); the owner's handler must be idempotent. *)
-
 val corrupted : _ t -> int
-(** Requests hit by {!corrupt_next} so far. *)
+(** Requests hit by an injected [Corrupt_payload] so far. *)
 
 val duplicated : _ t -> int
-(** Requests redelivered by {!duplicate_next} so far. *)
+(** Requests redelivered by an injected [Duplicate_delivery] so far. *)
 
 val set_corrupt_handler : 'req t -> ('req -> 'req) -> unit
 (** How a corrupted request manifests: the transformer returns the

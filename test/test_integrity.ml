@@ -138,7 +138,7 @@ let test_service_corrupt_with_handler () =
   let completions = ref [] in
   let svc = mk_service q completions in
   Service.set_corrupt_handler svc (fun id -> id + 1000);
-  Service.corrupt_next svc 1;
+  Service.inject svc (Fault.Corrupt_payload 1);
   Service.submit svc ~delay:0 1;
   Service.submit svc ~delay:1 2;
   Event_queue.run q;
@@ -153,7 +153,7 @@ let test_service_corrupt_without_handler () =
   let q = Event_queue.create () in
   let completions = ref [] in
   let svc = mk_service q completions in
-  Service.corrupt_next svc 1;
+  Service.inject svc (Fault.Corrupt_payload 1);
   Service.submit svc ~delay:0 1;
   Service.submit svc ~delay:1 2;
   Event_queue.run q;
@@ -166,7 +166,7 @@ let test_service_duplicate () =
   let q = Event_queue.create () in
   let completions = ref [] in
   let svc = mk_service q completions in
-  Service.duplicate_next svc 1;
+  Service.inject svc (Fault.Duplicate_delivery 1);
   Service.submit svc ~delay:0 1;
   Service.submit svc ~delay:1 2;
   Event_queue.run q;
