@@ -206,20 +206,14 @@ let of_string s =
 
 let save t path =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t));
-  Sys.rename tmp path
+  try
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc (to_string t));
+    Sys.rename tmp path
+  with Sys_error reason ->
+    failwith (Printf.sprintf "snapshot: cannot write %s: %s" path reason)
 
 let load path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> failwith ("snapshot: cannot open file: " ^ msg)
-  in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> of_string s
+  | exception Sys_error reason ->
+    failwith (Printf.sprintf "snapshot: cannot read %s: %s" path reason)

@@ -90,7 +90,11 @@ val of_string : string -> t
 
 val save : t -> string -> unit
 (** Atomic: writes to a temporary file in the same directory, then
-    renames over the destination. *)
+    renames over the destination.
+    @raise Failure ["snapshot: cannot write <path>: <reason>"] if the
+    file cannot be written. *)
 
 val load : string -> t
-(** @raise Failure as {!of_string}; also on unreadable files. *)
+(** @raise Failure as {!of_string}; also
+    ["snapshot: cannot read <path>: <reason>"] if the file cannot be
+    read (missing, a directory, unreadable). *)

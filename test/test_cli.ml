@@ -157,6 +157,31 @@ let test_exit_code_corrupt_snapshot () =
   Alcotest.(check int) "corrupt snapshot is a usage error" 124 (fst r);
   check_clean_failure "corrupt snapshot" r
 
+(* A --checkpoint path that cannot be read or written is the operator's
+   mistake: a usage error whose one-line diagnostic names the file. *)
+let check_bad_checkpoint_path name path args =
+  let img = "spin.vbin" in
+  save_image img spin_guest;
+  let r = run_cli (img ^ " --checkpoint " ^ path ^ args) in
+  Sys.remove img;
+  Alcotest.(check int) (name ^ ": usage error") 124 (fst r);
+  check_clean_failure name r;
+  let text = snd r in
+  Alcotest.(check bool) (name ^ ": names the file: " ^ text) true
+    (let nl = String.length path and tl = String.length text in
+     let rec go i = i + nl <= tl && (String.sub text i nl = path || go (i + 1)) in
+     go 0)
+
+let test_exit_code_checkpoint_is_directory () =
+  let dir = "snapdir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  check_bad_checkpoint_path "directory as snapshot" dir "";
+  Sys.rmdir dir
+
+let test_exit_code_checkpoint_unwritable () =
+  check_bad_checkpoint_path "unwritable snapshot path" "no-such-dir/x.snap"
+    " --checkpoint-every 10000 --halt-at 15000"
+
 (* The line "name outcome insns cycles slowdown" summarises the run;
    a resumed run must reproduce it bit-for-bit. *)
 let result_line text =
@@ -219,5 +244,9 @@ let suite =
     Alcotest.test_case "guest fault exits 2" `Quick test_exit_code_guest_fault;
     Alcotest.test_case "corrupt snapshot exits 124" `Quick
       test_exit_code_corrupt_snapshot;
+    Alcotest.test_case "directory as snapshot exits 124" `Quick
+      test_exit_code_checkpoint_is_directory;
+    Alcotest.test_case "unwritable snapshot path exits 124" `Quick
+      test_exit_code_checkpoint_unwritable;
     Alcotest.test_case "halt exits 3, resume exits 0 with identical result"
       `Quick test_exit_code_halt_and_resume ]
