@@ -9,8 +9,6 @@ let reg_of_index = function
   | 4 -> ESP | 5 -> EBP | 6 -> ESI | 7 -> EDI
   | n -> invalid_arg (Printf.sprintf "Insn.reg_of_index: %d" n)
 
-let all_regs = [| EAX; ECX; EDX; EBX; ESP; EBP; ESI; EDI |]
-
 type scale = S1 | S2 | S4 | S8
 
 let scale_factor = function S1 -> 1 | S2 -> 2 | S4 -> 4 | S8 -> 8

@@ -19,8 +19,6 @@ val reg_index : reg -> int
 val reg_of_index : int -> reg
 (** Inverse of {!reg_index}; raises [Invalid_argument] outside 0..7. *)
 
-val all_regs : reg array
-
 type scale = S1 | S2 | S4 | S8
 
 val scale_factor : scale -> int

@@ -1,23 +1,23 @@
 type coord = { x : int; y : int }
 
-type t = { w : int; h : int; failed : bool array; mutable any_failed : bool }
+type t = { failed : bool array; mutable any_failed : bool }
 
-let create ?(width = 4) ?(height = 4) () =
-  if width <= 0 || height <= 0 then invalid_arg "Grid.create";
-  { w = width; h = height; failed = Array.make (width * height) false;
-    any_failed = false }
+(* The Raw prototype's 4 x 4 fabric. *)
+let width = 4
+let height = 4
 
-let width t = t.w
-let height t = t.h
-let tiles t = t.w * t.h
+let create () = { failed = Array.make (width * height) false; any_failed = false }
 
-let tile_index t { x; y } =
-  if x < 0 || x >= t.w || y < 0 || y >= t.h then invalid_arg "Grid.tile_index";
-  (y * t.w) + x
+let tiles _ = width * height
+
+let tile_index _ { x; y } =
+  if x < 0 || x >= width || y < 0 || y >= height then
+    invalid_arg "Grid.tile_index";
+  (y * width) + x
 
 let coord_of_index t i =
   if i < 0 || i >= tiles t then invalid_arg "Grid.coord_of_index";
-  { x = i mod t.w; y = i / t.w }
+  { x = i mod width; y = i / width }
 
 let fail_tile t c =
   t.failed.(tile_index t c) <- true;

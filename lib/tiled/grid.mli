@@ -1,7 +1,7 @@
 (** Tile-grid geometry and network timing.
 
-    The Raw-like host is a [width] x [height] grid of tiles connected by a
-    dimension-ordered dynamic network. Message latency between tiles is
+    The Raw-like host is the Raw prototype's 4 x 4 grid of tiles,
+    connected by a dimension-ordered dynamic network. Message latency between tiles is
     [inject + per-hop * manhattan-distance + eject + header]; spatial
     layout therefore matters, exactly as the paper's "explicitly manage
     on-chip layout and communication distance" requires. Contention is not
@@ -12,11 +12,8 @@ type coord = { x : int; y : int }
 
 type t
 
-val create : ?width:int -> ?height:int -> unit -> t
-(** Default 4 x 4 (the Raw prototype). *)
+val create : unit -> t
 
-val width : t -> int
-val height : t -> int
 val tiles : t -> int
 
 val tile_index : t -> coord -> int
@@ -36,7 +33,6 @@ val message_latency : t -> src:coord -> dst:coord -> int
     {e role} it was playing is the owning layer's business. *)
 
 val fail_tile : t -> coord -> unit
-val tile_failed : t -> coord -> bool
 val failed_tiles : t -> int
 
 val detour_penalty : t -> src:coord -> dst:coord -> int
