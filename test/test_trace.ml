@@ -168,6 +168,24 @@ let test_chrome_export () =
            s;
          !depth = 0))
 
+(* The traced run's two exports, pinned byte for byte: a change in track
+   registration order, in what any component emits, or in either exporter
+   fails here. *)
+let test_exports_pinned () =
+  let trace, r = Lazy.force gzip_traced in
+  let path = Filename.temp_file "vat_trace" ".json" in
+  let json =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Vat_trace.Chrome.to_file path trace;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "chrome json digest" "8387c44aa0614b73b8615cea6ccce340" (md5 json);
+  Alcotest.(check string) "text report digest" "d0f008fb1ac69698570d1aa1196663c9"
+    (md5 (Report.render trace ~total_cycles:r.Vm.cycles))
+
 let test_manager_congestion_inverts () =
   (* Figure 5's mechanism: with one translation tile the run is gated on
      translation, so the manager idles; with nine the manager becomes the
@@ -221,6 +239,7 @@ let suite =
     quick "trace contents and busy fractions" test_trace_contents;
     quick "hot blocks cover the majority" test_hot_blocks_cover_majority;
     quick "chrome export structure" test_chrome_export;
+    quick "exports pinned" test_exports_pinned;
     quick "manager congestion inverts with translators"
       test_manager_congestion_inverts;
     quick "metrics summary gating" test_summary_gating ]
