@@ -55,10 +55,6 @@ val queue_length : t -> int
 val mgr_queue_length : t -> int
 (** Requests waiting at (or in service on) the manager tile right now. *)
 
-val recovery_code_names : (int * string) list
-(** Meaning of the arg carried by [Recovery] records on the manager
-    track (install-retransmit, fill-retry, demand-translate, ...). *)
-
 val active_slaves : t -> int
 
 val set_active_slaves : t -> int -> on_done:(unit -> unit) -> unit
@@ -96,19 +92,14 @@ val inject :
 val usable_slaves : t -> int
 (** Slaves that have not fail-stopped (the morph ceiling). *)
 
-val quarantine_slave : t -> int -> unit
-(** Retire a slave whose deliveries keep failing verification — same
-    mechanics as a translator fail-stop, separate accounting. Refuses to
-    retire the last usable slave (a policy monitor must not reduce the
-    machine to demand-translation forever; a real fail-stop still can). *)
-
-val quarantine_l15 : t -> int -> unit
-
-val slave_corruptions : t -> int array
-(** Detected corruption events charged to each slave's install link (what
-    the quarantine monitor samples). *)
-
-val l15_bank_corruptions : t -> int array
+val quarantine : t -> threshold:int -> unit
+(** The quarantine monitor's step for this component: retire every slave,
+    then every L1.5 bank, whose detected-corruption count (garbled
+    installs charged to a slave's link; garbled or corrupt-resident
+    deliveries at a bank) has reached [threshold] — same mechanics as a
+    fail-stop, separate accounting. Never retires the last usable slave
+    (a policy monitor must not reduce the machine to demand-translation
+    forever; a real fail-stop still can). Retiring is idempotent. *)
 
 val record_totals : t -> unit
 (** Once, at the end of a run: add the manager and L1.5 services' queue

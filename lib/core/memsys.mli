@@ -76,11 +76,12 @@ val corrupt_bank :
 (** Flip bits in a resident line of physical bank [i] (see
     {!Vat_tiled.Cache.corrupt_line}). *)
 
-val quarantine_bank : t -> int -> unit
-(** Retire a bank whose parity-error rate crossed the quarantine
-    threshold — same mechanics as a bank fail-stop, separate accounting.
-    Refuses to retire the last alive bank (a policy monitor must not
-    finish off the machine; an actual fault still can). *)
+val quarantine : t -> threshold:int -> unit
+(** The quarantine monitor's step for this component: retire every bank
+    whose detected parity events ({!bank_corruptions}) have reached
+    [threshold] — same mechanics as a bank fail-stop, separate
+    accounting. Never retires the last alive bank (a policy monitor must
+    not finish off the machine; an actual fault still can). *)
 
 val recovery_retire_bank : t -> int -> unit
 (** Unguarded retirement used by rollback-recovery when a bank holds
@@ -89,8 +90,8 @@ val recovery_retire_bank : t -> int -> unit
     ["recovery.quarantined_banks"]. *)
 
 val bank_corruptions : t -> int array
-(** Detected parity events per physical bank (what the quarantine monitor
-    samples). *)
+(** Detected parity events per physical bank (what {!quarantine}
+    compares against its threshold). *)
 
 val bank_queue_total : t -> int
 
@@ -98,9 +99,6 @@ val record_totals : t -> unit
 (** Once, at the end of a run: add the TLB hit/miss counts, the MMU and
     bank services' queue high-water marks (["svc.*_queue_hwm"]) and
     their lost, garbled and redelivered messages to the stats. *)
-
-val recovery_code_names : (int * string) list
-(** Meaning of the arg carried by [Recovery] records on the "mmu" track. *)
 
 val tlb_hits : t -> int
 val tlb_misses : t -> int

@@ -83,18 +83,12 @@ let sample t ~threshold ~dwell =
 (* Quarantine monitor: a site whose detected-corruption count crosses the
    threshold is retired exactly like a fail-stopped tile — the fault-
    morphing machinery (pool shrink, bank re-interleave, L1.5 re-route)
-   already knows how to live without it. The retire entry points are
+   already knows how to live without it. Each owner scans its own
+   counters (slaves, then L1.5 banks, then L2D banks); retiring is
    idempotent, so re-sampling an already-quarantined site is a no-op. *)
 let quarantine_scan t ~threshold =
-  Array.iteri
-    (fun i n -> if n >= threshold then Manager.quarantine_slave t.manager i)
-    (Manager.slave_corruptions t.manager);
-  Array.iteri
-    (fun i n -> if n >= threshold then Manager.quarantine_l15 t.manager i)
-    (Manager.l15_bank_corruptions t.manager);
-  Array.iteri
-    (fun i n -> if n >= threshold then Memsys.quarantine_bank t.memsys i)
-    (Memsys.bank_corruptions t.memsys)
+  Manager.quarantine t.manager ~threshold;
+  Memsys.quarantine t.memsys ~threshold
 
 let create ?(trace = Tr.disabled) q stats cfg manager memsys =
   let mtrack = Tr.track trace "morph" in

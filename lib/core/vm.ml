@@ -38,19 +38,6 @@ type ledger_entry = {
   le_restore : int;
 }
 
-(* A terminal fault caught under rollback. [t_msg] is the outcome formed
-   where the fault struck; the run ends with it if it gives up. *)
-type terminal =
-  { t_at : int; t_role : string; t_index : int; t_kind : string; t_msg : string }
-
-(* Roles whose fail-stop is handled by masking the event on replay (the
-   virtual architecture re-places the role; the original event becomes a
-   non-event). An L2D parity loss is deliberately absent: quarantining
-   the bank at the restore point flushes the poisoned line, so the
-   re-injected storage corruption lands on dead (or refilled-clean)
-   silicon and needs no masking. *)
-let critical_roles = [ "manager"; "mmu"; "exec"; "syscall" ]
-
 let create ?input ?memo ?trace q stats cfg prog =
   let layout = Layout.create (Grid.create ()) in
   let manager =
@@ -98,8 +85,9 @@ type setup = {
 }
 
 (* One machine simulated from cycle 0 under a fixed recovery ledger:
-   every ledgered terminal is masked (critical roles) or defanged by its
-   quarantine (L2D banks), applied at the entry's restore cycle. *)
+   every ledgered terminal fault is masked (matched by kind) or, for an
+   L2D parity loss, defanged by its bank's quarantine, applied at the
+   entry's restore cycle. *)
 type attempt = {
   s : setup;
   inst : instance;
@@ -107,16 +95,30 @@ type attempt = {
   stats : Stats.t;
   morph : Morph.t;
   ledger : ledger_entry list;
-  terminal : terminal option ref; (* the first terminal fault, if any *)
+  (* The first terminal fault, if any: its ledger entry and the outcome
+     message formed where it struck (the run ends with it on give-up). *)
+  mutable terminal : (ledger_entry * string) option;
   mutable last_cp : int; (* cycle of the latest checkpoint *)
 }
 
 let rollback a = Option.is_some a.s.interval
 
-(* With rollback armed a terminal fault is recorded, not fatal: the drive
-   loop stops the attempt and the rollback loop replays from the last
-   checkpoint with the event masked and the site quarantined. *)
-let record a t = if Option.is_none !(a.terminal) then a.terminal := Some t
+(* Every terminal fault ends here. With rollback armed it is recorded,
+   not fatal: the ledger entry is formed where the fault strikes, the
+   drive loop stops the attempt, and the rollback loop replays from the
+   last checkpoint with the event masked and the site quarantined.
+   Otherwise [stat] counts it and the run aborts with [msg]. *)
+let terminal a ~stat ~role ~index ~kind msg =
+  if not (rollback a) then begin
+    Stats.incr a.stats stat;
+    Exec.abort a.inst.i_exec msg
+  end
+  else if Option.is_none a.terminal then
+    a.terminal <-
+      Some
+        ( { le_at = Event_queue.now a.q; le_role = role; le_index = index;
+            le_kind = kind; le_restore = a.last_cp },
+          msg )
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -187,15 +189,9 @@ let apply_fault a (e : Fault.event) =
        retries and refetches, never into silently wrong guest state. *)
     Stats.incr a.stats "corrupt.absorbed"
   | `Unrecoverable what ->
-    let t_msg = Printf.sprintf "unrecoverable fault: %s tile failed" what in
-    if rollback a then
-      record a
-        { t_at = e.at; t_role = e.site.role; t_index = e.site.index;
-          t_kind = Fault.kind_to_string e.kind; t_msg }
-    else begin
-      Stats.incr a.stats "fault.unrecoverable";
-      Exec.abort a.inst.i_exec t_msg
-    end
+    terminal a ~stat:"fault.unrecoverable" ~role:e.site.role
+      ~index:e.site.index ~kind:(Fault.kind_to_string e.kind)
+      (Printf.sprintf "unrecoverable fault: %s tile failed" what)
 
 let fault_class_code k =
   match Fault.class_of_kind k with
@@ -206,16 +202,20 @@ let fault_class_code k =
   | Fault.C_corrupt_storage -> 4
   | Fault.C_duplicate -> 5
 
-(* A ledgered terminal at a critical role: already survived by a
-   rollback, so the replay masks exactly that event. *)
+(* A ledgered terminal fault: already survived by a rollback, so the
+   replay masks exactly that event (the virtual architecture re-placed the
+   role; the original event becomes a non-event). An L2D parity entry has
+   kind "", which matches no event: quarantining the bank at the restore
+   point flushes the poisoned line, so the re-injected storage corruption
+   lands on dead (or refilled-clean) silicon and needs no masking. *)
 let masked ledger (e : Fault.event) =
+  let kind = Fault.kind_to_string e.kind in
   List.exists
     (fun le ->
       le.le_at = e.at
       && le.le_role = e.site.role
       && le.le_index = e.site.index
-      && le.le_kind = Fault.kind_to_string e.kind
-      && List.mem le.le_role critical_roles)
+      && le.le_kind = kind)
     ledger
 
 let schedule_faults a ~fault_emit =
@@ -309,15 +309,14 @@ let build s ~ledger =
   in
   let morph = Morph.create ~trace q stats cfg inst.i_manager inst.i_memsys in
   let a =
-    { s; inst; q; stats; morph; ledger; terminal = ref None; last_cp = 0 }
+    { s; inst; q; stats; morph; ledger; terminal = None; last_cp = 0 }
   in
-  if rollback a then
-    (* Losing the only copy of a dirty L2D line is survivable: the driver
-       restores the last checkpoint with the bank quarantined. *)
-    Memsys.set_fatal_handler inst.i_memsys (fun ~bank t_msg ->
-        record a
-          { t_at = Event_queue.now q; t_role = "l2d"; t_index = bank;
-            t_kind = ""; t_msg });
+  (* Losing the only copy of a dirty L2D line is terminal; under rollback
+     it is survivable, by restoring the last checkpoint with the bank
+     quarantined. *)
+  Memsys.set_fatal_handler inst.i_memsys (fun ~bank msg ->
+      terminal a ~stat:"corrupt.uncorrectable_aborts" ~role:"l2d"
+        ~index:bank ~kind:"" msg);
   if Tr.enabled trace then
     install_sampler trace q inst.i_manager inst.i_memsys;
   let fault_emit =
@@ -458,7 +457,7 @@ let start_checkpoints a ~every =
   in
   let rec chain at =
     Event_queue.schedule a.q ~at (fun () ->
-        if not (Exec.finished a.inst.i_exec || Option.is_some !(a.terminal))
+        if not (Exec.finished a.inst.i_exec || Option.is_some a.terminal)
         then begin
           let snap = capture a ~every at in
           (match a.s.restore_from with
@@ -485,7 +484,7 @@ let finalize a outcome =
   Stats.add stats "total.guest_insns" (Exec.guest_instructions exec);
   Stats.add stats "morph.count" (Morph.morphs a.morph);
   (* Service-queue high-water marks (tracked unconditionally; see
-     Service.max_queue_length) — the congestion signature behind the
+     Service.record_totals) — the congestion signature behind the
      paper's Figure 5 without needing a full trace — and fault totals. *)
   Manager.record_totals a.inst.i_manager;
   Memsys.record_totals a.inst.i_memsys;
@@ -498,7 +497,9 @@ let finalize a outcome =
     digest = Exec.digest exec;
     stats }
 
-type attempt_end = Done of result | Terminal of terminal * attempt
+type attempt_end =
+  | Done of result
+  | Terminal of (ledger_entry * string) * attempt
 
 let attempt s ~ledger =
   let a = build s ~ledger in
@@ -508,7 +509,7 @@ let attempt s ~ledger =
   let fault msg = Done (finalize a (Exec.Fault msg)) in
   match
     Event_queue.drive a.q ~max_cycles:s.max_cycles ~finished:(fun () ->
-        Option.is_some !outcome || Option.is_some !(a.terminal))
+        Option.is_some !outcome || Option.is_some a.terminal)
   with
   | Cycle_limit -> fault "simulation cycle limit exceeded"
   | Deadlock -> fault "simulation deadlock: no events"
@@ -516,7 +517,7 @@ let attempt s ~ledger =
     (* A guest that finished wins over a terminal fault in the same step. *)
     match !outcome with
     | Some o -> Done (finalize a o)
-    | None -> Terminal (Option.get !(a.terminal), a))
+    | None -> Terminal (Option.get a.terminal, a))
 
 let add_recovery_stats ledger (res : result) =
   (* Only after a real rollback: a fault-free (or fully recovered-by-
@@ -535,14 +536,10 @@ let add_recovery_stats ledger (res : result) =
 let rec recover s ~max_rollbacks ~ledger ~attempts =
   match attempt s ~ledger with
   | Done res -> add_recovery_stats ledger res
-  | Terminal (t, a) when attempts >= max_rollbacks ->
+  | Terminal ((_, msg), a) when attempts >= max_rollbacks ->
     Stats.incr a.stats "fault.unrecoverable";
-    add_recovery_stats ledger (finalize a (Exec.Fault t.t_msg))
-  | Terminal (t, a) ->
-    let le =
-      { le_at = t.t_at; le_role = t.t_role; le_index = t.t_index;
-        le_kind = t.t_kind; le_restore = a.last_cp }
-    in
+    add_recovery_stats ledger (finalize a (Exec.Fault msg))
+  | Terminal ((le, _), _) ->
     recover s ~max_rollbacks ~ledger:(ledger @ [ le ]) ~attempts:(attempts + 1)
 
 let run ?input ?memo ?(fuel = 50_000_000) ?(max_cycles = 2_000_000_000)

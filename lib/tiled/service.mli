@@ -12,11 +12,28 @@ open Vat_desim
 type 'req t
 
 val create :
+  ?trace:Vat_trace.Trace.t ->
+  ?on_reject:('req -> unit) ->
+  ?on_corrupt:('req -> 'req) ->
   Event_queue.t ->
-  name:string ->
+  track:string ->
   serve:('req -> int * (unit -> unit)) ->
   'req t
-(** [serve req] returns [(occupancy_cycles, on_complete)]. *)
+(** [serve req] returns [(occupancy_cycles, on_complete)].
+
+    The service records its own timeline on the trace track named
+    [track] (default recorder {!Vat_trace.Trace.disabled}, which records
+    nothing): a [Msg_recv] at each arrival (arg = queue length after
+    enqueue), a [Serve_begin] when a request enters service (arg = queue
+    length) and a [Serve_end] at completion (arg = occupancy).
+
+    [on_reject] is called (at arrival time) for each request arriving at
+    a failed service; it lets the owner re-route traffic to surviving
+    tiles. [on_corrupt] says how a request hit by [Corrupt_payload]
+    manifests: it returns the bit-flipped version of the message
+    (typically tagged so a downstream checksum verification fails), so
+    corruption stays {e detectable}, never silently absorbed. Without
+    it the garbled request is undecodable and lost. *)
 
 val submit : 'req t -> delay:int -> 'req -> unit
 (** Deliver a request after [delay] cycles (its network latency). *)
@@ -24,23 +41,8 @@ val submit : 'req t -> delay:int -> 'req -> unit
 val queue_length : _ t -> int
 (** Requests waiting or in service right now. *)
 
-val max_queue_length : _ t -> int
-(** High-water mark of {!queue_length} over the run (measured at each
-    arrival; tracked unconditionally — it is a handful of compares). *)
-
 val busy_cycles : _ t -> int
 (** Total cycles spent serving (utilization numerator). *)
-
-val set_probe :
-  _ t ->
-  recv:Vat_trace.Trace.emitter ->
-  start:Vat_trace.Trace.emitter ->
-  stop:Vat_trace.Trace.emitter ->
-  unit
-(** Install trace emitters: [recv] fires at each arrival (arg = queue
-    length after enqueue), [start] when a request enters service (arg =
-    queue length), [stop] at completion (arg = occupancy). Defaults are
-    null emitters, so an unprobed service records nothing. *)
 
 val served : _ t -> int
 
@@ -79,8 +81,8 @@ val inject : _ t -> Fault.kind -> unit
 (** Apply a message-level fault. [Slow] multiplies service occupancy by
     [factor] for [cycles] cycles ([factor <= 1] restores nominal speed).
     The counted kinds hit the next [n] arrivals: [Drop_requests] loses
-    them; [Corrupt_payload] passes them through the owner's corrupt
-    transformer ({!set_corrupt_handler}), or, without one, loses them as
+    them; [Corrupt_payload] passes them through the owner's [on_corrupt]
+    transformer (see {!create}), or, without one, loses them as
     undecodable; [Duplicate_delivery] delivers them twice, so the owner's
     handler must be idempotent.
     @raise Invalid_argument on [Fail_stop] (use {!fail}) and
@@ -90,18 +92,15 @@ val dropped : _ t -> int
 (** Total requests lost to faults (queued at fail-stop, abandoned in
     service, rejected after failure, or transiently dropped). *)
 
-val set_reject_handler : 'req t -> ('req -> unit) -> unit
-(** Called (at arrival time) for each request arriving at a failed
-    service; lets an owner re-route traffic to surviving tiles. *)
-
 val corrupted : _ t -> int
 (** Requests hit by an injected [Corrupt_payload] so far. *)
 
 val duplicated : _ t -> int
 (** Requests redelivered by an injected [Duplicate_delivery] so far. *)
 
-val set_corrupt_handler : 'req t -> ('req -> 'req) -> unit
-(** How a corrupted request manifests: the transformer returns the
-    bit-flipped version of the message (typically tagging it so a
-    downstream checksum verification fails), preserving the invariant
-    that corruption is {e detectable}, never silently absorbed. *)
+val record_totals : Stats.t -> hwm:string -> _ t list -> unit
+(** Once, at the end of a run: set the gauge [hwm] to the services'
+    highest queue length (measured at each arrival, tracked
+    unconditionally), and add their lost, garbled and redelivered
+    requests to ["fault.dropped_requests"], ["corrupt.messages"] and
+    ["corrupt.duplicated"]. *)

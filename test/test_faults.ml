@@ -58,8 +58,8 @@ let test_plan_ordering () =
 (* Service-level fault semantics                                       *)
 (* ------------------------------------------------------------------ *)
 
-let mk_service q completions =
-  Service.create q ~name:"s" ~serve:(fun id ->
+let mk_service ?on_reject q completions =
+  Service.create ?on_reject q ~track:"s" ~serve:(fun id ->
       (10, fun () -> completions := id :: !completions))
 
 let test_service_fail_stop () =
@@ -85,9 +85,10 @@ let test_service_fail_stop () =
 let test_service_reject_handler () =
   let q = Event_queue.create () in
   let completions = ref [] in
-  let svc = mk_service q completions in
   let rerouted = ref [] in
-  Service.set_reject_handler svc (fun id -> rerouted := id :: !rerouted);
+  let svc =
+    mk_service ~on_reject:(fun id -> rerouted := id :: !rerouted) q completions
+  in
   ignore (Service.fail svc);
   Service.submit svc ~delay:0 7;
   Service.submit svc ~delay:1 8;
@@ -112,7 +113,7 @@ let test_service_slow () =
   let q = Event_queue.create () in
   let done_at = ref [] in
   let svc =
-    Service.create q ~name:"s" ~serve:(fun () ->
+    Service.create q ~track:"s" ~serve:(fun () ->
         (10, fun () -> done_at := Event_queue.now q :: !done_at))
   in
   Service.inject svc (Fault.Slow { factor = 4; cycles = 15 });

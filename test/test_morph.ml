@@ -147,17 +147,13 @@ let test_quarantine_last_site_guards () =
   let _q, stats, manager, memsys = setup_quarantine ~quarantine_threshold:1 in
   (* Quarantining every slave must stop short of the last one: a virtual
      architecture with zero translators can never make progress. *)
-  for i = 0 to 8 do
-    Manager.quarantine_slave manager i
-  done;
+  Manager.quarantine manager ~threshold:0;
   Alcotest.(check int) "one slave survives the purge" 1
     (Manager.usable_slaves manager);
   Alcotest.(check int) "eight slaves quarantined" 8
     (Stats.get stats "corrupt.quarantined_slaves");
   (* Same for the banked L2D: the guard keeps one bank alive. *)
-  for i = 0 to 3 do
-    Memsys.quarantine_bank memsys i
-  done;
+  Memsys.quarantine memsys ~threshold:0;
   Alcotest.(check int) "one bank survives the purge" 1
     (Memsys.alive_banks memsys);
   Alcotest.(check int) "three banks quarantined" 3
