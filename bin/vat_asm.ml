@@ -65,11 +65,11 @@ let run_cmd =
       & info [ "input" ] ~docv:"STR" ~doc:"Guest standard input.")
   in
   let run src vm stats input =
-    let prog =
-      if Filename.check_suffix src ".vbin" then
-        Image.to_program (Image.load src)
-      else Program.of_asm (parse_or_die src)
+    let image =
+      if Filename.check_suffix src ".vbin" then Image.load src
+      else Image.of_asm ~origin (parse_or_die src)
     in
+    let prog = Image.to_program image in
     if vm then begin
       let rv = Vat_core.Vm.run ~input ~fuel:100_000_000 Vat_core.Config.default prog in
       (match rv.outcome with

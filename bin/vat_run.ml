@@ -224,6 +224,9 @@ let main list_benches bench base translators banks l15 no_spec no_opt no_chain
           in
           match bench with
           | Some name -> (
+            let bad_image msg =
+              `Error (false, "bad guest image " ^ name ^ ": " ^ msg)
+            in
             let run display load =
               match
                 run_one ?trace_file ~trace_buckets ?checkpoint
@@ -233,9 +236,11 @@ let main list_benches bench base translators banks l15 no_spec no_opt no_chain
               (* A stale or foreign snapshot is a usage error, not a
                  crash: Snapshot.load raises Failure on a corrupt file and
                  Vm.run raises Invalid_argument on a fingerprint that does
-                 not match this program + configuration + fault plan. *)
+                 not match this program + configuration + fault plan. So
+                 is an image that does not fit guest memory. *)
               | exception Failure msg -> `Error (false, msg)
               | exception Invalid_argument msg -> `Error (false, msg)
+              | exception Vat_guest.Image.Bad_image msg -> bad_image msg
             in
             match Suite.find name with
             | b -> run b.Suite.name (fun () -> Suite.load b)
@@ -251,8 +256,7 @@ let main list_benches bench base translators banks l15 no_spec no_opt no_chain
                 | img ->
                   run (Filename.basename name) (fun () ->
                       Vat_guest.Image.to_program img)
-                | exception Vat_guest.Image.Bad_image msg ->
-                  `Error (false, "bad guest image " ^ name ^ ": " ^ msg)
+                | exception Vat_guest.Image.Bad_image msg -> bad_image msg
                 | exception Sys_error msg -> `Error (false, msg)))
           | None ->
             (* Whole-suite sweep: simulate in parallel, print in order. *)
@@ -455,7 +459,4 @@ let () =
     exit 125
   | exception Invalid_argument msg ->
     Printf.eprintf "vat_run: %s\n" msg;
-    exit 125
-  | exception Vat_guest.Image.Bad_image msg ->
-    Printf.eprintf "vat_run: bad guest image: %s\n" msg;
     exit 125

@@ -15,6 +15,9 @@ val save : string -> t -> unit
 val load : string -> t
 
 val to_program : ?mem_size:int -> t -> Program.t
+(** Load the image into a fresh guest memory of [mem_size] bytes (default
+    4 MiB), laid out as {!Program.of_asm} does.
+    @raise Bad_image if the image does not fit inside that memory. *)
 
 val disassemble : t -> (int * string) list
 (** [(address, rendering)] for each decodable instruction, linearly from

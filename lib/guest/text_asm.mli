@@ -31,6 +31,12 @@
 type error = { line : int; message : string }
 
 val parse_string : string -> (Asm.item list, error list) result
+(** Parse a whole source. Syntax errors are reported per line; a source
+    free of them is then checked for what {!Asm.assemble} would reject —
+    operand combinations the encoder forbids, duplicate labels and
+    undefined symbols — again against the offending line. [Ok] items
+    always assemble. *)
+
 val parse_file : string -> (Asm.item list, error list) result
 
 val pp_error : Format.formatter -> error -> unit

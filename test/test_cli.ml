@@ -1,13 +1,15 @@
-(* The vat_run command line must fail cleanly on operator error: a
-   malformed or truncated guest image, an unknown benchmark, or a bad
-   --fault-kinds list each produce a one-line diagnostic and a nonzero
-   exit — never a backtrace. Runs the real executable (dune places it at
-   ../bin/vat_run.exe relative to the test cwd). *)
+(* The vat_run and vat_asm command lines must fail cleanly on operator
+   error: a malformed, truncated or unloadable guest image, a source the
+   assembler rejects, an unknown benchmark, or a bad --fault-kinds list
+   each produce a one-line diagnostic and a nonzero exit — never a
+   backtrace. Runs the real executables (dune places them in ../bin
+   relative to the test cwd). *)
 
 let exe = Filename.concat ".." (Filename.concat "bin" "vat_run.exe")
+let asm_exe = Filename.concat ".." (Filename.concat "bin" "vat_asm.exe")
 
-(* Run [args], capturing stdout+stderr; returns (exit_code, output). *)
-let run_cli args =
+(* Run [exe args], capturing stdout+stderr; returns (exit_code, output). *)
+let run_exe exe args =
   let out = Filename.temp_file "vat_cli" ".out" in
   let cmd =
     Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe) args
@@ -20,6 +22,9 @@ let run_cli args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+let run_cli = run_exe exe
+let run_asm = run_exe asm_exe
 
 let write_file path bytes =
   let oc = open_out_bin path in
@@ -220,6 +225,82 @@ let test_exit_code_halt_and_resume () =
   Alcotest.(check string) "resumed result identical to straight run"
     (result_line straight) (result_line resumed)
 
+(* --- Untrusted guest inputs ---------------------------------------------
+   An image that cannot be loaded, or a source the assembler would reject,
+   is the operator's error: vat_run reports a bad image (exit 124) and
+   vat_asm a one-line diagnostic (exit 1), never an uncaught exception. *)
+
+let contains text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
+  go 0
+
+let raw_image ~origin body =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+  "VAT0" ^ u32 origin ^ u32 origin ^ body
+
+let check_unloadable_image name bytes =
+  let path = name ^ ".vbin" in
+  write_file path bytes;
+  let run = run_cli path and asm = run_asm ("run " ^ path) in
+  Sys.remove path;
+  Alcotest.(check int) (name ^ ": vat_run usage error") 124 (fst run);
+  check_clean_failure (name ^ " (vat_run)") run;
+  Alcotest.(check bool)
+    (name ^ ": reported as a bad image: " ^ snd run)
+    true
+    (contains (snd run) ("bad guest image " ^ path ^ ": "));
+  Alcotest.(check int) (name ^ ": vat_asm run exit") 1 (fst asm);
+  check_clean_failure (name ^ " (vat_asm run)") asm
+
+let test_image_outside_memory () =
+  check_unloadable_image "high_origin"
+    (raw_image ~origin:0xFFFFFF00 (String.make 16 '\x90'))
+
+let test_image_larger_than_memory () =
+  check_unloadable_image "oversized"
+    (raw_image ~origin:0x1000 (String.make (5 * 1024 * 1024) '\x90'))
+
+let check_rejected_source name source ~line =
+  let path = name ^ ".s" in
+  write_file path source;
+  let r = run_asm ("build " ^ path ^ " -o " ^ name ^ ".vbin") in
+  Sys.remove path;
+  Alcotest.(check bool) (name ^ ": no image written") false
+    (Sys.file_exists (name ^ ".vbin"));
+  Alcotest.(check int) (name ^ ": exit") 1 (fst r);
+  check_clean_failure name r;
+  let where = Printf.sprintf "%s: line %d: " path line in
+  Alcotest.(check bool) (name ^ ": names " ^ where ^ " in: " ^ snd r) true
+    (contains (snd r) where)
+
+let test_asm_rejects () =
+  check_rejected_source "undefined_label" "start:\n  jmp nowhere\n" ~line:2;
+  check_rejected_source "imm_destination" "start:\n  mov 5, eax\n" ~line:2;
+  check_rejected_source "imm_byte_source" "start:\n  nop\n  movzx eax, 5\n"
+    ~line:3
+
+(* The interpreter and the full virtual architecture agree on the
+   example's exit status ("exit N", the first two words) and on everything
+   after the first line (the guest's output). *)
+let test_asm_run_hello () =
+  let hello = Filename.concat ".." (Filename.concat "examples" "hello.s") in
+  let split (code, text) =
+    let i = Option.value (String.index_opt text '\n') ~default:0 in
+    let status =
+      List.filteri (fun k _ -> k < 2) (String.split_on_char ' ' (String.sub text 0 i))
+    in
+    (code, String.concat " " status, String.sub text i (String.length text - i))
+  in
+  let code_i, status_i, rest_i = split (run_asm ("run " ^ hello)) in
+  let code_v, status_v, rest_v = split (run_asm ("run --vm " ^ hello)) in
+  Alcotest.(check int) "interpreter exit" 0 code_i;
+  Alcotest.(check int) "vm exit" 0 code_v;
+  Alcotest.(check string) "same guest status" status_i status_v;
+  Alcotest.(check bool) ("guest wrote output: " ^ rest_i) true
+    (contains rest_i "--- output ---");
+  Alcotest.(check string) "same guest output" rest_i rest_v
+
 let test_bad_config () =
   check_clean_failure "bad --translators"
     (run_cli "gzip --translators 99");
@@ -240,6 +321,14 @@ let suite =
       test_bad_fault_kinds;
     Alcotest.test_case "bad configuration fails cleanly" `Quick
       test_bad_config;
+    Alcotest.test_case "image outside guest memory exits 124" `Quick
+      test_image_outside_memory;
+    Alcotest.test_case "image larger than guest memory exits 124" `Quick
+      test_image_larger_than_memory;
+    Alcotest.test_case "vat_asm build names the rejected line" `Quick
+      test_asm_rejects;
+    Alcotest.test_case "vat_asm run: interpreter and vm agree" `Quick
+      test_asm_run_hello;
     Alcotest.test_case "usage errors exit 124" `Quick test_exit_codes_usage;
     Alcotest.test_case "guest fault exits 2" `Quick test_exit_code_guest_fault;
     Alcotest.test_case "corrupt snapshot exits 124" `Quick
