@@ -199,8 +199,81 @@ let prop_print_parse_roundtrip =
         = insn
       | Ok _ | Error _ -> false)
 
+(* A source exercising every syntactic form, plus sources of random
+   printed instructions: the seeds the loader fuzz mutates. *)
+let fuzz_corpus =
+  {|
+start:
+    mov   esi, data
+    mov   eax, [esi + ecx*4 + 8]
+    movzxb ebx, [data + 3]
+    lea   edi, [esi + 16]
+    shl   eax, 3
+    sar   ebx, cl
+    setne [esi]
+    cmovl eax, ebx
+    rep movsb
+    push  eax
+    call  fn
+    jmp   *[table + eax*4]
+fn: ret
+    int   0x80
+table:
+    .word fn, start + 4
+msg:
+    .asciz "hi\n"
+    .byte 1, 2, 255
+    .align 16
+data:
+    .space 32
+|}
+
+(* Untrusted assembly text either fails with line-numbered errors or
+   yields items the assembler accepts. *)
+let prop_parse_fuzz =
+  let printed =
+    List.init 4 (fun seed ->
+        let st = Random.State.make [| seed |] in
+        String.concat "\n"
+          (List.init 40 (fun _ ->
+               Vat_guest.Insn.to_string (Test_encode.G.insn st))))
+  in
+  QCheck.Test.make
+    ~name:"Text_asm.parse_string on mutated input: Error, or items that assemble"
+    ~count:3000
+    (Fuzz.mutants ~char:QCheck.Gen.printable (fuzz_corpus :: printed))
+    (fun src ->
+      match Text_asm.parse_string src with
+      | Error _ -> true
+      | Ok items ->
+        ignore (Asm.assemble ~origin:0x1000 items);
+        true)
+
+(* Untrusted image bytes either load or raise [Bad_image]. *)
+let prop_image_fuzz =
+  let seed =
+    let img = Image.of_asm ~origin:0x1000 (parse fuzz_corpus) in
+    let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+    "VAT0" ^ u32 img.origin ^ u32 img.entry ^ img.image
+  in
+  QCheck.Test.make
+    ~name:"Image.load + to_program on mutated bytes: a program, or Bad_image"
+    ~count:500 (Fuzz.mutants [ seed ])
+    (fun bytes ->
+      let path = Filename.temp_file "vat_fuzz" ".vbin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes);
+          match Image.to_program (Image.load path) with
+          | _ -> true
+          | exception Image.Bad_image _ -> true))
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
+    QCheck_alcotest.to_alcotest prop_parse_fuzz;
+    QCheck_alcotest.to_alcotest prop_image_fuzz;
     Alcotest.test_case "basic program" `Quick test_basic_program;
     Alcotest.test_case "addressing forms" `Quick test_addressing_forms;
     Alcotest.test_case "strings/setcc/cmov" `Quick test_cc_families_and_strings;
