@@ -119,13 +119,6 @@ val demand_translate_penalty_cycles : int
 (** Extra cycles when the manager demand-translates a block itself (the
     degraded path after fill retries are exhausted). *)
 
-val fixed_tiles : int
-(** Tiles not available to the translator/L2D pool (exec, MMU, manager,
-    syscall) — L1.5 banks are additional. *)
-
-val pool_tiles : t -> int
-(** Translator + L2D tiles this configuration uses. *)
-
 val validate : t -> (unit, string) result
 (** Check the role allocation fits the 16-tile grid and parameters are
     sane. *)

@@ -16,13 +16,11 @@ open Vat_guest
 
 type policy =
   | Static of int * int
-      (** Fixed translator split (a, b); a + b <= {!shared_translators}. *)
+      (** Fixed translator split (a, b); a + b <= 6, the pool tiles left
+          after both guests' fixed complexes. *)
   | Shared of { dwell : int }
       (** Trade translators dynamically, rebalancing by relative queue
           length, with at least [dwell] cycles between trades. *)
-
-val shared_translators : int
-(** 6: the pool tiles left after both guests' fixed complexes. *)
 
 type guest_result = {
   outcome : Exec.outcome;

@@ -27,8 +27,6 @@ val pool : t -> int -> Grid.coord
 (** The 10 pool tiles, ordered so indexes 0..3 are the preferred L2D bank
     positions (nearest the MMU) and the rest translators. *)
 
-val lat : t -> Grid.coord -> Grid.coord -> int
-
 (* Common paths. *)
 val lat_exec_mmu : t -> int
 val lat_mmu_bank : t -> int -> int

@@ -6,8 +6,6 @@ val l2_code_accesses_per_cycle : Vm.result -> float
 val l2_code_miss_rate : Vm.result -> float
 (** Figure 7's y axis: L2 code-cache misses per L2 code-cache access. *)
 
-val l1_code_miss_rate : Vm.result -> float
-val l15_hit_rate : Vm.result -> float
 val chain_rate : Vm.result -> float
 (** Chained transfers per block transition. *)
 
@@ -22,12 +20,9 @@ val reconfigurations : Vm.result -> int
     The largest queue each shared tile ever accumulated (waiting plus in
     service), recorded unconditionally at the end of every run — the
     congestion signature behind the paper's Figure 5 without needing a
-    full trace. *)
+    full trace. {!summary} reports the other three tiles' marks. *)
 
 val mgr_queue_hwm : Vm.result -> int
-val l15_queue_hwm : Vm.result -> int
-val mmu_queue_hwm : Vm.result -> int
-val l2d_queue_hwm : Vm.result -> int
 
 (** {2 Fault and recovery counters} (all zero on a fault-free run) *)
 

@@ -47,6 +47,3 @@ val translate_memo :
     the pair; with a memo it first revalidates and reuses a cached
     block. *)
 
-val live_out_regs : Vat_host.Hinsn.reg list
-(** Registers meaningful at block exit: the pinned guest state and the
-    terminator link register. *)

@@ -9,16 +9,13 @@
 val cpu_count : unit -> int
 (** [Domain.recommended_domain_count ()]: the default for [~jobs]. *)
 
-val run_array : jobs:int -> (unit -> 'a) array -> 'a array
-(** [run_array ~jobs tasks] evaluates every task, using up to [jobs]
-    domains (the calling domain counts as one; [jobs <= 1] runs
-    sequentially with no domains spawned). Result [i] is task [i]'s
-    value. If any task raised, the exception of the lowest-indexed
-    failing task is re-raised — after all tasks finished, so no work is
-    silently dropped. *)
-
 val run : jobs:int -> (unit -> 'a) list -> 'a list
-(** List version of {!run_array}. *)
+(** [run ~jobs tasks] evaluates every task, using up to [jobs] domains
+    (the calling domain counts as one; [jobs <= 1] runs sequentially with
+    no domains spawned). Result [i] is task [i]'s value. If any task
+    raised, the exception of the lowest-indexed failing task is re-raised
+    — after all tasks finished, so no work is silently dropped. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f items] = [run_array ~jobs] over [fun () -> f items.(i)]. *)
+(** [map ~jobs f items] is {!run} over [fun () -> f items.(i)], as an
+    array. *)

@@ -13,8 +13,6 @@ let next64 t =
 
 let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
-let split t = { state = next64 t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   next t mod bound

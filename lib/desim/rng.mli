@@ -6,9 +6,6 @@
 type t
 
 val create : seed:int -> t
-val split : t -> t
-(** Derive an independent stream; the parent stream advances by one draw. *)
-
 val next : t -> int
 (** Uniform in [0, 2^62). *)
 

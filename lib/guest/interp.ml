@@ -297,10 +297,16 @@ let run ~fuel t =
   in
   go fuel
 
-let digest t =
-  let h = ref (Mem.checksum t.prog.Program.mem) in
+let state_digest mem ~reg ~flags ~output =
+  let h = ref (Mem.checksum mem) in
   let mix v = h := ((!h * 0x100000001b3) lxor v) land max_int in
-  Array.iter mix t.regs;
-  mix t.fl;
-  String.iter (fun c -> mix (Char.code c)) (output t);
+  for i = 0 to 7 do
+    mix (reg i)
+  done;
+  mix flags;
+  String.iter (fun c -> mix (Char.code c)) output;
   !h
+
+let digest t =
+  state_digest t.prog.Program.mem ~reg:(Array.get t.regs) ~flags:t.fl
+    ~output:(output t)

@@ -39,3 +39,9 @@ val observe : t -> (int Insn.t -> unit) -> unit
 val digest : t -> int
 (** Hash of registers, flags, output, and full memory — used to compare a
     finished interpreter run against a finished DBT run. *)
+
+val state_digest :
+  Mem.t -> reg:(int -> int) -> flags:int -> output:string -> int
+(** The guest-state digest both executors report: the memory checksum,
+    then guest registers 0..7 ([reg i], in {!Insn.reg_index} order), the
+    flags and the output bytes, mixed in that order. *)

@@ -80,10 +80,8 @@ let data_accesses (insn : int Insn.t) =
 let run ?input ?(fuel = 200_000_000) prog =
   let interp = Interp.create ?input prog in
   let st =
-    { l1 = Cache.create ~name:"piii-l1" ~size_bytes:(16 * 1024) ~ways:4
-             ~line_bytes:32;
-      l2 = Cache.create ~name:"piii-l2" ~size_bytes:(256 * 1024) ~ways:8
-             ~line_bytes:32;
+    { l1 = Cache.create ~size_bytes:(16 * 1024) ~ways:4 ~line_bytes:32;
+      l2 = Cache.create ~size_bytes:(256 * 1024) ~ways:8 ~line_bytes:32;
       predictor = Array.make predictor_slots 1;
       ras = Array.make 16 0;
       ras_top = 0;

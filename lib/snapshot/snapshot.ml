@@ -126,7 +126,6 @@ let v ~cycle ~fingerprint ~interval ~sections =
 let cycle t = t.cycle
 let fingerprint t = t.fingerprint
 let interval t = t.interval
-let sections t = t.sections
 let find t name = List.assoc_opt name t.sections
 
 let diff a b =

@@ -70,7 +70,6 @@ val interval : t -> int
     (ignoring the caller's interval) so the replayed checkpoint chain
     lands on exactly the cycles the original run checkpointed at. *)
 
-val sections : t -> (string * string) list
 val find : t -> string -> string option
 
 val equal : t -> t -> bool

@@ -1,6 +1,4 @@
 type t = {
-  name : string;
-  size_bytes : int;
   line_bytes : int;
   sets : int;
   ways : int;
@@ -14,13 +12,11 @@ type t = {
   mutable parity_events : int;
 }
 
-let create ~name ~size_bytes ~ways ~line_bytes =
+let create ~size_bytes ~ways ~line_bytes =
   if size_bytes mod (ways * line_bytes) <> 0 then
     invalid_arg "Cache.create: size not a multiple of ways * line";
   let sets = size_bytes / (ways * line_bytes) in
-  { name;
-    size_bytes;
-    line_bytes;
+  { line_bytes;
     sets;
     ways;
     tags = Array.make (sets * ways) (-1);
@@ -31,10 +27,6 @@ let create ~name ~size_bytes ~ways ~line_bytes =
     hits = 0;
     misses = 0;
     parity_events = 0 }
-
-let name t = t.name
-let size_bytes t = t.size_bytes
-let line_bytes t = t.line_bytes
 
 type parity = Parity_ok | Corrected | Uncorrectable
 
@@ -191,7 +183,3 @@ let state_digest t =
   mix t.misses;
   mix t.parity_events;
   !h
-
-let hits t = t.hits
-let misses t = t.misses
-let accesses t = t.hits + t.misses

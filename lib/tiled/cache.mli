@@ -8,12 +8,8 @@
 
 type t
 
-val create : name:string -> size_bytes:int -> ways:int -> line_bytes:int -> t
+val create : size_bytes:int -> ways:int -> line_bytes:int -> t
 (** [size_bytes] must be a multiple of [ways * line_bytes]. *)
-
-val name : t -> string
-val size_bytes : t -> int
-val line_bytes : t -> int
 
 (** Outcome of the per-access parity check (see {!corrupt_line}):
     [Corrected] means a corrupt {e clean} line was detected and scrubbed —
@@ -60,7 +56,3 @@ val flush : t -> int
     writing back. *)
 
 val dirty_lines : t -> int
-
-val hits : t -> int
-val misses : t -> int
-val accesses : t -> int

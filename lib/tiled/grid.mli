@@ -35,6 +35,3 @@ val message_latency : t -> src:coord -> dst:coord -> int
 val fail_tile : t -> coord -> unit
 val failed_tiles : t -> int
 
-val detour_penalty : t -> src:coord -> dst:coord -> int
-(** Extra cycles the XY route from [src] to [dst] pays for failed tiles on
-    its interior (the corner tile included). Zero when no tile failed. *)

@@ -9,6 +9,4 @@
     code-cache misses/installs. Timestamps are simulated cycles reported
     as microseconds. *)
 
-val write : out_channel -> Trace.t -> unit
-
 val to_file : string -> Trace.t -> unit

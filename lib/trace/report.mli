@@ -6,13 +6,6 @@
     dispatch counts, chain counts, and attributed cycles from the
     execution tile's block-entry events. *)
 
-type span = { s_track : int; s_begin : int; s_end : int }
-
-val spans : Trace.t -> span list
-(** All closed spans (serve / translate / fill), in begin order per
-    track; a span still open at the end of the trace closes at
-    {!Trace.max_cycle}. *)
-
 val busy_fraction : Trace.t -> track:int -> total_cycles:int -> float
 (** Fraction of the run the track spent inside spans (clamped to [0,1]). *)
 
