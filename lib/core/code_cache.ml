@@ -85,7 +85,6 @@ module L1 = struct
 
   let used_bytes t = t.used
   let flushes t = t.flushes
-  let installs t = t.installs
 
   let state_digest t =
     let chains e =
@@ -187,9 +186,6 @@ module L15 = struct
         t.used <- t.used - Block.size_bytes slot.block)
       !doomed
 
-  let hits t = t.hits
-  let misses t = t.misses
-
   let state_digest t =
     let resident =
       table_digest t.table (fun addr s ->
@@ -220,8 +216,6 @@ module L2 = struct
   let find t addr =
     Hashtbl.find_opt t.table addr
     |> Option.map (fun c -> (c.block, c.stored_sum))
-
-  let mem t addr = Hashtbl.mem t.table addr
 
   let remove t addr =
     match Hashtbl.find_opt t.table addr with

@@ -46,7 +46,6 @@ module L1 : sig
   val flush : t -> unit
   val used_bytes : t -> int
   val flushes : t -> int
-  val installs : t -> int
 
   val state_digest : t -> int
   (** Iteration-order-independent hash of residencies (address, stored
@@ -70,8 +69,6 @@ module L15 : sig
   val remove : t -> int -> unit
   val corrupt_one : t -> salt:int -> bool
   val drop_page : t -> int -> unit
-  val hits : t -> int
-  val misses : t -> int
 
   val state_digest : t -> int
   (** As {!L1.state_digest}, over residencies + LRU stamps + counters. *)
@@ -88,7 +85,6 @@ module L2 : sig
   val install : ?sum:int -> t -> Block.t -> unit
   val remove : t -> int -> unit
   val corrupt_one : t -> salt:int -> bool
-  val mem : t -> int -> bool
   val blocks : t -> int
   val used_bytes : t -> int
 

@@ -32,9 +32,6 @@ val assemble : origin:int -> item list -> result
 val lookup : result -> string -> int
 (** Raises [Error] for unknown symbols. *)
 
-val resolve : (string -> int) -> expr -> int
-(** Resolve an expression to a 32-bit value given a symbol lookup. *)
-
 (** Instruction builders. Designed to be [open]ed locally when writing
     guest programs: registers are exposed as values, operands built with
     [r]/[i]/[m], and each mnemonic returns an {!item}. *)

@@ -22,9 +22,6 @@ val mask32 : int -> int
 val sign32 : int -> int
 (** Reinterpret a [0, 2^32) value as a signed OCaml int. *)
 
-val szp : int -> int
-(** SF/ZF/PF bits for a 32-bit result. *)
-
 val after_add : a:int -> b:int -> carry_in:int -> int * int
 (** [(result, flags)] of [a + b + carry_in] — covers Add/Adc. *)
 

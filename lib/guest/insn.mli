@@ -98,7 +98,5 @@ val is_block_end : 'a insn -> bool
     transfers, [Int], and [Hlt]. *)
 
 val pp_reg : Format.formatter -> reg -> unit
-val pp_cond : Format.formatter -> cond -> unit
-val pp_operand : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a operand -> unit
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a insn -> unit
 val to_string : int insn -> string

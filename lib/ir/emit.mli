@@ -17,12 +17,9 @@ val ins : t -> Hinsn.t -> unit
 val place : t -> int -> unit
 (** Bind a label at the current position. *)
 
-val li : t -> Hinsn.reg -> int -> unit
-(** Load a 32-bit constant, choosing the shortest sequence (nothing beats
-    reading r0 for zero; otherwise Addi/Ori/Lui or Lui+Ori). *)
-
 val li_reg : t -> int -> Hinsn.reg
-(** [li] into a fresh vreg, returning it. Zero returns r0 directly. *)
+(** Load a 32-bit constant into a fresh vreg with the shortest sequence
+    (Addi/Ori/Lui or Lui+Ori), returning it. Zero returns r0 directly. *)
 
 val addi_big : t -> dst:Hinsn.reg -> src:Hinsn.reg -> int -> unit
 (** dst = src + constant, handling constants that do not fit imm16. *)

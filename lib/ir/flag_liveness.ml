@@ -17,6 +17,9 @@ let cond_flags : Insn.cond -> int = function
   | O | NO -> ovf
   | P | NP -> pf
 
+(* Flags an instruction (unconditionally) defines. Shift-by-CL and
+   rotate-by-CL conservatively report their written set as both defined
+   and used, since a zero count preserves them. *)
 let def_flags (insn : int Insn.t) =
   match insn with
   | Alu ((Add | Adc | Sub | Sbb | Cmp), _, _) -> all

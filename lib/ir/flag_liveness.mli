@@ -10,16 +10,6 @@ open Vat_guest
     tells the code generator which flags each instruction must actually
     materialize into the packed flags register. *)
 
-val cond_flags : Insn.cond -> int
-(** Packed-flag bits a condition reads. *)
-
-val def_flags : int Insn.t -> int
-(** Flags an instruction (unconditionally) defines. Shift-by-CL and
-    rotate-by-CL conservatively report their written set as both defined
-    and used, since a zero count preserves them. *)
-
-val use_flags : int Insn.t -> int
-
 val needed : int Insn.t array -> int array
 (** [needed.(i)] = flag bits instruction [i] must materialize: its defined
     flags that are live out of position [i] under all-live-at-exit. *)

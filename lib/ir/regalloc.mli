@@ -15,9 +15,6 @@ open Vat_host
 val scratch_base_reg : Hinsn.reg
 (** r26: holds the base of the tile-local spill area at run time. *)
 
-val shuttle_regs : Hinsn.reg * Hinsn.reg
-(** r27, r28. *)
-
 exception Alloc_error of string
 
 val allocate : Lblock.t -> Lblock.t

@@ -25,10 +25,6 @@ val arith_body :
     the instructions touch [\[ESI + disp\]] with [disp < mem_span]. Never
     touches ESI/EBP/ESP or any register outside [regs], never faults. *)
 
-val arith_fun :
-  Rng.t -> name:string -> insns:int -> mem_span:int -> Asm.item list
-(** [label name; body; ret]. *)
-
 val fun_farm :
   Rng.t -> prefix:string -> count:int -> insns:int -> mem_span:int ->
   string list * Asm.item list
