@@ -10,8 +10,10 @@ type outcome =
   | Fault of string
   | Out_of_fuel
 
-(* Reserved address region for register-allocator spill slots; guest
-   programs must not touch addresses at or above it. *)
+(* Address of the register-allocator spill area. Spill code reaches it
+   only through [Regalloc.scratch_base_reg], so accesses are routed by
+   base register: a guest access to this address reaches guest memory
+   (and faults there), never a spill slot. *)
 let scratch_base = 0xFFF00000
 
 type syscall_req = {
@@ -218,30 +220,28 @@ let at_local t f =
 exception Guest_mem_fault of string
 
 let value_load t (w : Hinsn.width) addr =
-  if addr >= scratch_base then t.scratch.((addr - scratch_base) lsr 2)
-  else
-    try
-      match w with
-      | W8 -> Mem.read_u8 t.prog.Program.mem addr
-      | W8s ->
-        let b = Mem.read_u8 t.prog.Program.mem addr in
-        if b land 0x80 <> 0 then b lor 0xFFFFFF00 else b
-      | W32 -> Mem.read_u32 t.prog.Program.mem addr
-    with Mem.Fault { addr; access } ->
-      raise
-        (Guest_mem_fault (Printf.sprintf "memory fault (%s) at 0x%x" access addr))
+  try
+    match w with
+    | W8 -> Mem.read_u8 t.prog.Program.mem addr
+    | W8s ->
+      let b = Mem.read_u8 t.prog.Program.mem addr in
+      if b land 0x80 <> 0 then b lor 0xFFFFFF00 else b
+    | W32 -> Mem.read_u32 t.prog.Program.mem addr
+  with Mem.Fault { addr; access } ->
+    raise
+      (Guest_mem_fault (Printf.sprintf "memory fault (%s) at 0x%x" access addr))
 
 let value_store t (w : Hinsn.width) addr v =
-  if addr >= scratch_base then t.scratch.((addr - scratch_base) lsr 2) <- v
-  else
-    try
-      match w with
-      | W8 -> Mem.write_u8 t.prog.Program.mem addr v
-      | W32 -> Mem.write_u32 t.prog.Program.mem addr v
-      | W8s -> invalid_arg "store W8s"
-    with Mem.Fault { addr; access } ->
-      raise
-        (Guest_mem_fault (Printf.sprintf "memory fault (%s) at 0x%x" access addr))
+  try
+    match w with
+    | W8 -> Mem.write_u8 t.prog.Program.mem addr v
+    | W32 -> Mem.write_u32 t.prog.Program.mem addr v
+    | W8s -> invalid_arg "store W8s"
+  with Mem.Fault { addr; access } ->
+    raise
+      (Guest_mem_fault (Printf.sprintf "memory fault (%s) at 0x%x" access addr))
+
+let scratch_slot addr = (addr - scratch_base) lsr 2
 
 (* ------------------------------------------------------------------ *)
 (* Execution loop                                                      *)
@@ -297,7 +297,7 @@ let rec step t =
       else begin
         stall_to_ready t entry.use_masks.(t.pc);
         (match insn with
-         | Load (w, rd, base, off) -> exec_load t insn w rd base off
+         | Load (w, rd, base, off) -> exec_load t w rd base off
          | Store (w, rv, base, off) -> exec_store t w rv base off
          | _ -> begin
            match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
@@ -341,16 +341,12 @@ and set_ready t mask =
     t.ready_at.(r) <- t.t_local
   done
 
-and exec_load t insn w rd base off =
+and exec_load t w rd base off =
   let addr = (t.regs.(base) + off) land 0xFFFFFFFF in
-  if addr >= scratch_base then begin
-    (* Tile-local spill area: fixed cost, no cache. *)
-    (match Hexec.step ~regs:t.regs
-             ~mem:{ load = value_load t; store = value_store t }
-             insn
-     with
-     | Hexec.Next -> ()
-     | Hexec.Goto _ | Hexec.Trapped _ -> assert false);
+  if base = Regalloc.scratch_base_reg then begin
+    (* Tile-local spill area: fixed cost, no cache. Spill reloads are
+       whole words into allocated temporaries, never r0. *)
+    t.regs.(rd) <- t.scratch.(scratch_slot addr);
     t.t_local <- t.t_local + 2;
     t.ready_at.(rd) <- t.t_local + 1;
     t.pc <- t.pc + 1;
@@ -423,8 +419,8 @@ and exec_store t w rv base off =
     | W32 -> t.regs.(rv)
     | W8s -> assert false
   in
-  if addr >= scratch_base then begin
-    value_store t w addr v;
+  if base = Regalloc.scratch_base_reg then begin
+    t.scratch.(scratch_slot addr) <- v;
     t.t_local <- t.t_local + 2;
     t.pc <- t.pc + 1;
     step t

@@ -11,13 +11,6 @@ let live_out_regs =
   (* r8..r15 guest GPRs, r16 flags, r30 terminator link. *)
   pins @ [ Block.term_reg ]
 
-(* Packed-flag bit positions (x86 layout, see Vat_guest.Flags). *)
-let cf_pos = 0
-let pf_pos = 2
-let zf_pos = 6
-let sf_pos = 7
-let of_pos = 11
-
 type env = { e : Emit.t; cfg : Config.t }
 
 let ins env i = Emit.ins env.e i
@@ -116,12 +109,12 @@ let clear_flag env pos = ins env (Ins (fl, Hinsn.r0, pos, 1))
 let emit_zf env res =
   let t = vreg env in
   ins env (Alui (Sltiu, t, res, 1));
-  set_flag env zf_pos t
+  set_flag env Flags.zf_pos t
 
 let emit_sf env res =
   let t = vreg env in
   ins env (Shifti (Srl, t, res, 31));
-  set_flag env sf_pos t
+  set_flag env Flags.sf_pos t
 
 (* PF: even parity of the low byte — xor-fold then invert bit 0. *)
 let emit_pf env res =
@@ -136,7 +129,7 @@ let emit_pf env res =
   ins env (Alu3 (Xor, b, b, t));
   ins env (Alui (Xori, b, b, 1));
   ins env (Alui (Andi, b, b, 1));
-  set_flag env pf_pos b
+  set_flag env Flags.pf_pos b
 
 let emit_szp env mask res =
   if mask land Flags.zf_bit <> 0 then emit_zf env res;
@@ -151,7 +144,7 @@ let emit_of_add env a b res =
   ins env (Alu3 (Nor, t2, t2, Hinsn.r0));
   ins env (Alu3 (And, t1, t1, t2));
   ins env (Shifti (Srl, t1, t1, 31));
-  set_flag env of_pos t1
+  set_flag env Flags.of_pos t1
 
 (* OF of a - b (-borrow) -> res: ((a^b) & (a^res)) >> 31 *)
 let emit_of_sub env a b res =
@@ -160,11 +153,11 @@ let emit_of_sub env a b res =
   ins env (Alu3 (Xor, t2, a, res));
   ins env (Alu3 (And, t1, t1, t2));
   ins env (Shifti (Srl, t1, t1, 31));
-  set_flag env of_pos t1
+  set_flag env Flags.of_pos t1
 
 let read_cf env =
   let c = vreg env in
-  ins env (Ext (c, fl, cf_pos, 1));
+  ins env (Ext (c, fl, Flags.cf_pos, 1));
   c
 
 (* ------------------------------------------------------------------ *)
@@ -183,30 +176,30 @@ let negate env t =
 
 let rec cond_val env (c : Insn.cond) =
   match c with
-  | E -> flag_bit env zf_pos
+  | E -> flag_bit env Flags.zf_pos
   | NE -> negate env (cond_val env E)
-  | S -> flag_bit env sf_pos
+  | S -> flag_bit env Flags.sf_pos
   | NS -> negate env (cond_val env S)
-  | O -> flag_bit env of_pos
+  | O -> flag_bit env Flags.of_pos
   | NO -> negate env (cond_val env O)
-  | P -> flag_bit env pf_pos
+  | P -> flag_bit env Flags.pf_pos
   | NP -> negate env (cond_val env P)
-  | B -> flag_bit env cf_pos
+  | B -> flag_bit env Flags.cf_pos
   | AE -> negate env (cond_val env B)
   | L ->
-    let s = flag_bit env sf_pos and o = flag_bit env of_pos in
+    let s = flag_bit env Flags.sf_pos and o = flag_bit env Flags.of_pos in
     let t = vreg env in
     ins env (Alu3 (Xor, t, s, o));
     t
   | GE -> negate env (cond_val env L)
   | LE ->
-    let l = cond_val env L and z = flag_bit env zf_pos in
+    let l = cond_val env L and z = flag_bit env Flags.zf_pos in
     let t = vreg env in
     ins env (Alu3 (Or, t, l, z));
     t
   | G -> negate env (cond_val env LE)
   | BE ->
-    let cfb = flag_bit env cf_pos and z = flag_bit env zf_pos in
+    let cfb = flag_bit env Flags.cf_pos and z = flag_bit env Flags.zf_pos in
     let t = vreg env in
     ins env (Alu3 (Or, t, cfb, z));
     t
@@ -226,7 +219,7 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
      if mask land Flags.cf_bit <> 0 then begin
        let t = vreg env in
        ins env (Alu3 (Sltu, t, res, a));
-       set_flag env cf_pos t
+       set_flag env Flags.cf_pos t
      end;
      if mask land Flags.of_bit <> 0 then emit_of_add env a b res
    | Adc ->
@@ -239,7 +232,7 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
        ins env (Alu3 (Sltu, c1, t_ab, a));
        ins env (Alu3 (Sltu, c2, res, t_ab));
        ins env (Alu3 (Or, c1, c1, c2));
-       set_flag env cf_pos c1
+       set_flag env Flags.cf_pos c1
      end;
      if mask land Flags.of_bit <> 0 then emit_of_add env a b res
    | Sub | Cmp ->
@@ -247,7 +240,7 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
      if mask land Flags.cf_bit <> 0 then begin
        let t = vreg env in
        ins env (Alu3 (Sltu, t, a, b));
-       set_flag env cf_pos t
+       set_flag env Flags.cf_pos t
      end;
      if mask land Flags.of_bit <> 0 then emit_of_sub env a b res
    | Sbb ->
@@ -260,21 +253,21 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
        ins env (Alu3 (Sltu, c1, a, b));
        ins env (Alu3 (Sltu, c2, t_ab, c));
        ins env (Alu3 (Or, c1, c1, c2));
-       set_flag env cf_pos c1
+       set_flag env Flags.cf_pos c1
      end;
      if mask land Flags.of_bit <> 0 then emit_of_sub env a b res
    | And | Test ->
      ins env (Alu3 (And, res, a, b));
-     if mask land Flags.cf_bit <> 0 then clear_flag env cf_pos;
-     if mask land Flags.of_bit <> 0 then clear_flag env of_pos
+     if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
+     if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos
    | Or ->
      ins env (Alu3 (Or, res, a, b));
-     if mask land Flags.cf_bit <> 0 then clear_flag env cf_pos;
-     if mask land Flags.of_bit <> 0 then clear_flag env of_pos
+     if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
+     if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos
    | Xor ->
      ins env (Alu3 (Xor, res, a, b));
-     if mask land Flags.cf_bit <> 0 then clear_flag env cf_pos;
-     if mask land Flags.of_bit <> 0 then clear_flag env of_pos);
+     if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
+     if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos);
   emit_szp env mask res;
   if Insn.alu_writes_dst op then write_loc env dst ~addr res
 
@@ -305,7 +298,7 @@ let lower_unop env (op : Insn.unop) dst ~mask =
     if mask land Flags.cf_bit <> 0 then begin
       let t = vreg env in
       ins env (Alu3 (Sltu, t, Hinsn.r0, a));
-      set_flag env cf_pos t
+      set_flag env Flags.cf_pos t
     end;
     if mask land Flags.of_bit <> 0 then emit_of_sub env Hinsn.r0 a res;
     emit_szp env mask res;
@@ -331,7 +324,7 @@ let shift_flags_imm env (sh : Insn.shift) ~mask ~orig ~res n =
     let cfv =
       if mask land (Flags.cf_bit lor Flags.of_bit) <> 0 then begin
         let t = bit_of orig (32 - n) in
-        if mask land Flags.cf_bit <> 0 then set_flag env cf_pos t;
+        if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos t;
         Some t
       end
       else None
@@ -342,16 +335,16 @@ let shift_flags_imm env (sh : Insn.shift) ~mask ~orig ~res n =
        ins env (Shifti (Srl, msb, res, 31));
        let o = vreg env in
        ins env (Alu3 (Xor, o, msb, t));
-       set_flag env of_pos o
+       set_flag env Flags.of_pos o
      | _ -> ());
     emit_szp env mask res
   | Shr ->
     if mask land Flags.cf_bit <> 0 then
-      set_flag env cf_pos (bit_of orig (n - 1));
+      set_flag env Flags.cf_pos (bit_of orig (n - 1));
     if mask land Flags.of_bit <> 0 then begin
       let t = vreg env in
       ins env (Shifti (Srl, t, orig, 31));
-      set_flag env of_pos t
+      set_flag env Flags.of_pos t
     end;
     emit_szp env mask res
   | Sar ->
@@ -359,28 +352,28 @@ let shift_flags_imm env (sh : Insn.shift) ~mask ~orig ~res n =
       let t = vreg env in
       ins env (Shifti (Sra, t, orig, n - 1));
       ins env (Alui (Andi, t, t, 1));
-      set_flag env cf_pos t
+      set_flag env Flags.cf_pos t
     end;
-    if mask land Flags.of_bit <> 0 then clear_flag env of_pos;
+    if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos;
     emit_szp env mask res
   | Rol ->
     if mask land Flags.cf_bit <> 0 then begin
       let t = vreg env in
       ins env (Alui (Andi, t, res, 1));
-      set_flag env cf_pos t
+      set_flag env Flags.cf_pos t
     end;
     if mask land Flags.of_bit <> 0 then begin
       let msb = vreg env and b0 = vreg env in
       ins env (Shifti (Srl, msb, res, 31));
       ins env (Alui (Andi, b0, res, 1));
       ins env (Alu3 (Xor, msb, msb, b0));
-      set_flag env of_pos msb
+      set_flag env Flags.of_pos msb
     end
   | Ror ->
     if mask land Flags.cf_bit <> 0 then begin
       let t = vreg env in
       ins env (Shifti (Srl, t, res, 31));
-      set_flag env cf_pos t
+      set_flag env Flags.cf_pos t
     end;
     if mask land Flags.of_bit <> 0 then begin
       let b31 = vreg env and b30 = vreg env in
@@ -388,7 +381,7 @@ let shift_flags_imm env (sh : Insn.shift) ~mask ~orig ~res n =
       ins env (Shifti (Srl, b30, res, 30));
       ins env (Alui (Andi, b30, b30, 1));
       ins env (Alu3 (Xor, b31, b31, b30));
-      set_flag env of_pos b31
+      set_flag env Flags.of_pos b31
     end
 
 let rotate_imm env (sh : Insn.shift) a n =
@@ -472,12 +465,12 @@ let lower_shift env (sh : Insn.shift) dst amount ~mask =
          let thirty2 = Emit.li_reg env.e 32 in
          ins env (Alu3 (Sub, inv, thirty2, count));
          let cfv = bitv a Srl inv in
-         if mask land Flags.cf_bit <> 0 then set_flag env cf_pos cfv;
+         if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos cfv;
          if mask land Flags.of_bit <> 0 then begin
            let msb = vreg env in
            ins env (Shifti (Srl, msb, res, 31));
            ins env (Alu3 (Xor, msb, msb, cfv));
-           set_flag env of_pos msb
+           set_flag env Flags.of_pos msb
          end
        end;
        emit_szp env mask res
@@ -485,21 +478,21 @@ let lower_shift env (sh : Insn.shift) dst amount ~mask =
        if mask land Flags.cf_bit <> 0 then begin
          let cm1 = vreg env in
          ins env (Alui (Addi, cm1, count, -1));
-         set_flag env cf_pos (bitv a Srl cm1)
+         set_flag env Flags.cf_pos (bitv a Srl cm1)
        end;
        if mask land Flags.of_bit <> 0 then begin
          let t = vreg env in
          ins env (Shifti (Srl, t, a, 31));
-         set_flag env of_pos t
+         set_flag env Flags.of_pos t
        end;
        emit_szp env mask res
      | Sar ->
        if mask land Flags.cf_bit <> 0 then begin
          let cm1 = vreg env in
          ins env (Alui (Addi, cm1, count, -1));
-         set_flag env cf_pos (bitv a Sra cm1)
+         set_flag env Flags.cf_pos (bitv a Sra cm1)
        end;
-       if mask land Flags.of_bit <> 0 then clear_flag env of_pos;
+       if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos;
        emit_szp env mask res
      | Rol | Ror -> shift_flags_imm env sh ~mask ~orig:a ~res 1);
     Emit.place env.e skip;
@@ -546,13 +539,13 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
       ins env (Alu3 (Xor, ne, hi, sra));
       let bit = vreg env in
       ins env (Alu3 (Sltu, bit, Hinsn.r0, ne));
-      if mask land Flags.cf_bit <> 0 then set_flag env cf_pos bit;
-      if mask land Flags.of_bit <> 0 then set_flag env of_pos bit
+      if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos bit;
+      if mask land Flags.of_bit <> 0 then set_flag env Flags.of_pos bit
     end;
     (* ZF/SF/PF are pinned to zero after imul (see Vat_guest.Flags). *)
-    if mask land Flags.zf_bit <> 0 then clear_flag env zf_pos;
-    if mask land Flags.sf_bit <> 0 then clear_flag env sf_pos;
-    if mask land Flags.pf_bit <> 0 then clear_flag env pf_pos;
+    if mask land Flags.zf_bit <> 0 then clear_flag env Flags.zf_pos;
+    if mask land Flags.sf_bit <> 0 then clear_flag env Flags.sf_pos;
+    if mask land Flags.pf_bit <> 0 then clear_flag env Flags.pf_pos;
     Emit.mov env.e ~dst:(guest_pin rd) ~src:res
   | Mul s ->
     let b = read_operand env s in
@@ -560,12 +553,12 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
     if mask land (Flags.cf_bit lor Flags.of_bit) <> 0 then begin
       let bit = vreg env in
       ins env (Alu3 (Sltu, bit, Hinsn.r0, guest_pin EDX));
-      if mask land Flags.cf_bit <> 0 then set_flag env cf_pos bit;
-      if mask land Flags.of_bit <> 0 then set_flag env of_pos bit
+      if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos bit;
+      if mask land Flags.of_bit <> 0 then set_flag env Flags.of_pos bit
     end;
-    if mask land Flags.zf_bit <> 0 then clear_flag env zf_pos;
-    if mask land Flags.sf_bit <> 0 then clear_flag env sf_pos;
-    if mask land Flags.pf_bit <> 0 then clear_flag env pf_pos
+    if mask land Flags.zf_bit <> 0 then clear_flag env Flags.zf_pos;
+    if mask land Flags.sf_bit <> 0 then clear_flag env Flags.sf_pos;
+    if mask land Flags.pf_bit <> 0 then clear_flag env Flags.pf_pos
   | Div s ->
     let b = read_operand env s in
     ins env (Div64 { divisor = b; signed = false })

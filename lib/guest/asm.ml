@@ -59,28 +59,27 @@ let assemble ~origin items =
     | Some v -> v
     | None -> error "undefined symbol %s" name
   in
-  (* Pass 2: emit. *)
+  (* Pass 2: emit. Each item starts where the bytes before it end. *)
   let buf = Buffer.create total in
-  let at = ref origin in
   List.iter
     (fun item ->
-      let size = item_size !at item in
-      (match item with
-       | Ins insn ->
-         let concrete = Insn.map (resolve find) insn in
-         Encode.encode_into buf ~at:!at concrete
-       | Label _ -> ()
-       | Byte b -> Buffer.add_char buf (Char.chr (b land 0xFF))
-       | Word e ->
-         let v = resolve find e in
-         Buffer.add_char buf (Char.chr (v land 0xFF));
-         Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-         Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-         Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
-       | Ascii s -> Buffer.add_string buf s
-       | Space n -> Buffer.add_string buf (String.make n '\000')
-       | Align _ -> Buffer.add_string buf (String.make size '\000'));
-      at := !at + size)
+      let at = origin + Buffer.length buf in
+      match item with
+      | Ins insn ->
+        let concrete = Insn.map (resolve find) insn in
+        Encode.encode_into buf ~at concrete
+      | Label _ -> ()
+      | Byte b -> Buffer.add_char buf (Char.chr (b land 0xFF))
+      | Word e ->
+        let v = resolve find e in
+        Buffer.add_char buf (Char.chr (v land 0xFF));
+        Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
+        Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
+        Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
+      | Ascii s -> Buffer.add_string buf s
+      | Space n -> Buffer.add_string buf (String.make n '\000')
+      | Align _ ->
+        Buffer.add_string buf (String.make (item_size at item) '\000'))
     items;
   let image = Buffer.contents buf in
   if String.length image <> total then

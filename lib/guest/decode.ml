@@ -22,26 +22,22 @@ let u32 c =
 
 let sext32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let reg c =
-  let v = u8 c in
-  if v > 7 then bad c.start "bad register %d" v else Insn.reg_of_index v
+(* Element [i] of one of Insn's enum tables, or a decode error naming
+   the field. *)
+let nth c what table i =
+  if i < Array.length table then table.(i) else bad c.start "bad %s %d" what i
+
+let reg c = nth c "register" Insn.regs (u8 c)
 
 let mem c : int Insn.mem_operand =
   let b1 = u8 c in
   let b2 = u8 c in
   let base =
-    if b1 land 0x80 <> 0 then Some (Insn.reg_of_index ((b1 lsr 4) land 7))
-    else None
+    if b1 land 0x80 <> 0 then Some Insn.regs.((b1 lsr 4) land 7) else None
   in
   let index =
-    if b1 land 0x08 <> 0 then begin
-      let r = Insn.reg_of_index (b1 land 7) in
-      let s =
-        match b2 land 3 with
-        | 0 -> Insn.S1 | 1 -> S2 | 2 -> S4 | _ -> S8
-      in
-      Some (r, s)
-    end
+    if b1 land 0x08 <> 0 then
+      Some (Insn.regs.(b1 land 7), Insn.scales.(b2 land 3))
     else None
   in
   let disp = u32 c in
@@ -54,14 +50,7 @@ let operand c : int Insn.operand =
   | 2 -> Mem (mem c)
   | k -> bad c.start "bad operand kind %d" k
 
-let no_imm c (op : int Insn.operand) =
-  match op with
-  | Imm _ -> bad c.start "immediate operand not allowed here"
-  | Reg _ | Mem _ -> op
-
-let cond c =
-  let v = u8 c in
-  if v > 15 then bad c.start "bad condition %d" v else Insn.cond_of_index v
+let cond c = nth c "condition" Insn.conds (u8 c)
 
 (* [rel_target] reads the displacement and resolves it against the end of
    the instruction, which for all direct-transfer encodings is the current
@@ -84,38 +73,25 @@ let decode fetch ~at =
       Movb (d, s)
     | 0x03 ->
       let r = reg c in
-      Movzxb (r, no_imm c (operand c))
+      Movzxb (r, operand c)
     | 0x04 ->
       let r = reg c in
-      Movsxb (r, no_imm c (operand c))
+      Movsxb (r, operand c)
     | 0x05 -> begin
       let r = reg c in
       match operand c with
       | Mem m -> Lea (r, m)
       | Reg _ | Imm _ -> bad at "lea needs a memory operand"
     end
-    | op when op >= 0x10 && op <= 0x18 ->
-      let a : Insn.alu =
-        match op - 0x10 with
-        | 0 -> Add | 1 -> Adc | 2 -> Sub | 3 -> Sbb | 4 -> And
-        | 5 -> Or | 6 -> Xor | 7 -> Cmp | _ -> Test
-      in
+    | op when op >= 0x10 && op < 0x10 + Array.length Insn.alus ->
       let d = operand c in
       let s = operand c in
-      Alu (a, d, s)
-    | 0x06 -> begin
-      let u : Insn.unop =
-        match u8 c with
-        | 0 -> Inc | 1 -> Dec | 2 -> Neg | 3 -> Not
-        | n -> bad at "bad unop %d" n
-      in
+      Alu (Insn.alus.(op - 0x10), d, s)
+    | 0x06 ->
+      let u = nth c "unop" Insn.unops (u8 c) in
       Unop (u, operand c)
-    end
-    | op when op >= 0x20 && op <= 0x24 ->
-      let sh : Insn.shift =
-        match op - 0x20 with
-        | 0 -> Shl | 1 -> Shr | 2 -> Sar | 3 -> Rol | _ -> Ror
-      in
+    | op when op >= 0x20 && op < 0x20 + Array.length Insn.shifts ->
+      let sh = Insn.shifts.(op - 0x20) in
       let amt_byte = u8 c in
       let amt : Insn.shift_amount =
         if amt_byte = 0xFF then Sh_cl
@@ -126,15 +102,15 @@ let decode fetch ~at =
     | 0x30 ->
       let r = reg c in
       Imul (r, operand c)
-    | 0x31 -> Mul (no_imm c (operand c))
-    | 0x32 -> Div (no_imm c (operand c))
-    | 0x33 -> Idiv (no_imm c (operand c))
+    | 0x31 -> Mul (operand c)
+    | 0x32 -> Div (operand c)
+    | 0x33 -> Idiv (operand c)
     | 0x34 -> Cdq
     | 0x40 -> Push (operand c)
     | 0x41 -> Pop (operand c)
     | 0x42 ->
       let b = u8 c in
-      Xchg (Insn.reg_of_index ((b lsr 4) land 7), Insn.reg_of_index (b land 7))
+      Xchg (Insn.regs.((b lsr 4) land 7), Insn.regs.(b land 7))
     | 0x43 ->
       let cd = cond c in
       Setcc (cd, operand c)
@@ -145,18 +121,21 @@ let decode fetch ~at =
     | 0x70 -> Rep_movsb
     | 0x71 -> Rep_stosb
     | 0x50 -> Jmp (Direct (rel_target c))
-    | 0x51 -> Jmp (Indirect (no_imm c (operand c)))
+    | 0x51 -> Jmp (Indirect (operand c))
     | 0x52 ->
       let cd = cond c in
       Jcc (cd, rel_target c)
     | 0x53 -> Call (Direct (rel_target c))
-    | 0x54 -> Call (Indirect (no_imm c (operand c)))
+    | 0x54 -> Call (Indirect (operand c))
     | 0x55 -> Ret
     | 0x60 -> Int (u8 c)
     | 0x90 -> Nop
     | 0xF4 -> Hlt
     | op -> bad at "unknown opcode 0x%02x" op
   in
+  (* Only what the encoder can produce decodes, so a speculatively
+     translated byte string the encoder rejects becomes a clean fault. *)
+  (try Encode.check insn with Encode.Invalid reason -> bad at "%s" reason);
   (insn, c.pos - at)
 
 let decode_string s ~at ~origin =

@@ -1,8 +1,13 @@
-let cf_bit = 1
-let pf_bit = 1 lsl 2
-let zf_bit = 1 lsl 6
-let sf_bit = 1 lsl 7
-let of_bit = 1 lsl 11
+let cf_pos = 0
+let pf_pos = 2
+let zf_pos = 6
+let sf_pos = 7
+let of_pos = 11
+let cf_bit = 1 lsl cf_pos
+let pf_bit = 1 lsl pf_pos
+let zf_bit = 1 lsl zf_pos
+let sf_bit = 1 lsl sf_pos
+let of_bit = 1 lsl of_pos
 let all_mask = cf_bit lor pf_bit lor zf_bit lor sf_bit lor of_bit
 
 let mask32 v = v land 0xFFFFFFFF

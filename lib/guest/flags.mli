@@ -8,6 +8,13 @@
 
     All 32-bit values are represented as OCaml ints in [0, 2^32). *)
 
+val cf_pos : int
+val pf_pos : int
+val zf_pos : int
+val sf_pos : int
+val of_pos : int
+(** Bit positions in the packed word; each [*_bit] is [1 lsl *_pos]. *)
+
 val cf_bit : int
 val pf_bit : int
 val zf_bit : int

@@ -4,12 +4,11 @@ let reg_index = function
   | EAX -> 0 | ECX -> 1 | EDX -> 2 | EBX -> 3
   | ESP -> 4 | EBP -> 5 | ESI -> 6 | EDI -> 7
 
-let reg_of_index = function
-  | 0 -> EAX | 1 -> ECX | 2 -> EDX | 3 -> EBX
-  | 4 -> ESP | 5 -> EBP | 6 -> ESI | 7 -> EDI
-  | n -> invalid_arg (Printf.sprintf "Insn.reg_of_index: %d" n)
+let regs = [| EAX; ECX; EDX; EBX; ESP; EBP; ESI; EDI |]
 
 type scale = S1 | S2 | S4 | S8
+
+let scales = [| S1; S2; S4; S8 |]
 
 let scale_factor = function S1 -> 1 | S2 -> 2 | S4 -> 4 | S8 -> 8
 
@@ -32,11 +31,7 @@ let cond_index = function
   | B -> 6 | BE -> 7 | A -> 8 | AE -> 9 | S -> 10 | NS -> 11
   | O -> 12 | NO -> 13 | P -> 14 | NP -> 15
 
-let cond_of_index = function
-  | 0 -> E | 1 -> NE | 2 -> L | 3 -> LE | 4 -> G | 5 -> GE
-  | 6 -> B | 7 -> BE | 8 -> A | 9 -> AE | 10 -> S | 11 -> NS
-  | 12 -> O | 13 -> NO | 14 -> P | 15 -> NP
-  | n -> invalid_arg (Printf.sprintf "Insn.cond_of_index: %d" n)
+let conds = [| E; NE; L; LE; G; GE; B; BE; A; AE; S; NS; O; NO; P; NP |]
 
 let negate_cond = function
   | E -> NE | NE -> E | L -> GE | LE -> G | G -> LE | GE -> L
@@ -45,12 +40,20 @@ let negate_cond = function
 
 type alu = Add | Adc | Sub | Sbb | And | Or | Xor | Cmp | Test
 
+let alus = [| Add; Adc; Sub; Sbb; And; Or; Xor; Cmp; Test |]
+
 let alu_writes_dst = function
   | Cmp | Test -> false
   | Add | Adc | Sub | Sbb | And | Or | Xor -> true
 
 type shift = Shl | Shr | Sar | Rol | Ror
+
+let shifts = [| Shl; Shr; Sar; Rol; Ror |]
+
 type unop = Inc | Dec | Neg | Not
+
+let unops = [| Inc; Dec; Neg; Not |]
+
 type shift_amount = Sh_imm of int | Sh_cl
 
 type 'a target =

@@ -13,13 +13,18 @@
 
 type reg = EAX | ECX | EDX | EBX | ESP | EBP | ESI | EDI
 
-val reg_index : reg -> int
-(** 0..7, in the order above (matches the encoding). *)
+val regs : reg array
+(** Every register, in encoding order. Each enum here has one such table
+    ([regs], [scales], [conds], [alus], [shifts], [unops]): a
+    constructor's field value in the binary encoding is its position, and
+    the decoder indexes the table. The tables must not be mutated. *)
 
-val reg_of_index : int -> reg
-(** Inverse of {!reg_index}; raises [Invalid_argument] outside 0..7. *)
+val reg_index : reg -> int
+(** 0..7, in the order above: [regs.(reg_index r) = r]. *)
 
 type scale = S1 | S2 | S4 | S8
+
+val scales : scale array
 
 val scale_factor : scale -> int
 
@@ -37,17 +42,27 @@ type 'a operand =
 type cond =
   | E | NE | L | LE | G | GE | B | BE | A | AE | S | NS | O | NO | P | NP
 
+val conds : cond array
+
 val cond_index : cond -> int
-val cond_of_index : int -> cond
+(** [conds.(cond_index c) = c]. *)
+
 val negate_cond : cond -> cond
 
 type alu = Add | Adc | Sub | Sbb | And | Or | Xor | Cmp | Test
+
+val alus : alu array
 
 val alu_writes_dst : alu -> bool
 (** [Cmp] and [Test] only set flags. *)
 
 type shift = Shl | Shr | Sar | Rol | Ror
+
+val shifts : shift array
+
 type unop = Inc | Dec | Neg | Not
+
+val unops : unop array
 
 type shift_amount = Sh_imm of int | Sh_cl
 (** Shift count: immediate (masked to 0..31) or the low byte of ECX. *)
@@ -96,6 +111,15 @@ val map : ('a -> 'b) -> 'a insn -> 'b insn
 val is_block_end : 'a insn -> bool
 (** True for instructions that terminate a translation block: all control
     transfers, [Int], and [Hlt]. *)
+
+(** Assembly names, as the printer writes them and the text assembler
+    reads them. *)
+
+val reg_name : reg -> string
+val cond_name : cond -> string
+val alu_name : alu -> string
+val shift_name : shift -> string
+val unop_name : unop -> string
 
 val pp_reg : Format.formatter -> reg -> unit
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a insn -> unit

@@ -98,41 +98,26 @@ let tokenize line =
 (* Operand parsing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let reg_of_name = function
-  | "eax" -> Some Insn.EAX
-  | "ecx" -> Some Insn.ECX
-  | "edx" -> Some Insn.EDX
-  | "ebx" -> Some Insn.EBX
-  | "esp" -> Some Insn.ESP
-  | "ebp" -> Some Insn.EBP
-  | "esi" -> Some Insn.ESI
-  | "edi" -> Some Insn.EDI
-  | _ -> None
+(* Names are the printer's ({!Insn.reg_name} and the like), looked up in
+   Insn's enum tables; [aliases] are the x86 synonyms the printer never
+   writes. *)
+let lookup ?(aliases = []) table name_of name =
+  match List.assoc_opt name aliases with
+  | Some _ as found -> found
+  | None -> Array.find_opt (fun x -> String.equal (name_of x) name) table
 
-let cond_of_name = function
-  | "e" | "z" -> Some Insn.E
-  | "ne" | "nz" -> Some Insn.NE
-  | "l" -> Some Insn.L
-  | "le" -> Some Insn.LE
-  | "g" -> Some Insn.G
-  | "ge" -> Some Insn.GE
-  | "b" | "c" -> Some Insn.B
-  | "be" -> Some Insn.BE
-  | "a" -> Some Insn.A
-  | "ae" | "nc" -> Some Insn.AE
-  | "s" -> Some Insn.S
-  | "ns" -> Some Insn.NS
-  | "o" -> Some Insn.O
-  | "no" -> Some Insn.NO
-  | "p" -> Some Insn.P
-  | "np" -> Some Insn.NP
-  | _ -> None
+let register name = lookup Insn.regs Insn.reg_name name
+
+let condition name =
+  lookup
+    ~aliases:[ ("z", Insn.E); ("nz", NE); ("c", B); ("nc", AE) ]
+    Insn.conds Insn.cond_name name
 
 (* An immediate-ish value: number, symbol, or symbol +/- number. *)
 let parse_value toks =
   match toks with
   | Num v :: rest -> (Asm.Const v, rest)
-  | Ident name :: rest when reg_of_name name = None -> begin
+  | Ident name :: rest when register name = None -> begin
     match rest with
     | Punct '+' :: Num off :: rest' -> (Asm.Sym_off (name, off), rest')
     | Punct '-' :: Num off :: rest' -> (Asm.Sym_off (name, -off), rest')
@@ -168,14 +153,14 @@ let parse_mem toks =
     let toks =
       match toks with
       | Ident name :: Punct '*' :: Num s :: rest -> begin
-        match reg_of_name name with
+        match register name with
         | Some r ->
           set_reg r (Some s);
           rest
         | None -> fail "%s is not a register" name
       end
       | Ident name :: rest -> begin
-        match reg_of_name name with
+        match register name with
         | Some r ->
           set_reg r None;
           rest
@@ -211,8 +196,8 @@ let parse_operand toks : Asm.expr Insn.operand * token list =
   | Punct '[' :: rest ->
     let m, rest = parse_mem rest in
     (Insn.Mem m, rest)
-  | Ident name :: rest when reg_of_name name <> None ->
-    (Insn.Reg (Option.get (reg_of_name name)), rest)
+  | Ident name :: rest when register name <> None ->
+    (Insn.Reg (Option.get (register name)), rest)
   | _ ->
     let v, rest = parse_value toks in
     (Insn.Imm v, rest)
@@ -238,7 +223,7 @@ let one_operand toks =
 let reg_comma_operand toks =
   match toks with
   | Ident name :: rest -> begin
-    match reg_of_name name with
+    match register name with
     | Some r ->
       let rest = comma rest in
       let s, rest = parse_operand rest in
@@ -250,39 +235,12 @@ let reg_comma_operand toks =
 
 let label_name toks =
   match toks with
-  | [ Ident name ] when reg_of_name name = None -> name
+  | [ Ident name ] when register name = None -> name
   | _ -> fail "expected a label"
 
 (* ------------------------------------------------------------------ *)
 (* Instruction table                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let alu_of_name = function
-  | "add" -> Some Insn.Add
-  | "adc" -> Some Insn.Adc
-  | "sub" -> Some Insn.Sub
-  | "sbb" -> Some Insn.Sbb
-  | "and" -> Some Insn.And
-  | "or" -> Some Insn.Or
-  | "xor" -> Some Insn.Xor
-  | "cmp" -> Some Insn.Cmp
-  | "test" -> Some Insn.Test
-  | _ -> None
-
-let unop_of_name = function
-  | "inc" -> Some Insn.Inc
-  | "dec" -> Some Insn.Dec
-  | "neg" -> Some Insn.Neg
-  | "not" -> Some Insn.Not
-  | _ -> None
-
-let shift_of_name = function
-  | "shl" | "sal" -> Some Insn.Shl
-  | "shr" -> Some Insn.Shr
-  | "sar" -> Some Insn.Sar
-  | "rol" -> Some Insn.Rol
-  | "ror" -> Some Insn.Ror
-  | _ -> None
 
 let prefixed name prefix =
   let lp = String.length prefix in
@@ -326,7 +284,7 @@ let parse_insn mnemonic toks : Asm.item =
   | "xchg" -> begin
     match toks with
     | Ident a :: Punct ',' :: Ident b :: rest -> begin
-      match (reg_of_name a, reg_of_name b) with
+      match (register a, register b) with
       | Some ra, Some rb ->
         done_ rest;
         i (Xchg (ra, rb))
@@ -372,7 +330,7 @@ let parse_insn mnemonic toks : Asm.item =
   end
   | _ -> begin
     (* Families: j<cc>, set<cc>, cmov<cc>, shifts. *)
-    match shift_of_name mnemonic with
+    match lookup ~aliases:[ ("sal", Shl) ] shifts shift_name mnemonic with
     | Some sh -> begin
       let d, rest = parse_operand toks in
       let rest = comma rest in
@@ -382,17 +340,17 @@ let parse_insn mnemonic toks : Asm.item =
       | _ -> fail "shift count must be cl or 0..31"
     end
     | None -> begin
-      match alu_of_name mnemonic with
+      match lookup alus alu_name mnemonic with
       | Some op ->
         let d, s = two_operands toks in
         i (Alu (op, d, s))
       | None -> begin
-        match unop_of_name mnemonic with
+        match lookup unops unop_name mnemonic with
         | Some op -> i (Unop (op, one_operand toks))
         | None -> begin
           match prefixed mnemonic "cmov" with
           | Some cc -> begin
-            match cond_of_name cc with
+            match condition cc with
             | Some c ->
               let r, s = reg_comma_operand toks in
               i (Cmovcc (c, r, s))
@@ -401,14 +359,14 @@ let parse_insn mnemonic toks : Asm.item =
           | None -> begin
             match prefixed mnemonic "set" with
             | Some cc -> begin
-              match cond_of_name cc with
+              match condition cc with
               | Some c -> i (Setcc (c, one_operand toks))
               | None -> fail "unknown condition %s" cc
             end
             | None -> begin
               match prefixed mnemonic "j" with
               | Some cc -> begin
-                match cond_of_name cc with
+                match condition cc with
                 | Some c -> i (Jcc (c, Asm.Sym (label_name toks)))
                 | None -> fail "unknown mnemonic %s" mnemonic
               end
@@ -492,8 +450,7 @@ let check lines =
         if Hashtbl.mem labels name then err line ("duplicate label " ^ name)
         else Hashtbl.add labels name ()
       | line, Asm.Ins insn -> (
-        try ignore (Encode.sizeof (Insn.map (fun _ -> 0) insn))
-        with Encode.Invalid message -> err line message)
+        try Encode.check insn with Encode.Invalid message -> err line message)
       | _ -> ())
     lines;
   let symbol line = function

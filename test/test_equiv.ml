@@ -285,6 +285,30 @@ let syscall_write () =
          int_ Syscall.vector;
          label "msg"; Asm.Ascii "hello, world\n" ])
 
+(* "mov 1, 2": bytes of an immediate destination, which the encoder
+   cannot produce, behind a branch. Translation runs ahead of execution,
+   so when the branch skips them they must not change the outcome; when
+   they run, both engines fault. *)
+let unencodable_bytes branch () =
+  check_equiv
+    ([ label "start"; cmp (r eax) (r eax); branch "skip" ]
+     @ List.map (fun b -> Asm.Byte b) [ 1; 1; 1; 0; 0; 0; 1; 2; 0; 0; 0 ]
+     @ [ label "skip";
+         mov (r eax) (i Syscall.sys_exit);
+         mov (r ebx) (i 7);
+         int_ Syscall.vector ])
+
+(* The translator spills to 0xFFF00000 and up. To the guest that is
+   memory outside its image, so a load or store there faults in both
+   engines rather than reaching a spill slot. *)
+let spill_area_access access () =
+  check_equiv
+    ([ label "start"; mov (r ecx) (i 5) ]
+     @ access (m ~disp:0xFFF00000 ())
+     @ [ mov (r ebx) (i 0);
+         mov (r eax) (i Syscall.sys_exit);
+         int_ Syscall.vector ])
+
 (* The random families are embarrassingly parallel: each seed builds its
    own program, interpreter and VM. Fan a family's seeds out over a Pool
    when its first case runs; each named case then reports only its own
@@ -320,7 +344,13 @@ let suite =
     quick "cmov" cmov_cases;
     quick "rep movsb/stosb" rep_ops;
     quick "rep overlapping copy" rep_overlap;
-    quick "syscall write" syscall_write ]
+    quick "syscall write" syscall_write;
+    quick "skipped unencodable bytes" (unencodable_bytes je);
+    quick "executed unencodable bytes" (unencodable_bytes jne);
+    quick "guest load from the spill area"
+      (spill_area_access (fun a -> [ mov (r eax) a ]));
+    quick "guest store to the spill area"
+      (spill_area_access (fun a -> [ mov a (r ecx) ])) ]
   @ List.mapi
       (fun i f -> quick (Printf.sprintf "random program %d" i) f)
       (pooled_family random_case (List.init 12 (fun i -> 1000 + i)))

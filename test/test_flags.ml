@@ -133,7 +133,7 @@ let prop_cond_negation =
   QCheck.Test.make ~name:"negated condition is complement" ~count:1000
     QCheck.(pair (int_range 0 15) (int_bound 0xFFF))
     (fun (ci, flags) ->
-      let c = Insn.cond_of_index ci in
+      let c = Insn.conds.(ci) in
       Flags.eval_cond c ~flags
       <> Flags.eval_cond (Insn.negate_cond c) ~flags)
 
