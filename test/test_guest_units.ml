@@ -36,6 +36,91 @@ let test_mem_page_generations () =
   Alcotest.(check int) "untouched page unchanged" g2
     (Mem.page_generation m ~page:2)
 
+(* The oracle for [Mem.checksum]: FNV over every byte, one at a time. *)
+let checksum_bytewise m =
+  let h = ref 0xcbf29ce4 in
+  String.iter
+    (fun c -> h := ((!h lxor Char.code c) * 0x100000001b3) land max_int)
+    (Mem.read_string m ~at:0 ~len:(Mem.size m));
+  !h
+
+type mem_op =
+  | Write_u8 of int * int
+  | Write_u32 of int * int
+  | Load_string of int * string
+  | Copy
+
+let pp_mem_op = function
+  | Write_u8 (a, v) -> Printf.sprintf "write_u8 0x%x 0x%x" a v
+  | Write_u32 (a, v) -> Printf.sprintf "write_u32 0x%x 0x%x" a v
+  | Load_string (a, s) -> Printf.sprintf "load_string 0x%x %S" a s
+  | Copy -> "copy"
+
+(* A memory of 1 page, 3 pages or 4 MiB, then stores aimed anywhere, at
+   the last page, or across a page boundary, many of them zero. *)
+let gen_mem_case =
+  let open QCheck.Gen in
+  let ps = Mem.page_size in
+  let* pages = oneofl [ 1; 3; 1024 ] in
+  let size = pages * ps in
+  let addr =
+    frequency
+      [ (3, int_bound (size - 1));
+        (2, map (fun o -> size - ps + o) (int_bound (ps - 1)));
+        (2,
+         map2 (fun p d -> ((p + 1) * ps) - d)
+           (int_bound (max 0 (pages - 2)))
+           (int_range 1 3)) ]
+  in
+  let value =
+    frequency [ (2, return 0); (1, int_bound 0xFF); (2, map Int32.to_int ui32) ]
+  in
+  let byte = frequency [ (1, return '\000'); (2, char) ] in
+  let op =
+    frequency
+      [ (4, map2 (fun a v -> Write_u8 (a, v)) addr value);
+        (4, map2 (fun a v -> Write_u32 (a, v)) addr value);
+        (2,
+         map2 (fun a s -> Load_string (a, s)) addr
+           (string_size ~gen:byte
+              (frequency
+                 [ (1, return 0); (3, int_bound 64); (1, int_bound 9000) ])));
+        (1, return Copy) ]
+  in
+  pair (return pages) (list_size (int_bound 40) op)
+
+let prop_mem_checksum =
+  QCheck.Test.make ~name:"mem: checksum = byte-wise FNV" ~count:100
+    (QCheck.make
+       ~print:(fun (pages, ops) ->
+         Printf.sprintf "%d pages: %s" pages
+           (String.concat "; " (List.map pp_mem_op ops)))
+       gen_mem_case)
+    (fun (pages, ops) ->
+      let m = ref (Mem.create ~size:(pages * Mem.page_size)) in
+      let size = Mem.size !m in
+      let agree m = Mem.checksum m = checksum_bytewise m in
+      (* Hashing 4 MiB twice per step would dominate the suite, so the
+         memories are compared at the start, around each copy, and at
+         the end. *)
+      agree !m
+      && List.for_all
+           (function
+             | Write_u8 (a, v) -> Mem.write_u8 !m a v; true
+             | Write_u32 (a, v) -> Mem.write_u32 !m (min a (size - 4)) v; true
+             | Load_string (a, s) ->
+               Mem.load_string !m ~at:a
+                 (String.sub s 0 (min (String.length s) (size - a)));
+               true
+             | Copy ->
+               let m' = Mem.copy !m in
+               Mem.write_u8 !m 0 0xFF;
+               let ok = agree !m && agree m' in
+               m := m';
+               ok)
+           ops
+      && agree !m)
+
 let prop_mem_roundtrip =
   QCheck.Test.make ~name:"mem: u32 write/read round trip" ~count:500
     QCheck.(pair (int_bound 4000) (map (fun v -> v land 0xFFFFFFFF) int))
@@ -230,4 +315,4 @@ let suite =
     Alcotest.test_case "syscall brk" `Quick test_syscall_brk;
     Alcotest.test_case "unknown syscall -ENOSYS" `Quick
       test_syscall_unknown_enosys ]
-  @ [ QCheck_alcotest.to_alcotest prop_mem_roundtrip ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_mem_roundtrip; prop_mem_checksum ]

@@ -12,7 +12,7 @@ module G = struct
   let shamt = int_range 0 31
   let field = int_range 0 31
 
-  let insn : Hinsn.t t =
+  let insn_over reg : Hinsn.t t =
     let open Hinsn in
     frequency
       [ (4,
@@ -66,6 +66,8 @@ module G = struct
            (fun t r -> Trap ((if t then Divide_error else Divide_overflow), r))
            bool reg);
         (1, return Nop) ]
+
+  let insn = insn_over reg
 end
 
 let arb_hinsn = QCheck.make ~print:Hinsn.to_string G.insn
@@ -73,6 +75,33 @@ let arb_hinsn = QCheck.make ~print:Hinsn.to_string G.insn
 let prop_roundtrip =
   QCheck.Test.make ~name:"host encode/decode round trip" ~count:5000 arb_hinsn
     (fun insn -> Hencode.decode (Hencode.encode insn) = insn)
+
+(* [use_mask]/[def_mask] match on the instruction; the [uses]/[defs]
+   lists, which the IR passes keep using, are their oracle: bit [r] per
+   listed register, none for r0, and registers 62 and up refused. *)
+let prop_masks_match_lists =
+  let reg =
+    QCheck.Gen.(
+      frequency
+        [ (2, oneofl Hinsn.[ r0; guest_reg_base; guest_reg_base + 2 ]);
+          (6, int_range 0 61);
+          (1, int_range 62 70) ])
+  in
+  let outcome f insn =
+    match f insn with m -> Some m | exception Invalid_argument _ -> None
+  in
+  let bit r =
+    if r >= 62 then invalid_arg "unallocated register"
+    else if r = 0 then 0
+    else 1 lsl r
+  in
+  let fold regs insn = List.fold_left (fun m r -> m lor bit r) 0 (regs insn) in
+  QCheck.Test.make ~name:"use/def masks = fold of reg_mask over uses/defs"
+    ~count:5000
+    (QCheck.make ~print:Hinsn.to_string (G.insn_over reg))
+    (fun insn ->
+      outcome Hinsn.use_mask insn = outcome (fold Hinsn.uses) insn
+      && outcome Hinsn.def_mask insn = outcome (fold Hinsn.defs) insn)
 
 let prop_vreg_rejected =
   QCheck.Test.make ~name:"virtual registers cannot be encoded" ~count:200
@@ -170,4 +199,5 @@ let suite =
     Alcotest.test_case "div64 semantics and traps" `Quick test_div64;
     Alcotest.test_case "block runner" `Quick test_run_block ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_roundtrip; prop_vreg_rejected; prop_shift_masks_count ]
+      [ prop_roundtrip; prop_vreg_rejected; prop_shift_masks_count;
+        prop_masks_match_lists ]

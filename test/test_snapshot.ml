@@ -243,6 +243,25 @@ let test_bad_interval_rejected () =
   | _ -> Alcotest.fail "checkpoint_every 0 accepted"
   | exception Invalid_argument _ -> ()
 
+(* The MD5 of a workload's first 25,000-cycle checkpoint under
+   [Config.default]: pins the fingerprint and every section, the exec
+   section's memory checksum included, so snapshot files written before
+   a change to how those values are computed still load after it. *)
+exception First_checkpoint of Snap.t
+
+let test_first_checkpoint_pinned name md5 () =
+  let b = Vat_workloads.Suite.find name in
+  match
+    Vm.run ~checkpoint_every:25_000
+      ~on_checkpoint:(fun s -> raise (First_checkpoint s))
+      Config.default (Vat_workloads.Suite.load b)
+  with
+  | _ -> Alcotest.failf "%s finished before its first checkpoint" name
+  | exception First_checkpoint s ->
+    Alcotest.(check int) "cycle" 25_000 (Snap.cycle s);
+    Alcotest.(check string) "md5" md5
+      (Digest.to_hex (Digest.string (Snap.to_string s)))
+
 (* ------------------------------------------------------------------ *)
 (* Rollback-recovery                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -481,6 +500,10 @@ let suite =
       test_fingerprint_mismatch_rejected;
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
+    Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
+      (test_first_checkpoint_pinned "gzip" "945bd963dc910c50878d97e0f2c1981b");
+    Alcotest.test_case "vm: mcf first checkpoint pinned" `Quick
+      (test_first_checkpoint_pinned "mcf" "873666ca51b0011100a410d5b33bae47");
     Alcotest.test_case "vm: manager fail-stop recovered by rollback" `Quick
       test_manager_failstop_recovery;
     Alcotest.test_case "vm: dirty L2D parity loss recovered by rollback" `Quick
