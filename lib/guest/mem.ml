@@ -43,12 +43,14 @@ let write_u32 t addr v =
   if page_of addr <> page_of (addr + 3) then touch t (addr + 3)
 
 let load_string t ~at s =
-  check t at (String.length s) "load";
-  Bytes.blit_string s 0 t.data at (String.length s);
-  let first = page_of at and last = page_of (at + max 0 (String.length s - 1)) in
-  for p = first to last do
-    if p < t.pages then t.gens.(p) <- t.gens.(p) + 1
-  done
+  let n = String.length s in
+  check t at n "load";
+  Bytes.blit_string s 0 t.data at n;
+  (* An empty string stores nothing, so it touches no page. *)
+  if n > 0 then
+    for p = page_of at to page_of (at + n - 1) do
+      t.gens.(p) <- t.gens.(p) + 1
+    done
 
 let read_string t ~at ~len =
   check t at len "read";

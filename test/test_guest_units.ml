@@ -34,7 +34,14 @@ let test_mem_page_generations () =
     (Mem.page_generation m ~page:1 > g1);
   let g2 = Mem.page_generation m ~page:2 in
   Alcotest.(check int) "untouched page unchanged" g2
-    (Mem.page_generation m ~page:2)
+    (Mem.page_generation m ~page:2);
+  (* An empty load stores nothing, wherever it points. *)
+  let gens () = List.init 3 (fun page -> Mem.page_generation m ~page) in
+  let before = gens () in
+  List.iter
+    (fun at -> Mem.load_string m ~at "")
+    [ 0; 10; Mem.page_size; (2 * Mem.page_size) + 7; Mem.size m ];
+  Alcotest.(check (list int)) "empty load bumps nothing" before (gens ())
 
 (* The oracle for [Mem.checksum]: FNV over every byte, one at a time. *)
 let checksum_bytewise m =
@@ -261,6 +268,33 @@ let test_syscall_read_input () =
    | _ -> Alcotest.fail "bad exit");
   Alcotest.(check string) "echoed prefix" "hello" (Interp.output t)
 
+let test_syscall_read_eof () =
+  (* read at end of input returns 0 and stores nothing, so the buffer's
+     page keeps its generation: no checksum work, no stale-code flush. *)
+  let items =
+    [ label "start";
+      mov (r ebx) (i 0);
+      mov (r ecx) (isym "buf");
+      mov (r edx) (i 5);
+      mov (r eax) (i Syscall.sys_read);
+      int_ Syscall.vector;
+      mov (r ebx) (r eax);
+      mov (r eax) (i Syscall.sys_exit);
+      int_ Syscall.vector;
+      Asm.Align 4096;
+      label "buf";
+      Asm.Space 16 ]
+  in
+  let prog = Program.of_asm items in
+  let page = Mem.page_of (Program.symbol prog "buf") in
+  let gen () = Mem.page_generation prog.mem ~page in
+  let before = gen () in
+  let t = Interp.create ~input:"" prog in
+  (match Interp.run ~fuel:1000 t with
+   | Interp.Exited 0 -> ()
+   | _ -> Alcotest.fail "read at EOF should return 0");
+  Alcotest.(check int) "buffer page generation" before (gen ())
+
 let test_syscall_brk () =
   let items =
     [ label "start";
@@ -312,6 +346,7 @@ let suite =
       test_movb_preserves_upper;
     Alcotest.test_case "xchg" `Quick test_xchg;
     Alcotest.test_case "syscall read" `Quick test_syscall_read_input;
+    Alcotest.test_case "syscall read at EOF" `Quick test_syscall_read_eof;
     Alcotest.test_case "syscall brk" `Quick test_syscall_brk;
     Alcotest.test_case "unknown syscall -ENOSYS" `Quick
       test_syscall_unknown_enosys ]
