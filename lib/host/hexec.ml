@@ -72,68 +72,73 @@ let eval_ins old v pos size =
 let guest_eax = Hinsn.guest_reg_base
 let guest_edx = Hinsn.guest_reg_base + 2
 
+(* Top-level rather than local to [step], which would allocate both
+   closures on every host instruction. *)
+let get regs r = if r = 0 then 0 else regs.(r)
+let set regs r v = if r <> 0 then regs.(r) <- mask32 v
+
 let step ~regs ~mem (insn : Hinsn.t) : step_result =
-  let get r = if r = 0 then 0 else regs.(r) in
-  let set r v = if r <> 0 then regs.(r) <- mask32 v in
   match insn with
   | Nop -> Next
   | Alu3 (op, rd, rs, rt) ->
-    set rd (eval_alu3 op (get rs) (get rt));
+    set regs rd (eval_alu3 op (get regs rs) (get regs rt));
     Next
   | Alui (op, rd, rs, imm) ->
-    set rd (eval_alui op (get rs) imm);
+    set regs rd (eval_alui op (get regs rs) imm);
     Next
   | Lui (rd, imm) ->
-    set rd ((imm land 0xFFFF) lsl 16);
+    set regs rd ((imm land 0xFFFF) lsl 16);
     Next
   | Shifti (op, rd, rs, n) ->
-    set rd (eval_shift op (get rs) n);
+    set regs rd (eval_shift op (get regs rs) n);
     Next
   | Shiftv (op, rd, rs, rc) ->
-    set rd (eval_shift op (get rs) (get rc));
+    set regs rd (eval_shift op (get regs rs) (get regs rc));
     Next
   | Ext (rd, rs, pos, size) ->
-    set rd (eval_ext (get rs) pos size);
+    set regs rd (eval_ext (get regs rs) pos size);
     Next
   | Ins (rd, rs, pos, size) ->
-    set rd (eval_ins (get rd) (get rs) pos size);
+    set regs rd (eval_ins (get regs rd) (get regs rs) pos size);
     Next
   | Load (w, rd, base, off) ->
-    set rd (mem.load w (mask32 (get base + off)));
+    set regs rd (mem.load w (mask32 (get regs base + off)));
     Next
   | Store (w, rv, base, off) ->
     let v =
       match w with
-      | W8 -> get rv land 0xFF
-      | W32 -> get rv
+      | W8 -> get regs rv land 0xFF
+      | W32 -> get regs rv
       | W8s -> invalid_arg "Hexec.step: store width W8s"
     in
-    mem.store w (mask32 (get base + off)) v;
+    mem.store w (mask32 (get regs base + off)) v;
     Next
   | Branch (c, rs, rt, tgt) ->
-    if eval_branch c (get rs) (get rt) then Goto tgt else Next
+    if eval_branch c (get regs rs) (get regs rt) then Goto tgt else Next
   | Jump tgt -> Goto tgt
   | Mul64 rs ->
-    let wide = Int64.mul (Int64.of_int (get guest_eax)) (Int64.of_int (get rs)) in
-    set guest_eax (Int64.to_int (Int64.logand wide 0xFFFFFFFFL));
-    set guest_edx (Int64.to_int (Int64.shift_right_logical wide 32));
+    let wide =
+      Int64.mul (Int64.of_int (get regs guest_eax)) (Int64.of_int (get regs rs))
+    in
+    set regs guest_eax (Int64.to_int (Int64.logand wide 0xFFFFFFFFL));
+    set regs guest_edx (Int64.to_int (Int64.shift_right_logical wide 32));
     Next
   | Div64 { divisor; signed } ->
-    let d32 = get divisor in
+    let d32 = get regs divisor in
     if d32 = 0 then Trapped Divide_error
     else begin
       let dividend =
         Int64.logor
-          (Int64.shift_left (Int64.of_int (get guest_edx)) 32)
-          (Int64.of_int (get guest_eax))
+          (Int64.shift_left (Int64.of_int (get regs guest_edx)) 32)
+          (Int64.of_int (get regs guest_eax))
       in
       if signed then begin
         let d = Int64.of_int (sign32 d32) in
         let q = Int64.div dividend d and rem = Int64.rem dividend d in
         if q > 0x7FFFFFFFL || q < -0x80000000L then Trapped Divide_overflow
         else begin
-          set guest_eax (Int64.to_int (Int64.logand q 0xFFFFFFFFL));
-          set guest_edx (Int64.to_int (Int64.logand rem 0xFFFFFFFFL));
+          set regs guest_eax (Int64.to_int (Int64.logand q 0xFFFFFFFFL));
+          set regs guest_edx (Int64.to_int (Int64.logand rem 0xFFFFFFFFL));
           Next
         end
       end
@@ -143,13 +148,13 @@ let step ~regs ~mem (insn : Hinsn.t) : step_result =
         let rem = Int64.unsigned_rem dividend d in
         if Int64.unsigned_compare q 0xFFFFFFFFL > 0 then Trapped Divide_overflow
         else begin
-          set guest_eax (Int64.to_int (Int64.logand q 0xFFFFFFFFL));
-          set guest_edx (Int64.to_int (Int64.logand rem 0xFFFFFFFFL));
+          set regs guest_eax (Int64.to_int (Int64.logand q 0xFFFFFFFFL));
+          set regs guest_edx (Int64.to_int (Int64.logand rem 0xFFFFFFFFL));
           Next
         end
       end
     end
-  | Trap (t, r) -> if get r <> 0 then Trapped t else Next
+  | Trap (t, r) -> if get regs r <> 0 then Trapped t else Next
 
 type block_result =
   | Fell_through
