@@ -96,7 +96,7 @@ let prop_masks_match_lists =
     else 1 lsl r
   in
   let fold regs insn = List.fold_left (fun m r -> m lor bit r) 0 (regs insn) in
-  QCheck.Test.make ~name:"use/def masks = fold of reg_mask over uses/defs"
+  QCheck.Test.make ~name:"use/def masks = fold over uses/defs"
     ~count:5000
     (QCheck.make ~print:Hinsn.to_string (G.insn_over reg))
     (fun insn ->
