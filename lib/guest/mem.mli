@@ -31,14 +31,21 @@ val write_u8 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 
 val load_string : t -> at:int -> string -> unit
-(** Copy a string into memory. Counts as a store for page generations. *)
+(** Copy a string into memory. Counts as a store for page generations
+    of every page it covers. *)
 
 val read_string : t -> at:int -> len:int -> string
 
 val page_of : int -> int
 val page_generation : t -> page:int -> int
-(** Monotonic counter bumped by every store touching [page]. *)
+(** Monotonic counter bumped by every store touching [page]. A store of
+    no bytes (an empty {!load_string}) touches no page. Generation 0
+    means no store has touched the page since {!create}, so it is still
+    all zero; {!checksum} relies on this. *)
 
 val checksum : t -> int
-(** Order-independent-of-nothing FNV-style digest of all bytes; used by
-    tests to compare whole memory states cheaply. *)
+(** FNV digest of all bytes in address order. It feeds the snapshot
+    fingerprint, [Exec.digest] (through {!Interp.state_digest}) and the
+    [exec] snapshot section. Its cost is proportional to the number of
+    pages ever written: a page of generation 0 folds in as one
+    multiply. *)
