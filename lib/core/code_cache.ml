@@ -173,6 +173,8 @@ module L15 = struct
       slot.stored_sum <- slot.stored_sum lxor (1 lsl (salt land 15));
       true
 
+  let used_bytes t = t.used
+
   let drop_page t page =
     let doomed = ref [] in
     Hashtbl.iter

@@ -69,6 +69,7 @@ module L15 : sig
   val remove : t -> int -> unit
   val corrupt_one : t -> salt:int -> bool
   val drop_page : t -> int -> unit
+  val used_bytes : t -> int
 
   val state_digest : t -> int
   (** As {!L1.state_digest}, over residencies + LRU stamps + counters. *)

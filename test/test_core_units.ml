@@ -77,6 +77,116 @@ let test_l15_drop_page () =
   Alcotest.(check bool) "other page kept" true
     (Code_cache.L15.find l15 0x5000 <> None)
 
+(* Random install/find/remove/drop_page sequences on a bank that holds
+   about three blocks, against a model that evicts the resident block
+   with the smallest last-use stamp: the whole-table scan the bank once
+   ran, kept here as the oracle for its recency order. *)
+type l15_op =
+  | L15_install of int * int * int option  (* address, host insns, sum *)
+  | L15_find of int
+  | L15_remove of int
+  | L15_drop_page of int
+
+let l15_addr page k = 0x1000 + (page * 0x1000) + (k * 0x40)
+
+let l15_op_gen =
+  let open QCheck.Gen in
+  let addr = map2 l15_addr (int_range 0 2) (int_range 0 3) in
+  frequency
+    [ ( 4,
+        map3
+          (fun a n sum -> L15_install (a, n, sum))
+          addr
+          (frequency [ (8, int_range 1 40); (1, int_range 60 80) ])
+          (opt ~ratio:0.3 (int_range 0 0xFFFF)) );
+      (4, map (fun a -> L15_find a) addr);
+      (1, map (fun a -> L15_remove a) addr);
+      (1, map (fun p -> L15_drop_page (1 + p)) (int_range 0 2)) ]
+
+let l15_op_print = function
+  | L15_install (a, n, sum) ->
+    Printf.sprintf "install 0x%x (%d insns%s)" a n
+      (match sum with Some s -> Printf.sprintf ", sum %d" s | None -> "")
+  | L15_find a -> Printf.sprintf "find 0x%x" a
+  | L15_remove a -> Printf.sprintf "remove 0x%x" a
+  | L15_drop_page p -> Printf.sprintf "drop_page %d" p
+
+(* Model slot: address, size, stored sum, last-use stamp. *)
+type l15_model = {
+  mutable slots : (int * int * int * int) list;
+  mutable m_tick : int;
+}
+
+let prop_l15_recency =
+  let capacity = 3 * Block.size_bytes (dummy_block ()) in
+  QCheck.Test.make ~name:"L1.5: find and used_bytes = oldest-stamp model"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(Print.list l15_op_print)
+        Gen.(list_size (int_range 1 120) l15_op_gen))
+    (fun ops ->
+      let bank = Code_cache.L15.create ~capacity in
+      let m = { slots = []; m_tick = 0 } in
+      let used () = List.fold_left (fun acc (_, sz, _, _) -> acc + sz) 0 m.slots in
+      let drop a = m.slots <- List.filter (fun (a', _, _, _) -> a' <> a) m.slots in
+      let step op =
+        (match op with
+         | L15_install (a, n, sum) ->
+           let block = dummy_block ~addr:a ~host_insns:n () in
+           Code_cache.L15.install ?sum bank block;
+           let size = Block.size_bytes block in
+           if size <= capacity then begin
+             drop a;
+             while used () + size > capacity && m.slots <> [] do
+               let oldest =
+                 List.fold_left
+                   (fun best ((_, _, _, u) as s) ->
+                     match best with
+                     | Some (_, _, _, bu) when bu <= u -> best
+                     | _ -> Some s)
+                   None m.slots
+               in
+               match oldest with
+               | Some (victim, _, _, _) -> drop victim
+               | None -> ()
+             done;
+             m.m_tick <- m.m_tick + 1;
+             let stored = Option.value ~default:block.checksum sum in
+             m.slots <- (a, size, stored, m.m_tick) :: m.slots
+           end;
+           true
+         | L15_find a ->
+           m.m_tick <- m.m_tick + 1;
+           let model =
+             match List.find_opt (fun (a', _, _, _) -> a' = a) m.slots with
+             | Some (_, size, sum, _) ->
+               m.slots <-
+                 List.map
+                   (fun ((a', sz, sm, _) as s) ->
+                     if a' = a then (a', sz, sm, m.m_tick) else s)
+                   m.slots;
+               Some (a, size, sum)
+             | None -> None
+           in
+           let actual =
+             Code_cache.L15.find bank a
+             |> Option.map (fun ((b : Block.t), sum) ->
+                    (b.guest_addr, Block.size_bytes b, sum))
+           in
+           actual = model
+         | L15_remove a ->
+           Code_cache.L15.remove bank a;
+           drop a;
+           true
+         | L15_drop_page p ->
+           Code_cache.L15.drop_page bank p;
+           m.slots <- List.filter (fun (a, _, _, _) -> a / 4096 <> p) m.slots;
+           true)
+        && Code_cache.L15.used_bytes bank = used ()
+      in
+      List.for_all step ops)
+
 (* --- L2 + page registry ------------------------------------------------ *)
 
 let test_l2_page_registry () =
@@ -176,6 +286,116 @@ let test_spec_forget_done () =
   Alcotest.(check (option int)) "after forget it requeues" (Some 0x1000)
     (Spec.pop s)
 
+(* Random sequences of every operation that moves an address in or out
+   of [Queued], against a model that keeps only each address's status.
+   [pop] must hand out an address the model holds as queued (or [None]
+   when it holds none), and after every step [queue_length] must equal
+   the model's count of queued addresses. *)
+type spec_op =
+  | Sp_seed of int
+  | Sp_demand of int
+  | Sp_translated of int * Block.term
+  | Sp_pop
+  | Sp_mark_done of int
+  | Sp_forget of int
+  | Sp_forget_done of int
+
+let spec_addr k = 0x4000 + (k * 0x10)
+
+let spec_op_gen =
+  let open QCheck.Gen in
+  let addr = map spec_addr (int_range 0 9) in
+  let term =
+    oneof
+      [ map (fun target -> Block.T_jmp { target }) addr;
+        map2 (fun taken fall -> Block.T_jcc { taken; fall }) addr addr;
+        map2 (fun target ret -> Block.T_call { target; ret }) addr addr;
+        map (fun ret -> Block.T_jind { kind = Block.K_call ret }) addr;
+        map (fun next -> Block.T_syscall { next }) addr;
+        oneofl
+          [ Block.T_jind { kind = Block.K_jump };
+            Block.T_jind { kind = Block.K_ret };
+            Block.T_fault "x" ] ]
+  in
+  frequency
+    [ (1, map (fun a -> Sp_seed a) addr);
+      (2, map (fun a -> Sp_demand a) addr);
+      (3, map2 (fun a tm -> Sp_translated (a, tm)) addr term);
+      (4, return Sp_pop);
+      (2, map (fun a -> Sp_mark_done a) addr);
+      (1, map (fun a -> Sp_forget a) addr);
+      (1, map (fun a -> Sp_forget_done a) addr) ]
+
+let spec_op_print = function
+  | Sp_seed a -> Printf.sprintf "seed 0x%x" a
+  | Sp_demand a -> Printf.sprintf "request_demand 0x%x" a
+  | Sp_translated (a, tm) ->
+    let succ =
+      match tm with
+      | T_jmp { target } -> Printf.sprintf "jmp 0x%x" target
+      | T_jcc { taken; fall } -> Printf.sprintf "jcc 0x%x/0x%x" taken fall
+      | T_call { target; ret } -> Printf.sprintf "call 0x%x ret 0x%x" target ret
+      | T_jind { kind = K_call ret } -> Printf.sprintf "callind ret 0x%x" ret
+      | T_syscall { next } -> Printf.sprintf "syscall next 0x%x" next
+      | T_jind { kind = K_jump | K_ret } -> "jind"
+      | T_fault _ -> "fault"
+    in
+    Printf.sprintf "note_block_translated 0x%x (%s)" a succ
+  | Sp_pop -> "pop"
+  | Sp_mark_done a -> Printf.sprintf "mark_done 0x%x" a
+  | Sp_forget a -> Printf.sprintf "forget 0x%x" a
+  | Sp_forget_done a -> Printf.sprintf "forget_done 0x%x" a
+
+(* Under [Config.default]: speculation and the return predictor on. *)
+let predicted_successors : Block.term -> int list = function
+  | T_jmp { target } -> [ target ]
+  | T_jcc { taken; fall } -> [ taken; fall ]
+  | T_call { target; ret } -> [ target; ret ]
+  | T_jind { kind = K_call ret } -> [ ret ]
+  | T_syscall { next } -> [ next ]
+  | T_jind { kind = K_jump | K_ret } | T_fault _ -> []
+
+let prop_spec_queue_length =
+  QCheck.Test.make ~name:"spec: queue_length = queued addresses in a model"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(Print.list spec_op_print)
+        Gen.(list_size (int_range 1 150) spec_op_gen))
+    (fun ops ->
+      let s = mk_spec () in
+      let model : (int, [ `Queued | `In_flight | `Done ]) Hashtbl.t =
+        Hashtbl.create 16
+      in
+      let enqueue a = if not (Hashtbl.mem model a) then Hashtbl.replace model a `Queued in
+      let queued () =
+        Hashtbl.fold (fun _ st n -> if st = `Queued then n + 1 else n) model 0
+      in
+      let step op =
+        (match op with
+         | Sp_seed a -> Spec.seed s a; enqueue a; true
+         | Sp_demand a -> Spec.request_demand s a; enqueue a; true
+         | Sp_translated (a, term) ->
+           Spec.note_block_translated s (dummy_block ~addr:a ~term ());
+           List.iter enqueue (predicted_successors term);
+           true
+         | Sp_pop -> (
+           match Spec.pop s with
+           | Some a when Hashtbl.find_opt model a = Some `Queued ->
+             Hashtbl.replace model a `In_flight;
+             true
+           | Some _ -> false
+           | None -> queued () = 0)
+         | Sp_mark_done a -> Spec.mark_done s a; Hashtbl.replace model a `Done; true
+         | Sp_forget a -> Spec.forget s a; Hashtbl.remove model a; true
+         | Sp_forget_done a ->
+           Spec.forget_done s a;
+           if Hashtbl.find_opt model a = Some `Done then Hashtbl.remove model a;
+           true)
+        && Spec.queue_length s = queued ()
+      in
+      List.for_all step ops)
+
 (* --- Analysis ---------------------------------------------------------- *)
 
 let test_analysis_decomposition () =
@@ -229,3 +449,5 @@ let suite =
     Alcotest.test_case "analysis: Figure 11 intrinsics" `Quick
       test_analysis_intrinsics_match_fig11;
     Alcotest.test_case "analysis: CPI monotone" `Quick test_cpi_monotone ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_l15_recency; prop_spec_queue_length ]

@@ -6,6 +6,8 @@ open Vat_desim
 open Vat_guest
 open Vat_core
 open Vat_tiled
+open Vat_workloads
+module Tr = Vat_trace.Trace
 
 let tiny_program () =
   let open Asm.Dsl in
@@ -204,6 +206,44 @@ let test_vm_input_plumbing () =
    | _ -> Alcotest.fail "expected clean exit");
   Alcotest.(check string) "echoed input prefix" "xyz" rv.output
 
+(* --- What the controller observes on real workloads ------------------- *)
+
+(* gcc and parser traced under the threshold-15 morphing configuration:
+   the sampled translate-queue series, the controller's own maximum, and
+   its decision count are pinned as literals. Both the morph sampler and
+   the traced sampler read [Manager.queue_length], so any change to how
+   that length is kept must leave these three observations untouched. *)
+let thr15 =
+  { (Config.mem_heavy Config.default) with
+    morph = Config.Morph { threshold = 15; dwell = 25_000 } }
+
+let queue_observations name =
+  let trace = Tr.create ~max_records:(1 lsl 23) () in
+  let r =
+    Vm.run ~fuel:50_000_000 ~trace thr15 (Suite.load (Suite.find name))
+  in
+  Alcotest.(check int) (name ^ ": trace kept every record") 0
+    (Tr.dropped trace);
+  let queue_track = Tr.find_track trace "translate-queue" in
+  let buf = Buffer.create 65536 in
+  let decisions = ref 0 in
+  Tr.iter trace (fun (rc : Tr.record) ->
+      if Some rc.track = queue_track then
+        Printf.bprintf buf "%d %d\n" rc.cycle rc.arg;
+      if rc.kind = Tr.Morph_decision then incr decisions);
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    Stats.get r.Vm.stats "morph.max_sampled_queue",
+    !decisions )
+
+let test_queue_observations (name, expected) () =
+  Alcotest.(check (triple string int int))
+    (name ^ ": queue series MD5, max sampled queue, morph decisions")
+    expected (queue_observations name)
+
+let queue_pins =
+  [ ("gcc", ("3d8002f14a5289b85e8f84d858bf60f6", 12, 0));
+    ("parser", ("c9439a1b5d933f1fa5aced1efdd8846c", 95, 2)) ]
+
 let suite =
   [ Alcotest.test_case "morphs up then back down" `Quick
       test_morphs_up_then_down;
@@ -217,3 +257,8 @@ let suite =
     Alcotest.test_case "recovery retire bypasses the last-bank guard" `Quick
       test_recovery_retire_bank_unguarded;
     Alcotest.test_case "VM input plumbing" `Quick test_vm_input_plumbing ]
+  @ List.map
+      (fun ((name, _) as pin) ->
+        Alcotest.test_case ("queue observations pinned: " ^ name) `Slow
+          (test_queue_observations pin))
+      queue_pins
