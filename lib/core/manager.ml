@@ -55,6 +55,19 @@ type probes = {
   recover : Tr.emitter;
 }
 
+(* Handles for the counters bumped per translation, fill and lookup.
+   Each enters [Stats.t] at its first bump, as a by-name bump would. *)
+type counters = {
+  translations : Stats.lazy_counter;
+  tr_guest_insns : Stats.lazy_counter;
+  tr_host_insns : Stats.lazy_counter;
+  tr_cycles : Stats.lazy_counter;
+  l2code_accesses : Stats.lazy_counter;
+  l2code_misses : Stats.lazy_counter;
+  l15_hits : Stats.lazy_counter;
+  l15_misses : Stats.lazy_counter;
+}
+
 type t = {
   q : Event_queue.t;
   stats : Stats.t;
@@ -78,6 +91,7 @@ type t = {
   mutable l15_services : l15_req Service.t array;
   mutable drain_waiters : (unit -> unit) list;
   pr : probes;
+  c : counters;
 }
 
 let mgr t = match t.mgr_service with Some s -> s | None -> assert false
@@ -110,10 +124,10 @@ let rec kick_slaves t =
         Translate.translate_memo ?memo:t.memo t.cfg ~fetch:t.fetch
           ~page_gen:t.page_gen ~guest_addr:addr
       in
-      Stats.incr t.stats "translations";
-      Stats.add t.stats "translations.guest_insns" block.guest_insns;
-      Stats.add t.stats "translations.host_insns" (Array.length block.code);
-      Stats.add t.stats "translations.cycles" block.translation_cycles;
+      Stats.incr_lazy t.c.translations;
+      Stats.add_lazy t.c.tr_guest_insns block.guest_insns;
+      Stats.add_lazy t.c.tr_host_insns (Array.length block.code);
+      Stats.add_lazy t.c.tr_cycles block.translation_cycles;
       let occupancy =
         if s.slow_factor > 1 && Event_queue.now t.q < s.slow_until then
           block.translation_cycles * s.slow_factor
@@ -210,7 +224,7 @@ let serve_mgr t req =
   let ft = t.cfg.Config.fault_tolerance in
   match req with
   | Fill { addr; corrupt; reply } ->
-    Stats.incr t.stats "l2code.accesses";
+    Stats.incr_lazy t.c.l2code_accesses;
     (match Code_cache.L2.find t.l2 addr with
      | Some (block, sum) when (not ft) || sum = block.Block.checksum ->
        (* The L2 code cache lives in off-chip DRAM: the manager fetches
@@ -236,7 +250,7 @@ let serve_mgr t req =
           Stats.incr t.stats "corrupt.l2code_detected";
           Code_cache.L2.remove t.l2 addr
         | None -> ());
-       Stats.incr t.stats "l2code.misses";
+       Stats.incr_lazy t.c.l2code_misses;
        Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
        ( Config.mgr_lookup_cycles + verify_cost t,
          fun () ->
@@ -311,7 +325,7 @@ let serve_l15 t { addr; bank; corrupt; reply } =
   let ft = t.cfg.Config.fault_tolerance in
   match Code_cache.L15.find t.l15_banks.(bank) addr with
   | Some (block, sum) when (not ft) || sum = block.Block.checksum ->
-    Stats.incr t.stats "l15.hits";
+    Stats.incr_lazy t.c.l15_hits;
     Tr.emit t.pr.l15_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
     ( Config.l15_lookup_cycles + stream_cycles block + verify_cost t,
       fun () ->
@@ -335,7 +349,7 @@ let serve_l15 t { addr; bank; corrupt; reply } =
        t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
        Code_cache.L15.remove t.l15_banks.(bank) addr
      | None -> ());
-    Stats.incr t.stats "l15.misses";
+    Stats.incr_lazy t.c.l15_misses;
     Tr.emit t.pr.l15_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
     ( Config.l15_lookup_cycles + verify_cost t,
       fun () ->
@@ -415,7 +429,16 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       mgr_service = None;
       l15_services = [||];
       drain_waiters = [];
-      pr }
+      pr;
+      c =
+        { translations = Stats.lazy_counter stats "translations";
+          tr_guest_insns = Stats.lazy_counter stats "translations.guest_insns";
+          tr_host_insns = Stats.lazy_counter stats "translations.host_insns";
+          tr_cycles = Stats.lazy_counter stats "translations.cycles";
+          l2code_accesses = Stats.lazy_counter stats "l2code.accesses";
+          l2code_misses = Stats.lazy_counter stats "l2code.misses";
+          l15_hits = Stats.lazy_counter stats "l15.hits";
+          l15_misses = Stats.lazy_counter stats "l15.misses" } }
   in
   t.mgr_service <-
     Some

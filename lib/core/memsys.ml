@@ -37,6 +37,11 @@ type t = {
   mutable reconfiguring : bool;
   mutable on_fatal : (bank:int -> string -> unit) option;
   pr : probes;
+  (* Per-request counters, entering [stats] at their first bump. *)
+  c_l2d_accesses : Stats.lazy_counter;
+  c_l2d_hits : Stats.lazy_counter;
+  c_l2d_misses : Stats.lazy_counter;
+  c_mmu_requests : Stats.lazy_counter;
 }
 
 let the_mmu t =
@@ -111,15 +116,15 @@ let make_bank_service t ~trace idx =
       let { Cache.hit; writeback; parity } =
         Cache.access cache ~addr:(bank_local_addr t paddr) ~write:bwrite
       in
-      Stats.incr t.stats "l2d.accesses";
+      Stats.incr_lazy t.c_l2d_accesses;
       let occupancy =
         if hit then begin
-          Stats.incr t.stats "l2d.hits";
+          Stats.incr_lazy t.c_l2d_hits;
           Tr.emit t.pr.bank_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
           Config.l2d_bank_cycles
         end
         else begin
-          Stats.incr t.stats "l2d.misses";
+          Stats.incr_lazy t.c_l2d_misses;
           Tr.emit t.pr.bank_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
           Config.l2d_bank_cycles + Config.dram_cycles
           + (match writeback with
@@ -155,7 +160,7 @@ let make_bank_service t ~trace idx =
 let make_mmu t ~trace =
   Service.create ~trace t.q ~track:"mmu"
     ~serve:(fun { vaddr; write; on_done } ->
-      Stats.incr t.stats "mmu.requests";
+      Stats.incr_lazy t.c_mmu_requests;
       let vpage = vaddr / Mem.page_size in
       let hit = tlb_lookup t vpage in
       let occupancy =
@@ -217,7 +222,11 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       bank_services = [||];
       reconfiguring = false;
       on_fatal = None;
-      pr }
+      pr;
+      c_l2d_accesses = Stats.lazy_counter stats "l2d.accesses";
+      c_l2d_hits = Stats.lazy_counter stats "l2d.hits";
+      c_l2d_misses = Stats.lazy_counter stats "l2d.misses";
+      c_mmu_requests = Stats.lazy_counter stats "mmu.requests" }
   in
   t.mmu <- Some (make_mmu t ~trace);
   t.bank_services <- Array.init max_banks (make_bank_service t ~trace);

@@ -7,22 +7,28 @@ type status =
 
 type t = {
   cfg : Config.t;
-  stats : Stats.t;
   queues : int Queue.t array; (* by priority, 0 = most urgent *)
   status : (int, status) Hashtbl.t;
   depth : (int, int) Hashtbl.t;
-  mutable queued_count : int;
+  mutable queued_count : int; (* queue entries, stale duplicates included *)
+  mutable live_queued : int;  (* addresses whose status is [Queued _] *)
+  enqueued : Stats.lazy_counter;
+  demand_requests : Stats.lazy_counter;
+  max_queue_length : Stats.lazy_counter;
 }
 
 let priorities = 4
 
 let create cfg stats =
   { cfg;
-    stats;
     queues = Array.init priorities (fun _ -> Queue.create ());
     status = Hashtbl.create 1024;
     depth = Hashtbl.create 1024;
-    queued_count = 0 }
+    queued_count = 0;
+    live_queued = 0;
+    enqueued = Stats.lazy_counter stats "spec.enqueued";
+    demand_requests = Stats.lazy_counter stats "spec.demand_requests";
+    max_queue_length = Stats.lazy_counter stats "spec.max_queue_length" }
 
 let priority_of_depth t d =
   if not t.cfg.Config.priority_queues then 0
@@ -37,7 +43,7 @@ let push t addr prio =
   Queue.push addr t.queues.(prio);
   t.queued_count <- t.queued_count + 1;
   Hashtbl.replace t.status addr (Queued prio);
-  Stats.set_max t.stats "spec.max_queue_length" t.queued_count
+  Stats.set_max_lazy t.max_queue_length t.queued_count
 
 let enqueue t addr ~depth =
   match Hashtbl.find_opt t.status addr with
@@ -52,11 +58,12 @@ let enqueue t addr ~depth =
     end
   | None ->
     Hashtbl.replace t.depth addr depth;
+    t.live_queued <- t.live_queued + 1;
     push t addr (priority_of_depth t depth);
-    Stats.incr t.stats "spec.enqueued"
+    Stats.incr_lazy t.enqueued
 
 let request_demand t addr =
-  Stats.incr t.stats "spec.demand_requests";
+  Stats.incr_lazy t.demand_requests;
   enqueue t addr ~depth:0
 
 let note_on_path t addr =
@@ -93,9 +100,19 @@ let note_block_translated t (block : Block.t) =
     | T_jind { kind = K_jump | K_ret } | T_fault _ -> ()
   end
 
-let mark_done t addr = Hashtbl.replace t.status addr Done
+(* The status leaves [Queued _]; its queue entries go stale and are
+   skipped at pop time. *)
+let leave_queued t addr =
+  match Hashtbl.find_opt t.status addr with
+  | Some (Queued _) -> t.live_queued <- t.live_queued - 1
+  | Some (In_flight | Done) | None -> ()
+
+let mark_done t addr =
+  leave_queued t addr;
+  Hashtbl.replace t.status addr Done
 
 let forget t addr =
+  leave_queued t addr;
   Hashtbl.remove t.status addr;
   Hashtbl.remove t.depth addr
 
@@ -120,6 +137,7 @@ let rec pop_queue t prio =
       t.queued_count <- t.queued_count - 1;
       match Hashtbl.find_opt t.status addr with
       | Some (Queued live_prio) when live_prio = prio ->
+        t.live_queued <- t.live_queued - 1;
         Hashtbl.replace t.status addr In_flight;
         Some addr
       | Some (Queued _ | In_flight | Done) | None ->
@@ -129,13 +147,7 @@ let rec pop_queue t prio =
 
 let pop t = pop_queue t 0
 
-let queue_length t =
-  (* Count live queued entries (stale promoted duplicates excluded). *)
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ s -> match s with Queued _ -> incr n | In_flight | Done -> ())
-    t.status;
-  !n
+let queue_length t = t.live_queued
 
 (* Checkpoint digest: the hashtables are combined commutatively (their
    iteration order depends on insertion history), the queues in FIFO

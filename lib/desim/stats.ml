@@ -31,6 +31,35 @@ let set_max t name n =
   let r = cell t name in
   if n > !r then r := n
 
+(* Handles that resolve their cell at the first call rather than at
+   construction, so a name enters the registry exactly when the
+   string-keyed call it replaces would have added it ([names] and
+   checkpoints list only names some component touched). [unresolved] is
+   never written: every call swaps it for the real cell first. *)
+
+type lazy_counter = { reg : t; name : string; mutable cell : int ref }
+
+let unresolved = ref 0
+
+let lazy_counter t name = { reg = t; name; cell = unresolved }
+
+let resolve h =
+  if h.cell == unresolved then h.cell <- cell h.reg h.name;
+  h.cell
+[@@inline]
+
+let incr_lazy h =
+  let r = resolve h in
+  r := !r + 1
+
+let add_lazy h n =
+  let r = resolve h in
+  r := !r + n
+
+let set_max_lazy h n =
+  let r = resolve h in
+  if n > !r then r := n
+
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
 let ratio t num den =

@@ -25,6 +25,19 @@ val bump : counter -> unit
 val bump_by : counter -> int -> unit
 val counter_value : counter -> int
 
+type lazy_counter
+(** A handle to one named counter that resolves its cell at its first
+    use, not at construction. A name therefore appears in {!names} (and
+    in checkpoints, which list names) exactly when {!incr}, {!add} or
+    {!set_max} by name would have added it, while every later use skips
+    the string hashing. For counters that a run may never touch. *)
+
+val lazy_counter : t -> string -> lazy_counter
+val incr_lazy : lazy_counter -> unit
+val add_lazy : lazy_counter -> int -> unit
+val set_max_lazy : lazy_counter -> int -> unit
+(** As {!incr}, {!add} and {!set_max} on the handle's name. *)
+
 val get : t -> string -> int
 val ratio : t -> string -> string -> float
 (** [ratio t num den] = numerator / denominator as a float; 0.0 when the
