@@ -23,6 +23,7 @@ type t = {
   page_lo : int;
   page_hi : int;
   checksum : int;
+  masks : int array;
 }
 
 (* FNV-1a style fold over the block's content. Computed once at
@@ -39,6 +40,31 @@ let checksum_of ~guest_addr ~code ~term =
 
 let recompute_checksum t =
   checksum_of ~guest_addr:t.guest_addr ~code:t.code ~term:t.term
+
+(* Neither mask ever holds r0, so the def mask's bits for r1..r31 fit in
+   bits 32..62, above the use mask's 32 bits: [def lsl 31] moves bit r to
+   bit r + 31 and its empty bit 0 lands on nothing. *)
+let pack_masks ~use ~def = use lor (def lsl 31)
+let use_bits packed = packed land 0xFFFF_FFFF [@@inline]
+let def_bits packed = (packed lsr 31) land 0xFFFF_FFFE [@@inline]
+
+let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
+    ~translation_cycles ~page_lo ~page_hi =
+  { guest_addr;
+    guest_len;
+    guest_insns;
+    code;
+    term;
+    optimized;
+    translation_cycles;
+    page_lo;
+    page_hi;
+    checksum = checksum_of ~guest_addr ~code ~term;
+    masks =
+      Array.map
+        (fun insn ->
+          pack_masks ~use:(Hinsn.use_mask insn) ~def:(Hinsn.def_mask insn))
+        code }
 
 let size_bytes t = (Array.length t.code * Hencode.bytes_per_insn) + 8
 

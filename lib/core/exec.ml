@@ -279,15 +279,18 @@ let rec step t =
   match t.entry with
   | None -> ()
   | Some entry ->
-    let code = entry.block.code in
+    let block = entry.block in
+    let code = block.code in
     let len = Array.length code in
     if t.pc >= len then terminator t entry
     else begin
       let insn = code.(t.pc) in
+      let masks = block.masks.(t.pc) in
+      let use = Block.use_bits masks in
       (* Scoreboard: stall (or suspend) until source registers are ready.
-         The per-step check is one [land] against the install-time use
-         mask; the list walk below survives only on the suspend path. *)
-      if entry.use_masks.(t.pc) land t.pending_mask <> 0 then begin
+         The per-step check is one [land] against the block's use mask;
+         the list walk below survives only on the suspend path. *)
+      if use land t.pending_mask <> 0 then begin
         match pending_use t insn with
         | Some r ->
           t.wait <- Wait_reg (r, t.pc);
@@ -295,7 +298,7 @@ let rec step t =
         | None -> assert false
       end
       else begin
-        stall_to_ready t entry.use_masks.(t.pc);
+        stall_to_ready t use;
         (match insn with
          | Load (w, rd, base, off) -> exec_load t w rd base off
          | Store (w, rv, base, off) -> exec_store t w rv base off
@@ -303,7 +306,7 @@ let rec step t =
            match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
            | Hexec.Next ->
              t.t_local <- t.t_local + 1 + insn_extra_cost insn;
-             set_ready t entry.def_masks.(t.pc);
+             set_ready t (Block.def_bits masks);
              t.pc <- t.pc + 1;
              step t
            | Hexec.Goto target ->

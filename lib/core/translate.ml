@@ -723,16 +723,10 @@ let decode_block cfg ~fetch ~guest_addr =
 let translate cfg ~fetch ~guest_addr : Block.t =
   match decode_block cfg ~fetch ~guest_addr with
   | Fetch_fault msg ->
-    { guest_addr;
-      guest_len = 1;
-      guest_insns = 0;
-      code = [||];
-      term = T_fault msg;
-      optimized = false;
-      translation_cycles = Config.translate_base_cycles;
-      page_lo = Mem.page_of guest_addr;
-      page_hi = Mem.page_of guest_addr;
-      checksum = Block.checksum_of ~guest_addr ~code:[||] ~term:(T_fault msg) }
+    Block.make ~guest_addr ~guest_len:1 ~guest_insns:0 ~code:[||]
+      ~term:(T_fault msg) ~optimized:false
+      ~translation_cycles:Config.translate_base_cycles
+      ~page_lo:(Mem.page_of guest_addr) ~page_hi:(Mem.page_of guest_addr)
   | Block_of (insns, end_addr, last_addr) ->
     let arr = Array.of_list insns in
     let n = Array.length arr in
@@ -762,16 +756,11 @@ let translate cfg ~fetch ~guest_addr : Block.t =
            Config.optimize_per_host_insn * pre_opt_count
          else 0)
     in
-    { guest_addr;
-      guest_len = max 1 (end_addr - guest_addr);
-      guest_insns = n;
-      code;
-      term = !term;
-      optimized = cfg.Config.optimize;
-      translation_cycles;
-      page_lo = Mem.page_of guest_addr;
-      page_hi = Mem.page_of (max guest_addr (end_addr - 1));
-      checksum = Block.checksum_of ~guest_addr ~code ~term:!term }
+    Block.make ~guest_addr
+      ~guest_len:(max 1 (end_addr - guest_addr))
+      ~guest_insns:n ~code ~term:!term ~optimized:cfg.Config.optimize
+      ~translation_cycles ~page_lo:(Mem.page_of guest_addr)
+      ~page_hi:(Mem.page_of (max guest_addr (end_addr - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Keyed translation memo                                              *)

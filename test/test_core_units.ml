@@ -7,17 +7,9 @@ open Vat_core
 
 let dummy_block ?(addr = 0x1000) ?(host_insns = 20) ?(term = Block.T_jmp { target = 0x2000 })
     () : Block.t =
-  let code = Array.make host_insns Hinsn.Nop in
-  { guest_addr = addr;
-    guest_len = 16;
-    guest_insns = 5;
-    code;
-    term;
-    optimized = true;
-    translation_cycles = 100;
-    page_lo = addr / 4096;
-    page_hi = addr / 4096;
-    checksum = Block.checksum_of ~guest_addr:addr ~code ~term }
+  Block.make ~guest_addr:addr ~guest_len:16 ~guest_insns:5
+    ~code:(Array.make host_insns Hinsn.Nop) ~term ~optimized:true
+    ~translation_cycles:100 ~page_lo:(addr / 4096) ~page_hi:(addr / 4096)
 
 (* --- L1 code cache ----------------------------------------------------- *)
 
@@ -186,6 +178,33 @@ let prop_l15_recency =
         && Code_cache.L15.used_bytes bank = used ()
       in
       List.for_all step ops)
+
+(* --- Scoreboard masks on the block -------------------------------------- *)
+
+(* Any use/def pair over r1-r31 survives packing into one [masks] entry.
+   The generator leans on r31 (the top bit of the packed def half), r26
+   (the spill base) and r30 (the terminator link register). *)
+let prop_mask_packing =
+  let reg =
+    QCheck.Gen.(
+      frequency
+        [ (3, oneofl [ 31; Vat_ir.Regalloc.scratch_base_reg; Block.term_reg ]);
+          (5, int_range 1 31) ])
+  in
+  let mask =
+    QCheck.Gen.(
+      map
+        (List.fold_left (fun m r -> m lor (1 lsl r)) 0)
+        (list_size (int_range 0 6) reg))
+  in
+  QCheck.Test.make ~name:"masks: pack then unpack is the identity" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (u, d) -> Printf.sprintf "use 0x%x def 0x%x" u d)
+        (Gen.pair mask mask))
+    (fun (use, def) ->
+      let packed = Block.pack_masks ~use ~def in
+      Block.use_bits packed = use && Block.def_bits packed = def)
 
 (* --- L2 + page registry ------------------------------------------------ *)
 
@@ -450,4 +469,4 @@ let suite =
       test_analysis_intrinsics_match_fig11;
     Alcotest.test_case "analysis: CPI monotone" `Quick test_cpi_monotone ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_l15_recency; prop_spec_queue_length ]
+      [ prop_l15_recency; prop_spec_queue_length; prop_mask_packing ]

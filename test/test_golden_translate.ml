@@ -10,7 +10,9 @@
    covers (guest_addr, guest_len, guest_insns, checksum,
    translation_cycles, code length) of each, in address order. The
    checksum covers the code and terminator, so the digest pins both.
-   The unoptimized config pins register allocation on raw lowered code. *)
+   The unoptimized config pins register allocation on raw lowered code.
+   The same walk checks each block's packed scoreboard masks against
+   [Hinsn.use_mask]/[def_mask] of its instructions. *)
 
 open Vat_guest
 open Vat_core
@@ -92,6 +94,30 @@ let digest blocks =
     blocks;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* The first instruction whose packed [masks] entry disagrees with
+   [Hinsn.use_mask]/[def_mask], as "addr[i]: insn", or "" if none. *)
+let mask_mismatch blocks =
+  let bad = ref "" in
+  List.iter
+    (fun (b : Block.t) ->
+      if !bad = "" then begin
+        if Array.length b.masks <> Array.length b.code then
+          bad := Printf.sprintf "%x: %d masks for %d instructions" b.guest_addr
+              (Array.length b.masks) (Array.length b.code);
+        Array.iteri
+          (fun i insn ->
+            let m = b.masks.(i) in
+            if !bad = ""
+               && (Block.use_bits m <> Vat_host.Hinsn.use_mask insn
+                   || Block.def_bits m <> Vat_host.Hinsn.def_mask insn)
+            then
+              bad := Printf.sprintf "%x[%d]: %s" b.guest_addr i
+                  (Vat_host.Hinsn.to_string insn))
+          b.code
+      end)
+    blocks;
+  !bad
+
 let test_bench (b : Suite.benchmark) () =
   let prog = Suite.load b in
   List.iter
@@ -104,7 +130,11 @@ let test_bench (b : Suite.benchmark) () =
       in
       Alcotest.(check (pair int string))
         (Printf.sprintf "%s/%s blocks, digest" b.Suite.name cname)
-        expected actual)
+        expected actual;
+      (* The same walk checks the scoreboard masks stored on each block. *)
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s masks = Hinsn use/def masks" b.Suite.name cname)
+        "" (mask_mismatch blocks))
     configs
 
 let suite =

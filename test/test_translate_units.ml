@@ -60,7 +60,10 @@ let test_terminator_shapes () =
 let test_decode_fault_block () =
   (* Garbage at the entry: the block must carry a T_fault terminator. *)
   let items = [ label "start"; Asm.Byte 0xFF; Asm.Byte 0xFF ] in
-  match (block_at items "start").term with
+  let b = block_at items "start" in
+  Alcotest.(check int) "no code" 0 (Array.length b.code);
+  Alcotest.(check int) "an empty mask array" 0 (Array.length b.masks);
+  match b.term with
   | Block.T_fault _ -> ()
   | _ -> Alcotest.fail "expected decode-fault block"
 
