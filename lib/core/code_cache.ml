@@ -95,69 +95,93 @@ module L1 = struct
 end
 
 module L15 = struct
+  (* Resident slots are threaded on a circular doubly linked recency
+     list, least recently used first, with [t.lru] as its sentinel. A
+     [find] hit or an install moves the slot to the tail, which is also
+     when it takes a fresh [last_use] stamp; stamps are unique ticks, so
+     the head is always the slot with the smallest stamp and eviction
+     takes it without a scan. The list only orders the slots: the
+     digest covers the same stamps and counters as before. *)
   type slot = {
     block : Block.t;
     mutable stored_sum : int;
     mutable last_use : int;
+    mutable prev : slot;
+    mutable next : slot;
   }
 
   type t = {
     capacity : int;
     table : (int, slot) Hashtbl.t;
+    lru : slot;
     mutable used : int;
     mutable tick : int;
     mutable hits : int;
     mutable misses : int;
   }
 
+  let sentinel_block =
+    Block.make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
+      ~term:(T_fault "L1.5 recency-list sentinel") ~optimized:false
+      ~translation_cycles:0 ~page_lo:(-1) ~page_hi:(-1)
+
   let create ~capacity =
-    { capacity; table = Hashtbl.create 256; used = 0; tick = 0; hits = 0;
+    let rec lru =
+      { block = sentinel_block; stored_sum = 0; last_use = 0; prev = lru;
+        next = lru }
+    in
+    { capacity; table = Hashtbl.create 256; lru; used = 0; tick = 0; hits = 0;
       misses = 0 }
+
+  let unlink slot =
+    slot.prev.next <- slot.next;
+    slot.next.prev <- slot.prev
+
+  let append t slot =
+    slot.prev <- t.lru.prev;
+    slot.next <- t.lru;
+    t.lru.prev.next <- slot;
+    t.lru.prev <- slot
 
   let find t addr =
     t.tick <- t.tick + 1;
     match Hashtbl.find_opt t.table addr with
     | Some slot ->
       slot.last_use <- t.tick;
+      unlink slot;
+      append t slot;
       t.hits <- t.hits + 1;
       Some (slot.block, slot.stored_sum)
     | None ->
       t.misses <- t.misses + 1;
       None
 
-  let evict_one t =
-    let victim = ref None in
-    Hashtbl.iter
-      (fun addr slot ->
-        match !victim with
-        | Some (_, s) when s.last_use <= slot.last_use -> ()
-        | _ -> victim := Some (addr, slot))
-      t.table;
-    match !victim with
-    | Some (addr, slot) ->
-      Hashtbl.remove t.table addr;
-      t.used <- t.used - Block.size_bytes slot.block
-    | None -> ()
+  let drop t addr slot =
+    Hashtbl.remove t.table addr;
+    unlink slot;
+    t.used <- t.used - Block.size_bytes slot.block
 
   let remove t addr =
     match Hashtbl.find_opt t.table addr with
     | None -> ()
-    | Some slot ->
-      Hashtbl.remove t.table addr;
-      t.used <- t.used - Block.size_bytes slot.block
+    | Some slot -> drop t addr slot
 
   let install ?sum t (block : Block.t) =
     let size = Block.size_bytes block in
     if size > t.capacity then ()
     else begin
       remove t block.guest_addr;
-      while t.used + size > t.capacity && Hashtbl.length t.table > 0 do
-        evict_one t
+      while t.used + size > t.capacity && t.lru.next != t.lru do
+        let victim = t.lru.next in
+        drop t victim.block.guest_addr victim
       done;
       t.tick <- t.tick + 1;
       let stored_sum = Option.value ~default:block.checksum sum in
-      Hashtbl.replace t.table block.guest_addr
-        { block; stored_sum; last_use = t.tick };
+      let slot =
+        { block; stored_sum; last_use = t.tick; prev = t.lru; next = t.lru }
+      in
+      append t slot;
+      Hashtbl.replace t.table block.guest_addr slot;
       t.used <- t.used + size
     end
 
@@ -178,11 +202,7 @@ module L15 = struct
         if slot.block.page_lo <= page && page <= slot.block.page_hi then
           doomed := (addr, slot) :: !doomed)
       t.table;
-    List.iter
-      (fun (addr, slot) ->
-        Hashtbl.remove t.table addr;
-        t.used <- t.used - Block.size_bytes slot.block)
-      !doomed
+    List.iter (fun (addr, slot) -> drop t addr slot) !doomed
 
   let state_digest t =
     let resident =
