@@ -32,16 +32,23 @@ type parity = Parity_ok | Corrected | Uncorrectable
 
 type result = { hit : bool; writeback : int option; parity : parity }
 
-let set_and_tag t addr =
-  let line = addr / t.line_bytes in
-  (line mod t.sets, line / t.sets)
+(* Every result without a writeback is one of these shared records, so an
+   access allocates only when it evicts a dirty line. *)
+let hit_ok = { hit = true; writeback = None; parity = Parity_ok }
+let hit_corrected = { hit = true; writeback = None; parity = Corrected }
+let hit_uncorrectable = { hit = true; writeback = None; parity = Uncorrectable }
+let miss_clean = { hit = false; writeback = None; parity = Parity_ok }
+
+let set_of t addr = addr / t.line_bytes mod t.sets [@@inline]
+let tag_of t addr = addr / t.line_bytes / t.sets [@@inline]
 
 let slot t set way = (set * t.ways) + way
 
+(* The way holding [tag] in [set], or -1. *)
 let find_way t set tag =
   let rec go way =
-    if way >= t.ways then None
-    else if t.tags.(slot t set way) = tag then Some way
+    if way >= t.ways then -1
+    else if t.tags.(slot t set way) = tag then way
     else go (way + 1)
   in
   go 0
@@ -49,28 +56,29 @@ let find_way t set tag =
 let line_addr t set tag = ((tag * t.sets) + set) * t.line_bytes
 
 let access t ~addr ~write =
-  let set, tag = set_and_tag t addr in
+  let set = set_of t addr and tag = tag_of t addr in
   t.tick <- t.tick + 1;
-  match find_way t set tag with
-  | Some way ->
+  let way = find_way t set tag in
+  if way >= 0 then begin
     t.hits <- t.hits + 1;
     let s = slot t set way in
     t.lru.(s) <- t.tick;
     (* Parity check before the line is used or written. A corrupt clean
        line is refetched from DRAM (the caller charges the refetch); a
        corrupt dirty line has lost the only copy of its data. *)
-    let parity =
-      if not t.corrupt.(s) then Parity_ok
-      else if t.dirty.(s) then Uncorrectable
-      else begin
-        t.corrupt.(s) <- false;
-        t.parity_events <- t.parity_events + 1;
-        Corrected
-      end
-    in
-    if write && parity <> Uncorrectable then t.dirty.(s) <- true;
-    { hit = true; writeback = None; parity }
-  | None ->
+    if not t.corrupt.(s) then begin
+      if write then t.dirty.(s) <- true;
+      hit_ok
+    end
+    else if t.dirty.(s) then hit_uncorrectable
+    else begin
+      t.corrupt.(s) <- false;
+      t.parity_events <- t.parity_events + 1;
+      if write then t.dirty.(s) <- true;
+      hit_corrected
+    end
+  end
+  else begin
     t.misses <- t.misses + 1;
     (* Choose victim: invalid way if any, else least recently used. *)
     let victim = ref 0 in
@@ -87,26 +95,25 @@ let access t ~addr ~write =
       end
     done;
     let s = slot t set !victim in
-    let writeback =
-      if t.tags.(s) <> -1 && t.dirty.(s) then Some (line_addr t set t.tags.(s))
-      else None
-    in
-    (* A corrupt dirty victim would write garbage back to DRAM: that is an
-       uncorrectable loss, detected by parity at eviction. A corrupt clean
-       victim is simply discarded (scrubbed by the replacement). *)
-    let parity =
-      if t.corrupt.(s) && t.dirty.(s) && t.tags.(s) <> -1 then Uncorrectable
-      else Parity_ok
+    let result =
+      if t.tags.(s) <> -1 && t.dirty.(s) then
+        (* A corrupt dirty victim would write garbage back to DRAM: that
+           is an uncorrectable loss, detected by parity at eviction. A
+           corrupt clean victim is simply discarded (scrubbed by the
+           replacement). *)
+        { hit = false;
+          writeback = Some (line_addr t set t.tags.(s));
+          parity = (if t.corrupt.(s) then Uncorrectable else Parity_ok) }
+      else miss_clean
     in
     t.corrupt.(s) <- false;
     t.tags.(s) <- tag;
     t.lru.(s) <- t.tick;
     t.dirty.(s) <- write;
-    { hit = false; writeback; parity }
+    result
+  end
 
-let probe t ~addr =
-  let set, tag = set_and_tag t addr in
-  find_way t set tag <> None
+let probe t ~addr = find_way t (set_of t addr) (tag_of t addr) >= 0
 
 let dirty_lines t =
   let n = ref 0 in
