@@ -285,8 +285,8 @@ let rec step t =
     if t.pc >= len then terminator t entry
     else begin
       let insn = code.(t.pc) in
-      let masks = block.masks.(t.pc) in
-      let use = Block.use_bits masks in
+      let packed = block.masks.(t.pc) in
+      let use = Block.use_bits packed in
       (* Scoreboard: stall (or suspend) until source registers are ready.
          The per-step check is one [land] against the block's use mask;
          the list walk below survives only on the suspend path. *)
@@ -306,7 +306,7 @@ let rec step t =
            match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
            | Hexec.Next ->
              t.t_local <- t.t_local + 1 + insn_extra_cost insn;
-             set_ready t (Block.def_bits masks);
+             set_ready t (Block.def_bits packed);
              t.pc <- t.pc + 1;
              step t
            | Hexec.Goto target ->

@@ -66,16 +66,17 @@ let uses = function
 (* Register-set bitmasks over allocated code (every register < 32, so a
    set fits one immediate int). r0 is the hardwired zero and never gates
    execution, so it is excluded here — mask consumers need no [r <> 0]
-   test. Computed once per installed block; the execution engine then
-   does [land] tests per step instead of walking [uses]/[defs] lists. *)
+   test. Computed once per translated block (stored on the block); the
+   execution engine then does [land] tests per step instead of walking
+   [uses]/[defs] lists. *)
 
 let reg_mask r =
   if r = 0 then 0
   else if r >= 62 then invalid_arg "Hinsn.reg_mask: unallocated register"
   else 1 lsl r
 
-(* [uses]/[defs] again, matched directly so that [Code_cache.L1.install]
-   builds no list per instruction; the test suite checks them against
+(* [uses]/[defs] again, matched directly so that building a block's masks
+   allocates no list per instruction; the test suite checks them against
    folds over those lists. *)
 let use_mask = function
   | Alu3 (_, _, rs, rt) | Shiftv (_, _, rs, rt) -> reg_mask rs lor reg_mask rt
