@@ -102,18 +102,16 @@ let mgr t = match t.mgr_service with Some s -> s | None -> assert false
    coordinates (and hence latencies) stay put. *)
 let slave_pool_slot i = 9 - min 9 i
 
-(* The highest-index idle slave, or -1. *)
-let last_idle_slave t =
-  let rec go i =
-    if i < 0 then -1
-    else
-      let s = t.slaves.(i) in
-      if s.active && (not s.failed) && not s.busy then i else go (i - 1)
-  in
-  go (Array.length t.slaves - 1)
+(* The highest-index idle slave at or below [i], or -1. *)
+let rec last_idle_slave t i =
+  if i < 0 then -1
+  else
+    let s = t.slaves.(i) in
+    if s.active && (not s.failed) && not s.busy then i
+    else last_idle_slave t (i - 1)
 
 let rec kick_slaves t =
-  match last_idle_slave t with
+  match last_idle_slave t (Array.length t.slaves - 1) with
   | -1 -> ()
   | i -> begin
     match Spec.pop t.spec with

@@ -44,21 +44,18 @@ let tag_of t addr = addr / t.line_bytes / t.sets [@@inline]
 
 let slot t set way = (set * t.ways) + way
 
-(* The way holding [tag] in [set], or -1. *)
-let find_way t set tag =
-  let rec go way =
-    if way >= t.ways then -1
-    else if t.tags.(slot t set way) = tag then way
-    else go (way + 1)
-  in
-  go 0
+(* The way holding [tag] in [set] at or after [way], or -1. *)
+let rec find_way t set tag way =
+  if way >= t.ways then -1
+  else if t.tags.(slot t set way) = tag then way
+  else find_way t set tag (way + 1)
 
 let line_addr t set tag = ((tag * t.sets) + set) * t.line_bytes
 
 let access t ~addr ~write =
   let set = set_of t addr and tag = tag_of t addr in
   t.tick <- t.tick + 1;
-  let way = find_way t set tag in
+  let way = find_way t set tag 0 in
   if way >= 0 then begin
     t.hits <- t.hits + 1;
     let s = slot t set way in
@@ -113,7 +110,7 @@ let access t ~addr ~write =
     result
   end
 
-let probe t ~addr = find_way t (set_of t addr) (tag_of t addr) >= 0
+let probe t ~addr = find_way t (set_of t addr) (tag_of t addr) 0 >= 0
 
 let dirty_lines t =
   let n = ref 0 in
