@@ -131,7 +131,6 @@ let test_bench (b : Suite.benchmark) () =
       Alcotest.(check (pair int string))
         (Printf.sprintf "%s/%s blocks, digest" b.Suite.name cname)
         expected actual;
-      (* The same walk checks the scoreboard masks stored on each block. *)
       Alcotest.(check string)
         (Printf.sprintf "%s/%s masks = Hinsn use/def masks" b.Suite.name cname)
         "" (mask_mismatch blocks))
