@@ -65,6 +65,32 @@ let test_digest_pinned (b : Suite.benchmark) () =
   Alcotest.(check int) "digest" (List.assoc b.name pinned_digests)
     (vm_result b).digest
 
+(* Every counter of every workload, pinned under [Config.default] and
+   under the blocking-miss ablation ([scoreboard = false]): the engine's
+   timing ([exec.cycles], [exec.stall_cycles], the suspend counts) and
+   the L1 data cache's traffic ([l1d.*]) cannot move without failing
+   here. One MD5 per config over the benchmarks' sorted [Stats], in
+   suite order. *)
+let pinned_stats =
+  [ ("default", vm_result, "5e4c4f3d537a96cf2888ac7a0c18f404");
+    ( "blocking misses",
+      (fun b ->
+        Vm.run ~fuel:50_000_000
+          { Config.default with scoreboard = false }
+          (Suite.load b)),
+      "99049ad9821739ea18664df3ed0112a9" ) ]
+
+let test_stats_pinned run md5 () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      List.iter
+        (fun (name, v) -> Printf.bprintf buf "%s %s %d\n" b.name name v)
+        (Vat_desim.Stats.to_alist (run b).Vm.stats))
+    Suite.all;
+  Alcotest.(check string) "MD5 of every workload's stats" md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_deterministic (b : Suite.benchmark) () =
   (* Program construction is deterministic: same digest twice. *)
   let _, i1 = interp_run b in
@@ -130,3 +156,8 @@ let suite =
       Alcotest.test_case "axis: chaining" `Slow test_chaining_axis;
       Alcotest.test_case "axis: memory banks" `Slow test_memory_axis;
       Alcotest.test_case "axis: indirect dispatch" `Slow test_indirect_axis ]
+  @ List.map
+      (fun (name, run, md5) ->
+        Alcotest.test_case ("stats pinned: " ^ name) `Slow
+          (test_stats_pinned run md5))
+      pinned_stats
