@@ -23,7 +23,7 @@ type t = {
   page_lo : int;
   page_hi : int;
   checksum : int;
-  masks : int array;
+  ops : int array;
 }
 
 (* FNV-1a style fold over the block's content. Computed once at
@@ -41,12 +41,12 @@ let checksum_of ~guest_addr ~code ~term =
 let recompute_checksum t =
   checksum_of ~guest_addr:t.guest_addr ~code:t.code ~term:t.term
 
-(* Neither mask ever holds r0, so the def mask's bits for r1..r31 fit in
-   bits 32..62, above the use mask's 32 bits: [def lsl 31] moves bit r to
-   bit r + 31 and its empty bit 0 lands on nothing. *)
-let pack_masks ~use ~def = use lor (def lsl 31)
-let use_bits packed = packed land 0xFFFF_FFFF [@@inline]
-let def_bits packed = (packed lsr 31) land 0xFFFF_FFFE [@@inline]
+(* The engine reads and writes its register file without an r0 guard, so
+   a load into r0 (which would make r0 nonzero) is refused here. *)
+let op_of (insn : Hinsn.t) =
+  match insn with
+  | Load (_, 0, _, _) -> invalid_arg "Block.make: load into r0"
+  | _ -> Hexec.encode insn
 
 let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     ~translation_cycles ~page_lo ~page_hi =
@@ -60,11 +60,7 @@ let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     page_lo;
     page_hi;
     checksum = checksum_of ~guest_addr ~code ~term;
-    masks =
-      Array.map
-        (fun insn ->
-          pack_masks ~use:(Hinsn.use_mask insn) ~def:(Hinsn.def_mask insn))
-        code }
+    ops = Array.map op_of code }
 
 let size_bytes t = (Array.length t.code * Hencode.bytes_per_insn) + 8
 

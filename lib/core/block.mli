@@ -40,29 +40,24 @@ type t = private {
           messages carry their own copy of the sum, and every consumer
           verifies it before the block may execute (end-to-end
           integrity). *)
-  masks : int array;
-      (** The execution engine's scoreboard masks, one int per instruction
-          of [code]: bits 0–31 hold {!Vat_host.Hinsn.use_mask}, and bits
-          32–62 hold {!Vat_host.Hinsn.def_mask}'s bits for r1–r31 (bit
-          [r + 31] for register [r]); r0 is in neither mask. Read them
-          with {!use_bits} and {!def_bits}. Computed once, with the
-          checksum, by {!make}, so every cache level and every run that
-          shares the block through {!Translate.Memo} shares them too. *)
+  ops : int array;
+      (** [code] compiled for the execution engine, one
+          {!Vat_host.Hexec} op word per instruction (layout in
+          [hexec.mli]). Computed once, with the checksum, by {!make}, so
+          every cache level and every run that shares the block through
+          {!Translate.Memo} shares them too. *)
 }
 
 val make :
   guest_addr:int -> guest_len:int -> guest_insns:int -> code:Hinsn.t array ->
   term:term -> optimized:bool -> translation_cycles:int -> page_lo:int ->
   page_hi:int -> t
-(** The only way to build a block: computes [checksum] and [masks] from
-    the content, so neither can disagree with it. *)
-
-val pack_masks : use:int -> def:int -> int
-(** One [masks] entry from a use and a def mask over r1–r31. *)
-
-val use_bits : int -> int
-val def_bits : int -> int
-(** The use and def masks packed in one [masks] entry. *)
+(** The only way to build a block: computes [checksum] and [ops] from
+    the content, so neither can disagree with it. Raises
+    [Invalid_argument] on an instruction {!Vat_host.Hexec.encode}
+    refuses (a register above r31, a [W8s] store, an immediate that does
+    not fit) and on a load into r0: the engine writes its register file
+    unguarded. *)
 
 val recompute_checksum : t -> int
 (** Recompute the sum from the block's content (what a verifier compares

@@ -34,7 +34,8 @@ type wait_state =
   | Finished
 
 (* Pre-resolved stat counters for the per-instruction / per-event paths:
-   one hashtable probe at engine construction, a bare ref bump per event. *)
+   one hashtable probe at engine construction, then one [Stats.bump] per
+   event (a call, under dune's dev profile, not an inlined increment). *)
 type counters = {
   c_scoreboard_suspends : Stats.counter;
   c_stall_cycles : Stats.counter;
@@ -247,108 +248,112 @@ let scratch_slot addr = (addr - scratch_base) lsr 2
 (* Execution loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let insn_extra_cost (insn : Hinsn.t) =
-  match insn with
-  | Mul64 _ -> 5      (* widening multiply helper *)
-  | Div64 _ -> 40     (* soft-divide helper *)
-  | _ -> 0
-
 let trap_message : Hinsn.trap -> string = function
   | Divide_error -> "divide error"
   | Divide_overflow -> "divide overflow"
 
-(* Non-memory instructions never touch memory; one shared record instead of
-   a fresh closure pair per executed instruction. *)
-let dummy_mem : Hexec.mem_access =
-  { load = (fun _ _ -> assert false); store = (fun _ _ _ -> assert false) }
+let eax = Translate.guest_pin EAX
+let edx = Translate.guest_pin EDX
 
-(* Index of the lowest set bit. Register masks carry at most a handful of
-   bits below 32, so the shift cascade runs its first two tests only. *)
-let ctz m =
-  let m = m land -m in
-  let n = ref 0 in
-  let m = ref m in
-  if !m land 0xFFFF = 0 then begin n := 16; m := !m lsr 16 end;
-  if !m land 0xFF = 0 then begin n := !n + 8; m := !m lsr 8 end;
-  if !m land 0xF = 0 then begin n := !n + 4; m := !m lsr 4 end;
-  if !m land 0x3 = 0 then begin n := !n + 2; m := !m lsr 2 end;
-  if !m land 0x1 = 0 then incr n;
-  !n
+(* A register field of an op word (layout in [Hexec]), extracted here
+   rather than through [Hexec.rs] and friends: under dune's dev profile
+   ([-opaque]) each of those is a real call. A field is 5 bits, so every
+   index it yields is inside the 32-entry [regs] and [ready_at], which the
+   loop below therefore reads unchecked. *)
+let[@inline] field w shift = (w lsr shift) land 31
+
+let[@inline] max3 (a : int) b c =
+  let m = if a > b then a else b in
+  if m > c then m else c
 
 let rec step t =
   match t.entry with
   | None -> ()
   | Some entry ->
-    let block = entry.block in
-    let code = block.code in
-    let len = Array.length code in
-    if t.pc >= len then terminator t entry
+    let ops = entry.block.ops in
+    let pc = t.pc in
+    if pc >= Array.length ops then terminator t entry
     else begin
-      let insn = code.(t.pc) in
-      let packed = block.masks.(t.pc) in
-      let use = Block.use_bits packed in
-      (* Scoreboard: stall (or suspend) until source registers are ready.
-         The per-step check is one [land] against the block's use mask;
-         the list walk below survives only on the suspend path. *)
-      if use land t.pending_mask <> 0 then begin
-        match pending_use t insn with
-        | Some r ->
-          t.wait <- Wait_reg (r, t.pc);
-          Stats.bump t.k.c_scoreboard_suspends
-        | None -> assert false
+      let w = ops.(pc) in
+      let rs = field w Hexec.rs_shift
+      and rt = field w Hexec.rt_shift
+      and ru = field w Hexec.ru_shift in
+      (* Scoreboard: the source fields name every register the word
+         reads, r0 (which never waits) masked out. *)
+      if ((1 lsl rs) lor (1 lsl rt) lor (1 lsl ru)) land -2 land t.pending_mask
+         <> 0
+      then begin
+        t.wait <- Wait_reg (first_pending t rs rt ru, pc);
+        Stats.bump t.k.c_scoreboard_suspends
       end
       else begin
-        stall_to_ready t use;
-        (match insn with
-         | Load (w, rd, base, off) -> exec_load t w rd base off
-         | Store (w, rv, base, off) -> exec_store t w rv base off
-         | _ -> begin
-           match Hexec.step ~regs:t.regs ~mem:dummy_mem insn with
-           | Hexec.Next ->
-             t.t_local <- t.t_local + 1 + insn_extra_cost insn;
-             set_ready t (Block.def_bits packed);
-             t.pc <- t.pc + 1;
-             step t
-           | Hexec.Goto target ->
-             t.t_local <- t.t_local + 1;
-             t.pc <- target;
-             step t
-           | Hexec.Trapped trap -> finish t (Fault (trap_message trap))
-         end)
+        let ready_at = t.ready_at in
+        (* Stall until every source is ready. Nothing writes r0's
+           [ready_at]: [Alu] skips rd = r0, [Block.make] refuses a load
+           into r0, and [Mul64]/[Div64] write EAX and EDX. *)
+        let ready =
+          max3 (Array.unsafe_get ready_at rs) (Array.unsafe_get ready_at rt)
+            (Array.unsafe_get ready_at ru)
+        in
+        if ready > t.t_local then begin
+          Stats.bump_by t.k.c_stall_cycles (ready - t.t_local);
+          t.t_local <- ready
+        end;
+        let regs = t.regs in
+        let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
+        match Hexec.kinds.(w land Hexec.opcode_mask) with
+        | Hexec.Alu ->
+          let v = Hexec.eval w a b in
+          let rd = field w Hexec.rd_shift in
+          t.t_local <- t.t_local + 1;
+          if rd <> 0 then begin
+            Array.unsafe_set regs rd v;
+            Array.unsafe_set ready_at rd t.t_local
+          end;
+          t.pc <- pc + 1;
+          step t
+        | Hexec.Branch ->
+          t.t_local <- t.t_local + 1;
+          t.pc <-
+            (if Hexec.eval w a b <> 0 then w asr Hexec.imm_shift else pc + 1);
+          step t
+        | Hexec.Trap ->
+          if Hexec.eval w a b <> 0 then
+            finish t (Fault (trap_message (Hexec.trap w)))
+          else begin
+            t.t_local <- t.t_local + 1;
+            t.pc <- pc + 1;
+            step t
+          end
+        | Hexec.Mul64 -> exec_wide t w ~cycles:(1 + 5) (* widening multiply helper *)
+        | Hexec.Div64 -> exec_wide t w ~cycles:(1 + 40) (* soft-divide helper *)
+        | Hexec.Load width ->
+          exec_load t width (field w Hexec.rd_shift) rs (w asr Hexec.imm_shift)
+        | Hexec.Store width -> exec_store t width rs rt (w asr Hexec.imm_shift)
       end
     end
 
-and pending_use t insn =
-  let rec first = function
-    | [] -> None
-    | r :: rest -> if r <> 0 && t.pending.(r) then Some r else first rest
-  in
-  first (Hinsn.uses insn)
+(* The first pending source in [Hinsn.uses] order, which is the order of
+   the word's source fields. *)
+and first_pending t rs rt ru =
+  if rs <> 0 && t.pending.(rs) then rs
+  else if rt <> 0 && t.pending.(rt) then rt
+  else ru
 
-and stall_to_ready t mask =
-  let m = ref mask in
-  while !m <> 0 do
-    let r = ctz !m in
-    m := !m land (!m - 1);
-    if t.ready_at.(r) > t.t_local then begin
-      Stats.bump_by t.k.c_stall_cycles (t.ready_at.(r) - t.t_local);
-      t.t_local <- t.ready_at.(r)
-    end
-  done
-
-and set_ready t mask =
-  let m = ref mask in
-  while !m <> 0 do
-    let r = ctz !m in
-    m := !m land (!m - 1);
-    t.ready_at.(r) <- t.t_local
-  done
+and exec_wide t w ~cycles =
+  match Hexec.wide t.regs w with
+  | Some trap -> finish t (Fault (trap_message trap))
+  | None ->
+    t.t_local <- t.t_local + cycles;
+    t.ready_at.(eax) <- t.t_local;
+    t.ready_at.(edx) <- t.t_local;
+    t.pc <- t.pc + 1;
+    step t
 
 and exec_load t w rd base off =
   let addr = (t.regs.(base) + off) land 0xFFFFFFFF in
   if base = Regalloc.scratch_base_reg then begin
-    (* Tile-local spill area: fixed cost, no cache. Spill reloads are
-       whole words into allocated temporaries, never r0. *)
+    (* Tile-local spill area: fixed cost, no cache. *)
     t.regs.(rd) <- t.scratch.(scratch_slot addr);
     t.t_local <- t.t_local + 2;
     t.ready_at.(rd) <- t.t_local + 1;

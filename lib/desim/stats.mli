@@ -14,8 +14,10 @@ val set_max : t -> string -> int -> unit
 
 type counter
 (** A pre-resolved handle to one named counter. Hot paths resolve the
-    name once ({!counter}) at construction time and then {!bump} a bare
-    cell per event — no string hashing on the per-instruction path. *)
+    name once ({!counter}) at construction time and then {!bump} the cell
+    per event — no string hashing on the per-instruction path. Under
+    dune's dev profile ([-opaque]) each {!bump} from another module is
+    still a function call, not an inlined increment. *)
 
 val counter : t -> string -> counter
 (** Resolve (creating if needed) the cell behind [name]. The handle and

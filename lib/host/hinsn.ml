@@ -63,41 +63,6 @@ let uses = function
   | Trap (_, r) -> [ r ]
   | Nop -> []
 
-(* Register-set bitmasks over allocated code (every register < 32, so a
-   set fits one immediate int). r0 is the hardwired zero and never gates
-   execution, so it is excluded here — mask consumers need no [r <> 0]
-   test. Computed once per translated block (stored on the block); the
-   execution engine then does [land] tests per step instead of walking
-   [uses]/[defs] lists. *)
-
-let reg_mask r =
-  if r = 0 then 0
-  else if r >= 62 then invalid_arg "Hinsn.reg_mask: unallocated register"
-  else 1 lsl r
-
-(* [uses]/[defs] again, matched directly so that building a block's masks
-   allocates no list per instruction; the test suite checks them against
-   folds over those lists. *)
-let use_mask = function
-  | Alu3 (_, _, rs, rt) | Shiftv (_, _, rs, rt) -> reg_mask rs lor reg_mask rt
-  | Alui (_, _, rs, _) | Shifti (_, _, rs, _) | Ext (_, rs, _, _)
-  | Load (_, _, rs, _) | Trap (_, rs) -> reg_mask rs
-  | Ins (rd, rs, _, _) -> reg_mask rd lor reg_mask rs
-  | Store (_, rv, base, _) -> reg_mask rv lor reg_mask base
-  | Branch ((Beq | Bne), rs, rt, _) -> reg_mask rs lor reg_mask rt
-  | Branch ((Blez | Bgtz | Bltz | Bgez), rs, _, _) -> reg_mask rs
-  | Mul64 rs -> reg_mask guest_eax lor reg_mask rs
-  | Div64 { divisor; _ } ->
-    reg_mask guest_eax lor reg_mask guest_edx lor reg_mask divisor
-  | Lui _ | Jump _ | Nop -> 0
-
-let def_mask = function
-  | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
-  | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _)
-  | Ext (rd, _, _, _) | Ins (rd, _, _, _) | Load (_, rd, _, _) -> reg_mask rd
-  | Mul64 _ | Div64 _ -> reg_mask guest_eax lor reg_mask guest_edx
-  | Store _ | Branch _ | Jump _ | Trap _ | Nop -> 0
-
 let map_regs f = function
   | Alu3 (op, rd, rs, rt) -> Alu3 (op, f rd, f rs, f rt)
   | Alui (op, rd, rs, imm) -> Alui (op, f rd, f rs, imm)

@@ -77,13 +77,6 @@ val defs : t -> reg list
 val uses : t -> reg list
 (** Registers read. *)
 
-val use_mask : t -> int
-val def_mask : t -> int
-(** {!uses}/{!defs} as bitmasks (bit [r] set iff register [r] is in the
-    set), with [r0] excluded: the hardwired zero never gates execution.
-    Only valid on allocated code (every register < 62); raises
-    [Invalid_argument] on virtual registers. *)
-
 val map_regs : (reg -> reg) -> t -> t
 (** Rename every register field (used by register allocation). *)
 

@@ -179,32 +179,32 @@ let prop_l15_recency =
       in
       List.for_all step ops)
 
-(* --- Scoreboard masks on the block -------------------------------------- *)
+(* --- Op words on the block ------------------------------------------- *)
 
-(* Any use/def pair over r1-r31 survives packing into one [masks] entry.
-   The generator leans on r31 (the top bit of the packed def half), r26
-   (the spill base) and r30 (the terminator link register). *)
-let prop_mask_packing =
-  let reg =
-    QCheck.Gen.(
-      frequency
-        [ (3, oneofl [ 31; Vat_ir.Regalloc.scratch_base_reg; Block.term_reg ]);
-          (5, int_range 1 31) ])
+(* [Block.make] compiles the code for the engine, which indexes its
+   32-entry register file unchecked and writes it without an r0 guard:
+   a register above r31, a load into r0 and a byte-signed store never
+   make a block. *)
+let test_make_refuses () =
+  let make code =
+    Block.make ~guest_addr:0x1000 ~guest_len:4 ~guest_insns:1 ~code
+      ~term:(Block.T_jmp { target = 0x2000 }) ~optimized:true
+      ~translation_cycles:1 ~page_lo:1 ~page_hi:1
   in
-  let mask =
-    QCheck.Gen.(
-      map
-        (List.fold_left (fun m r -> m lor (1 lsl r)) 0)
-        (list_size (int_range 0 6) reg))
+  let refused insn =
+    match make [| Hinsn.Nop; insn |] with
+    | _ -> Alcotest.failf "made a block with %s" (Hinsn.to_string insn)
+    | exception Invalid_argument _ -> ()
   in
-  QCheck.Test.make ~name:"masks: pack then unpack is the identity" ~count:2000
-    QCheck.(
-      make
-        ~print:(fun (u, d) -> Printf.sprintf "use 0x%x def 0x%x" u d)
-        (Gen.pair mask mask))
-    (fun (use, def) ->
-      let packed = Block.pack_masks ~use ~def in
-      Block.use_bits packed = use && Block.def_bits packed = def)
+  refused (Load (W32, 0, 2, 0));
+  refused (Load (W8s, 0, 2, 4));
+  refused (Alu3 (Add, 32, 1, 2));
+  refused (Load (W32, 1, 61, 0));
+  refused (Store (W8s, 1, 2, 0));
+  let b = make [| Load (W32, 1, 2, 8); Store (W8, 0, 2, 0) |] in
+  Alcotest.(check (list int)) "one word per instruction"
+    (List.map Hexec.encode [ Load (W32, 1, 2, 8); Store (W8, 0, 2, 0) ])
+    (Array.to_list b.ops)
 
 (* --- L2 + page registry ------------------------------------------------ *)
 
@@ -467,6 +467,8 @@ let suite =
       test_analysis_decomposition;
     Alcotest.test_case "analysis: Figure 11 intrinsics" `Quick
       test_analysis_intrinsics_match_fig11;
-    Alcotest.test_case "analysis: CPI monotone" `Quick test_cpi_monotone ]
+    Alcotest.test_case "analysis: CPI monotone" `Quick test_cpi_monotone;
+    Alcotest.test_case "block: make refuses what the engine cannot run"
+      `Quick test_make_refuses ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_l15_recency; prop_spec_queue_length; prop_mask_packing ]
+      [ prop_l15_recency; prop_spec_queue_length ]

@@ -11,8 +11,8 @@
    translation_cycles, code length) of each, in address order. The
    checksum covers the code and terminator, so the digest pins both.
    The unoptimized config pins register allocation on raw lowered code.
-   The same walk checks each block's packed scoreboard masks against
-   [Hinsn.use_mask]/[def_mask] of its instructions. *)
+   The same walk checks each block's op words against the oracle in
+   [Host_oracle] and that no block loads into r0. *)
 
 open Vat_guest
 open Vat_core
@@ -94,27 +94,35 @@ let digest blocks =
     blocks;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The first instruction whose packed [masks] entry disagrees with
-   [Hinsn.use_mask]/[def_mask], as "addr[i]: insn", or "" if none. *)
-let mask_mismatch blocks =
+(* The first instruction that loads into r0, or whose op word disagrees
+   with [Host_oracle] from a register file seeded by its address and
+   index, as "addr[i]: insn: why", or "" if none. *)
+let op_mismatch blocks =
   let bad = ref "" in
   List.iter
     (fun (b : Block.t) ->
-      if !bad = "" then begin
-        if Array.length b.masks <> Array.length b.code then
-          bad := Printf.sprintf "%x: %d masks for %d instructions" b.guest_addr
-              (Array.length b.masks) (Array.length b.code);
-        Array.iteri
-          (fun i insn ->
-            let m = b.masks.(i) in
-            if !bad = ""
-               && (Block.use_bits m <> Vat_host.Hinsn.use_mask insn
-                   || Block.def_bits m <> Vat_host.Hinsn.def_mask insn)
-            then
-              bad := Printf.sprintf "%x[%d]: %s" b.guest_addr i
-                  (Vat_host.Hinsn.to_string insn))
-          b.code
-      end)
+      if !bad = "" && Array.length b.ops <> Array.length b.code then
+        bad := Printf.sprintf "%x: %d ops for %d instructions" b.guest_addr
+            (Array.length b.ops) (Array.length b.code);
+      Array.iteri
+        (fun i (insn : Vat_host.Hinsn.t) ->
+          if !bad = "" then begin
+            let regs =
+              Array.init 32 (fun r ->
+                  if r = 0 then 0 else Hashtbl.hash (b.guest_addr, i, r))
+            in
+            let why =
+              match insn with
+              | Load (_, 0, _, _) -> Some "load into r0"
+              | _ -> Host_oracle.mismatch ~regs insn b.ops.(i)
+            in
+            Option.iter
+              (fun why ->
+                bad := Printf.sprintf "%x[%d]: %s: %s" b.guest_addr i
+                    (Vat_host.Hinsn.to_string insn) why)
+              why
+          end)
+        b.code)
     blocks;
   !bad
 
@@ -132,8 +140,9 @@ let test_bench (b : Suite.benchmark) () =
         (Printf.sprintf "%s/%s blocks, digest" b.Suite.name cname)
         expected actual;
       Alcotest.(check string)
-        (Printf.sprintf "%s/%s masks = Hinsn use/def masks" b.Suite.name cname)
-        "" (mask_mismatch blocks))
+        (Printf.sprintf "%s/%s op words = oracle, no load into r0"
+           b.Suite.name cname)
+        "" (op_mismatch blocks))
     configs
 
 let suite =

@@ -76,32 +76,49 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"host encode/decode round trip" ~count:5000 arb_hinsn
     (fun insn -> Hencode.decode (Hencode.encode insn) = insn)
 
-(* [use_mask]/[def_mask] match on the instruction; the [uses]/[defs]
-   lists, which the IR passes keep using, are their oracle: bit [r] per
-   listed register, none for r0, and registers 62 and up refused. *)
-let prop_masks_match_lists =
-  let reg =
-    QCheck.Gen.(
-      frequency
-        [ (2, oneofl Hinsn.[ r0; guest_reg_base; guest_reg_base + 2 ]);
-          (6, int_range 0 61);
-          (1, int_range 62 70) ])
-  in
-  let outcome f insn =
-    match f insn with m -> Some m | exception Invalid_argument _ -> None
-  in
-  let bit r =
-    if r >= 62 then invalid_arg "unallocated register"
-    else if r = 0 then 0
-    else 1 lsl r
-  in
-  let fold regs insn = List.fold_left (fun m r -> m lor bit r) 0 (regs insn) in
-  QCheck.Test.make ~name:"use/def masks = fold over uses/defs"
+(* Registers seeded for the oracle: r0 zero, the rest 32-bit values
+   leaning on small ones (so Div64 sometimes divides) and on sign bits. *)
+let seeded_regs =
+  QCheck.Gen.(
+    map
+      (fun l -> Array.of_list (0 :: l))
+      (list_repeat 31
+         (frequency
+            [ (2, int_range 0 16);
+              (1, oneofl [ 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF ]);
+              (4, map (fun v -> v land 0xFFFFFFFF) int) ])))
+
+let prop_op_word_oracle =
+  QCheck.Test.make
+    ~name:"op word = oracle: outcome, registers, stores, sources, defs"
     ~count:5000
-    (QCheck.make ~print:Hinsn.to_string (G.insn_over reg))
-    (fun insn ->
-      outcome Hinsn.use_mask insn = outcome (fold Hinsn.uses) insn
-      && outcome Hinsn.def_mask insn = outcome (fold Hinsn.defs) insn)
+    (QCheck.make
+       ~print:(fun (insn, _) -> Hinsn.to_string insn)
+       (QCheck.Gen.pair G.insn seeded_regs))
+    (fun (insn, regs) ->
+      match Host_oracle.mismatch ~regs insn (Hexec.encode insn) with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+let test_encode_refuses () =
+  let refused insn =
+    match Hexec.encode insn with
+    | _ -> Alcotest.failf "encoded %s" (Hinsn.to_string insn)
+    | exception Invalid_argument _ -> ()
+  in
+  refused (Alu3 (Add, 32, 1, 2));
+  refused (Alu3 (Add, 1, 61, 2));
+  refused (Div64 { divisor = 40; signed = true });
+  refused (Store (W8s, 1, 2, 0));
+  refused (Alui (Addi, 1, 2, 1 lsl 40));
+  refused (Load (W32, 1, 2, -(1 lsl 40)));
+  refused (Ext (1, 2, 64, 8));
+  (* The widest immediates that fit survive the trip through the word. *)
+  List.iter
+    (fun off ->
+      Alcotest.(check int) "offset" off
+        (Hexec.imm (Hexec.encode (Load (W32, 1, 2, off)))))
+    [ 0xFFFFFFFF; -0x80000000; (1 lsl 36) - 1; -(1 lsl 36) ]
 
 let prop_vreg_rejected =
   QCheck.Test.make ~name:"virtual registers cannot be encoded" ~count:200
@@ -115,9 +132,11 @@ let no_mem : Hexec.mem_access =
   { load = (fun _ _ -> Alcotest.fail "unexpected load");
     store = (fun _ _ _ -> Alcotest.fail "unexpected store") }
 
+let run1 insn regs = Hexec.run_block ~code:[| insn |] ~regs ~mem:no_mem ~fuel:2
+
 let exec1 insn regs =
-  match Hexec.step ~regs ~mem:no_mem insn with
-  | Hexec.Next -> ()
+  match run1 insn regs with
+  | Hexec.Fell_through -> ()
   | _ -> Alcotest.fail "unexpected control flow"
 
 let test_ext_ins () =
@@ -151,21 +170,19 @@ let test_div64 () =
   regs.(eax) <- 10;
   regs.(edx) <- 0;
   regs.(1) <- 3;
-  (match Hexec.step ~regs ~mem:no_mem (Div64 { divisor = 1; signed = false }) with
-   | Hexec.Next -> ()
-   | _ -> Alcotest.fail "div failed");
+  exec1 (Div64 { divisor = 1; signed = false }) regs;
   Alcotest.(check int) "quotient" 3 regs.(eax);
   Alcotest.(check int) "remainder" 1 regs.(edx);
   regs.(1) <- 0;
-  (match Hexec.step ~regs ~mem:no_mem (Div64 { divisor = 1; signed = false }) with
-   | Hexec.Trapped Hinsn.Divide_error -> ()
+  (match run1 (Div64 { divisor = 1; signed = false }) regs with
+   | Hexec.Trap Hinsn.Divide_error -> ()
    | _ -> Alcotest.fail "expected divide-error trap");
   (* Overflow: quotient does not fit 32 bits. *)
   regs.(eax) <- 0;
   regs.(edx) <- 5;
   regs.(1) <- 2;
-  match Hexec.step ~regs ~mem:no_mem (Div64 { divisor = 1; signed = false }) with
-  | Hexec.Trapped Hinsn.Divide_overflow -> ()
+  match run1 (Div64 { divisor = 1; signed = false }) regs with
+  | Hexec.Trap Hinsn.Divide_overflow -> ()
   | _ -> Alcotest.fail "expected divide-overflow trap"
 
 let prop_shift_masks_count =
@@ -197,7 +214,9 @@ let suite =
     Alcotest.test_case "r0 hardwired to zero" `Quick test_r0_hardwired;
     Alcotest.test_case "mulh/mulhu" `Quick test_mulh;
     Alcotest.test_case "div64 semantics and traps" `Quick test_div64;
-    Alcotest.test_case "block runner" `Quick test_run_block ]
+    Alcotest.test_case "block runner" `Quick test_run_block;
+    Alcotest.test_case "op words: what encode refuses" `Quick
+      test_encode_refuses ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_roundtrip; prop_vreg_rejected; prop_shift_masks_count;
-        prop_masks_match_lists ]
+        prop_op_word_oracle ]

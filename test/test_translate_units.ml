@@ -62,7 +62,7 @@ let test_decode_fault_block () =
   let items = [ label "start"; Asm.Byte 0xFF; Asm.Byte 0xFF ] in
   let b = block_at items "start" in
   Alcotest.(check int) "no code" 0 (Array.length b.code);
-  Alcotest.(check int) "an empty mask array" 0 (Array.length b.masks);
+  Alcotest.(check int) "an empty ops array" 0 (Array.length b.ops);
   match b.term with
   | Block.T_fault _ -> ()
   | _ -> Alcotest.fail "expected decode-fault block"
