@@ -63,23 +63,25 @@ let compute_map t n =
     t.alive;
   Array.of_list (List.rev !out)
 
+(* Tags start at -1 and enter only on a miss, so a virtual page sits in
+   at most one entry and the scan can stop at the hit. *)
+let rec tlb_find tags vpage i =
+  if i >= Array.length tags then -1
+  else if tags.(i) = vpage then i
+  else tlb_find tags vpage (i + 1)
+
 let tlb_lookup t vpage =
   t.tlb_tick <- t.tlb_tick + 1;
-  let n = Array.length t.tlb_tags in
-  let found = ref false in
-  for i = 0 to n - 1 do
-    if t.tlb_tags.(i) = vpage then begin
-      found := true;
-      t.tlb_lru.(i) <- t.tlb_tick
-    end
-  done;
-  if !found then begin
+  let i = tlb_find t.tlb_tags vpage 0 in
+  if i >= 0 then begin
+    t.tlb_lru.(i) <- t.tlb_tick;
     t.tlb_hits <- t.tlb_hits + 1;
     true
   end
   else begin
     t.tlb_misses <- t.tlb_misses + 1;
     (* Replace the least recently used entry. *)
+    let n = Array.length t.tlb_tags in
     let victim = ref 0 in
     for i = 1 to n - 1 do
       if t.tlb_lru.(i) < t.tlb_lru.(!victim) then victim := i

@@ -97,6 +97,68 @@ let test_reconfigure_noop () =
   Event_queue.run q;
   Alcotest.(check bool) "same count is immediate" true !called
 
+(* The TLB against a model that scans every entry on each lookup (the
+   lookup itself stops at the hit): per access, hit or miss; at the end,
+   the tags, LRU stamps, tick and counts in the MMU's checkpoint section. *)
+let prop_tlb_model =
+  let vpage =
+    QCheck.Gen.(frequency [ (3, int_range 0 15); (2, int_range 0 149) ])
+  in
+  QCheck.Test.make ~name:"TLB: lookups = full-scan model" ~count:100
+    QCheck.(
+      make
+        ~print:(fun l -> String.concat " " (List.map string_of_int l))
+        Gen.(list_size (int_range 1 400) vpage))
+    (fun vpages ->
+      let q, _, ms = make () in
+      let n = Config.tlb_entries in
+      let tags = Array.make n (-1) and lru = Array.make n 0 in
+      let tick = ref 0 and hits = ref 0 and misses = ref 0 in
+      let model_lookup vpage =
+        incr tick;
+        let found = ref false in
+        for i = 0 to n - 1 do
+          if tags.(i) = vpage then begin
+            found := true;
+            lru.(i) <- !tick
+          end
+        done;
+        if !found then incr hits
+        else begin
+          incr misses;
+          let victim = ref 0 in
+          for i = 1 to n - 1 do
+            if lru.(i) < lru.(!victim) then victim := i
+          done;
+          tags.(!victim) <- vpage;
+          lru.(!victim) <- !tick
+        end;
+        !found
+      in
+      let agree =
+        List.for_all
+          (fun vpage ->
+            let before = Memsys.tlb_hits ms in
+            Memsys.access ms
+              ~addr:((vpage * Vat_guest.Mem.page_size) + 8)
+              ~write:false ~on_done:ignore;
+            Event_queue.run q;
+            model_lookup vpage = (Memsys.tlb_hits ms > before))
+          vpages
+      in
+      let module Rd = Vat_snapshot.Snapshot.Rd in
+      let r = Rd.of_string (Memsys.capture ms) in
+      let captured_tags = Rd.int_list r in
+      let captured_lru = Rd.int_list r in
+      let captured_tick = Rd.int r in
+      let captured_hits = Rd.int r in
+      let captured_misses = Rd.int r in
+      agree
+      && captured_tags = Array.to_list tags
+      && captured_lru = Array.to_list lru
+      && (captured_tick, captured_hits, captured_misses)
+         = (!tick, !hits, !misses))
+
 let suite =
   [ Alcotest.test_case "Figure 11 latency calibration" `Quick
       test_latency_calibration;
@@ -104,4 +166,5 @@ let suite =
     Alcotest.test_case "bank parallelism" `Quick test_bank_parallelism;
     Alcotest.test_case "reconfigure flushes dirty lines" `Quick
       test_reconfigure_flushes;
-    Alcotest.test_case "reconfigure to same count" `Quick test_reconfigure_noop ]
+    Alcotest.test_case "reconfigure to same count" `Quick test_reconfigure_noop;
+    QCheck_alcotest.to_alcotest prop_tlb_model ]
