@@ -146,6 +146,44 @@ let vm_cycle_limit () =
     Alcotest.(check string) "outcome" "simulation cycle limit exceeded" m
   | Exec.Exited _ | Exec.Out_of_fuel -> Alcotest.fail "expected the cycle limit"
 
+(* The engine gates a word on all three of its source fields, and only
+   a divide uses the third (its divisor). A divide that reads a
+   just-loaded divisor must wait for it exactly as an add that reads it
+   does: suspend while the load's miss is outstanding, and stall out an
+   L1 hit's latency. The operand is a memory operand so that the
+   consumer, not a copy into a guest register, is the load's first
+   reader; the hit starts its own block so that the scheduler cannot
+   hoist its load away from the consumer. *)
+let divisor_program consume =
+  [ label "start";
+    mov (r esi) (isym "data");
+    mov (r eax) (i 1000);
+    mov (r edx) (i 0);
+    consume (m ~base:esi ~disp:0 ());
+    jmp "hit";
+    label "hit";
+    consume (m ~base:esi ~disp:4 ());
+    mov (r ebx) (i 0);
+    mov (r eax) (i Syscall.sys_exit);
+    int_ Syscall.vector;
+    Asm.Align 4096;
+    label "data";
+    Asm.Word (Asm.Const 3);
+    Asm.Word (Asm.Const 5) ]
+
+let vm_divisor_gates () =
+  let waits consume =
+    let rv = check_same (divisor_program consume) in
+    ( Stats.get rv.stats "exec.scoreboard_suspends",
+      Stats.get rv.stats "exec.stall_cycles" )
+  in
+  let ((suspends, stalls) as add_waits) = waits (add (r eax)) in
+  if suspends < 1 || stalls < 1 then
+    Alcotest.failf "the add should suspend and stall (%d, %d)" suspends stalls;
+  Alcotest.(check (pair int int))
+    "a divide waits for its divisor as an add does" add_waits
+    (waits div)
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [ quick "basic program" vm_basic;
@@ -154,7 +192,8 @@ let suite =
     quick "speculation stays ahead of demand" vm_speculation_runs_ahead;
     quick "slowdown vs PIII is sane" vm_slowdown_sane;
     quick "infinite loop hits fuel" vm_out_of_fuel;
-    quick "small max_cycles ends the run" vm_cycle_limit ]
+    quick "small max_cycles ends the run" vm_cycle_limit;
+    quick "a divide waits for its divisor" vm_divisor_gates ]
   @ List.init 6 (fun i ->
         quick (Printf.sprintf "random program %d" i) (vm_random (4000 + i)))
   @ List.init 3 (fun i ->
