@@ -7,20 +7,22 @@
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)               *)
 (* ------------------------------------------------------------------ *)
 
+(* Built at module initialisation, not on first use: under OCaml 5 a
+   domain that forces a [lazy] while another domain is forcing it raises
+   [CamlinternalLazy.Undefined], and every [Vm.run] reaches [crc32]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let tbl = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   String.iter
-    (fun ch -> c := tbl.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch ->
+      c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   !c lxor 0xFFFFFFFF
 
