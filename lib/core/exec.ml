@@ -86,11 +86,10 @@ type t = {
   regs : int array;
   scratch : int array;
   ready_at : int array;        (* per register: cycle the value is usable *)
-  pending : bool array;        (* per register: miss reply outstanding *)
   l1 : Code_cache.L1.t;
   l1d : Cache.t;
   syscall_svc : syscall_req Service.t;
-  mutable pending_mask : int;  (* bit r <-> pending.(r); scoreboard fast path *)
+  mutable pending_mask : int;  (* bit r: register r's miss reply outstanding *)
   mutable t_local : int;
   mutable outstanding : int;
   mutable entry : Code_cache.L1.entry option;
@@ -168,7 +167,6 @@ let create q stats cfg layout prog ~manager ~memsys ?input
     regs;
     scratch = Array.make 4096 0;
     ready_at = Array.make 32 0;
-    pending = Array.make 32 false;
     l1 = Code_cache.L1.create ~capacity:Config.l1_code_bytes;
     l1d =
       Cache.create ~size_bytes:Config.l1d_bytes ~ways:Config.l1d_ways
@@ -262,6 +260,8 @@ let edx = Translate.guest_pin EDX
    loop below therefore reads unchecked. *)
 let[@inline] field w shift = (w lsr shift) land 31
 
+let[@inline] pending t r = t.pending_mask land (1 lsl r) <> 0
+
 let[@inline] max3 (a : int) b c =
   let m = if a > b then a else b in
   if m > c then m else c
@@ -336,8 +336,8 @@ let rec step t =
 (* The first pending source in [Hinsn.uses] order, which is the order of
    the word's source fields. *)
 and first_pending t rs rt ru =
-  if rs <> 0 && t.pending.(rs) then rs
-  else if rt <> 0 && t.pending.(rt) then rt
+  if rs <> 0 && pending t rs then rs
+  else if rt <> 0 && pending t rt then rt
   else ru
 
 and exec_wide t w ~cycles =
@@ -403,12 +403,10 @@ and exec_load t w rd base off =
 
 and issue_miss t rd addr ~blocking =
   t.outstanding <- t.outstanding + 1;
-  t.pending.(rd) <- true;
   t.pending_mask <- t.pending_mask lor (1 lsl rd);
   at_local t (fun () ->
       Memsys.access t.memsys ~addr ~write:false ~on_done:(fun () ->
           let now = Event_queue.now t.q in
-          t.pending.(rd) <- false;
           t.pending_mask <- t.pending_mask land lnot (1 lsl rd);
           t.ready_at.(rd) <- now;
           t.outstanding <- t.outstanding - 1;
@@ -481,7 +479,7 @@ and terminator t entry =
   | Block.T_call { target; _ } -> leave_direct t entry `Taken target
   | Block.T_jcc { taken; fall } ->
     let r = Block.term_reg in
-    if t.pending.(r) then begin
+    if pending t r then begin
       t.wait <- Wait_reg (r, t.pc) (* pc = len: re-run terminator *)
     end
     else begin
@@ -491,7 +489,7 @@ and terminator t entry =
     end
   | Block.T_jind _ ->
     let r = Block.term_reg in
-    if t.pending.(r) then t.wait <- Wait_reg (r, t.pc)
+    if pending t r then t.wait <- Wait_reg (r, t.pc)
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
       Stats.bump t.k.c_indirect_transfers;
@@ -627,7 +625,7 @@ and do_syscall t next =
 
 and wake t =
   match t.wait with
-  | Wait_reg (r, pc) when not t.pending.(r) ->
+  | Wait_reg (r, pc) when not (pending t r) ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
     if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
