@@ -28,7 +28,6 @@ let create ?input prog =
     dcache = Hashtbl.create 1024;
     hook = None }
 
-let program t = t.prog
 let reg t r = t.regs.(Insn.reg_index r)
 let set_reg t r v = t.regs.(Insn.reg_index r) <- Flags.mask32 v
 let eip t = t.eip

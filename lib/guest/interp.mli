@@ -14,7 +14,6 @@ type outcome =
 type t
 
 val create : ?input:string -> Program.t -> t
-val program : t -> Program.t
 
 val reg : t -> Insn.reg -> int
 val set_reg : t -> Insn.reg -> int -> unit

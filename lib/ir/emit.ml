@@ -4,11 +4,10 @@ type t = {
   mutable rev_items : Lblock.item list;
   mutable next_vreg : int;
   mutable next_label : int;
-  mutable count : int;
 }
 
 let create () =
-  { rev_items = []; next_vreg = Hinsn.first_vreg; next_label = 0; count = 0 }
+  { rev_items = []; next_vreg = Hinsn.first_vreg; next_label = 0 }
 
 let vreg t =
   let v = t.next_vreg in
@@ -21,8 +20,7 @@ let lab t =
   l
 
 let ins t insn =
-  t.rev_items <- Lblock.I insn :: t.rev_items;
-  t.count <- t.count + 1
+  t.rev_items <- Lblock.I insn :: t.rev_items
 
 let place t id = t.rev_items <- Lblock.L id :: t.rev_items
 
@@ -66,4 +64,3 @@ let mov t ~dst ~src =
   if dst <> src then ins t (Hinsn.Alu3 (Or, dst, src, Hinsn.r0))
 
 let items t = List.rev t.rev_items
-let length t = t.count

@@ -28,6 +28,3 @@ val mov : t -> dst:Hinsn.reg -> src:Hinsn.reg -> unit
 
 val items : t -> Lblock.t
 (** Everything emitted so far, in order. *)
-
-val length : t -> int
-(** Number of instructions (markers excluded) emitted so far. *)

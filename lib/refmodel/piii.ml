@@ -10,8 +10,6 @@ type result = {
   mispredicts : int;
 }
 
-let ilp = 1.3
-
 (* Fixed-point cycle accumulation: 1000 units = 1 cycle. *)
 let base_cost = 769 (* 1/1.3 *)
 let l2_hit_cost = 7_000

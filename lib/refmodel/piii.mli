@@ -23,6 +23,3 @@ type result = {
 
 val run : ?input:string -> ?fuel:int -> Program.t -> result
 (** [fuel] defaults to 200M instructions. *)
-
-val ilp : float
-(** 1.3 — realized instruction-level parallelism for SpecInt. *)

@@ -21,8 +21,6 @@ let all =
     make Bzip2.name Bzip2.description Bzip2.program;
     make Twolf.name Twolf.description Twolf.program ]
 
-let names = List.map (fun b -> b.name) all
-
 let find key =
   let matches b =
     b.name = key

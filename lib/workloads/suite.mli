@@ -10,7 +10,6 @@ type benchmark = {
 }
 
 val all : benchmark list
-val names : string list
 val find : string -> benchmark
 (** Accepts either the full name ("164.gzip") or the suffix ("gzip");
     raises [Not_found] otherwise. *)
