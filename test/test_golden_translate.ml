@@ -12,7 +12,9 @@
    checksum covers the code and terminator, so the digest pins both.
    The unoptimized config pins register allocation on raw lowered code.
    The same walk checks each block's op words against the oracle in
-   [Host_oracle] and that no block loads into r0. *)
+   [Host_oracle], that no block loads into r0, and that every instruction
+   encodes in one 32-bit word ([Hencode]), the size [Block.size_bytes]
+   charges. *)
 
 open Vat_guest
 open Vat_core
@@ -94,9 +96,9 @@ let digest blocks =
     blocks;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The first instruction that loads into r0, or whose op word disagrees
-   with [Host_oracle] from a register file seeded by its address and
-   index, as "addr[i]: insn: why", or "" if none. *)
+(* The first instruction that loads into r0, does not encode, or whose op
+   word disagrees with [Host_oracle] from a register file seeded by its
+   address and index, as "addr[i]: insn: why", or "" if none. *)
 let op_mismatch blocks =
   let bad = ref "" in
   List.iter
@@ -114,7 +116,11 @@ let op_mismatch blocks =
             let why =
               match insn with
               | Load (_, 0, _, _) -> Some "load into r0"
-              | _ -> Host_oracle.mismatch ~regs insn b.ops.(i)
+              | _ -> (
+                match Vat_host.Hencode.encode insn with
+                | exception Vat_host.Hencode.Invalid m ->
+                  Some ("does not encode: " ^ m)
+                | _ -> Host_oracle.mismatch ~regs insn b.ops.(i))
             in
             Option.iter
               (fun why ->
@@ -140,7 +146,8 @@ let test_bench (b : Suite.benchmark) () =
         (Printf.sprintf "%s/%s blocks, digest" b.Suite.name cname)
         expected actual;
       Alcotest.(check string)
-        (Printf.sprintf "%s/%s op words = oracle, no load into r0"
+        (Printf.sprintf
+           "%s/%s op words = oracle, no load into r0, every insn encodes"
            b.Suite.name cname)
         "" (op_mismatch blocks))
     configs
