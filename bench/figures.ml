@@ -27,7 +27,7 @@ let memos =
     benchmarks
 
 (* ------------------------------------------------------------------ *)
-(* Cells: every simulation a figure reads, run once, kept by id        *)
+(* Cells: every simulation a figure reads, run once, kept by key       *)
 (* ------------------------------------------------------------------ *)
 
 type result =
@@ -35,31 +35,38 @@ type result =
   | Piii_cycles of int
   | Fabric_result of Fabric.result
 
-(* A cell is one simulation a figure reads: its id in [results], and the
+(* Everything a cell's result depends on, so figures that read the same
+   run share one simulation (Figure 5's spec-6 is Figure 4's 128K-2bank
+   bar and Figure 9's 4m6t). A fault plan enters by its events: its seed
+   reaches only [Vm.fingerprint], which only snapshots carry, and no cell
+   keeps one. *)
+type key =
+  | Vm_run of { bench : string; cfg : Config.t; events : Fault.event list;
+                checkpoint_every : int option; traced : bool }
+  | Piii_run of string
+  | Fabric_run of (string * string) * string
+
+(* A cell is one simulation a figure reads: its key in [results], and the
    task that computes it on a Pool worker, returning the result and the
    guest instructions it simulated (the BENCH.json throughput numerator).
    Cells are built on the main domain, so the memo handles their tasks
    capture exist before any pool launches. *)
-type cell = { id : string; task : unit -> result * int }
+type cell = { key : key; task : unit -> result * int }
 
-(* A [may_fault] run is allowed to die (recovery's bare column); a
-   [traced] one records a trace, whose recorder lives inside the task. *)
-let run ?(faults = Fault.empty) ?checkpoint_every ?(may_fault = false)
-    ?(traced = false) key (b : Suite.benchmark) cfg =
+(* A [traced] run records a trace, whose recorder lives inside the task. *)
+let run ?(faults = Fault.empty) ?checkpoint_every ?(traced = false)
+    (b : Suite.benchmark) cfg =
   let memo = List.assoc b.name memos in
   let task () =
     let trace = if traced then Trace.create () else Trace.disabled in
     let r =
       Vm.run ~fuel ~faults ~memo ~trace ?checkpoint_every cfg (Suite.load b)
     in
-    (match r.outcome with
-     | Exec.Exited _ -> ()
-     | _ when may_fault -> ()
-     | Exec.Fault m -> failwith (Printf.sprintf "%s/%s faulted: %s" b.name key m)
-     | Exec.Out_of_fuel -> failwith (b.name ^ "/" ^ key ^ ": out of fuel"));
     (Vm_result (r, trace), r.guest_insns)
   in
-  { id = b.name ^ "/" ^ key; task }
+  let events = Fault.events faults in
+  { key = Vm_run { bench = b.name; cfg; events; checkpoint_every; traced };
+    task }
 
 let piii (b : Suite.benchmark) =
   let task () =
@@ -69,7 +76,7 @@ let piii (b : Suite.benchmark) =
      | _ -> failwith (b.name ^ ": reference run did not exit"));
     (Piii_cycles r.cycles, r.instructions)
   in
-  { id = "piii/" ^ b.name; task }
+  { key = Piii_run b.name; task }
 
 let fabric_policies =
   [ ("static", Fabric.Static (3, 3)); ("shared", Fabric.Shared { dwell = 20000 }) ]
@@ -83,20 +90,34 @@ let fabric_cell (na, nb) policy =
     in
     (Fabric_result r, r.a.guest_insns + r.b.guest_insns)
   in
-  { id = "fabric/" ^ na ^ "+" ^ nb ^ "/" ^ policy; task }
+  { key = Fabric_run ((na, nb), policy); task }
 
 (* One table for every figure: [run_all] fills it, renders read it. *)
-let results : (string, result) Hashtbl.t = Hashtbl.create 256
+let results : (key, result) Hashtbl.t = Hashtbl.create 256
 
 let result c =
-  match Hashtbl.find_opt results c.id with
+  match Hashtbl.find_opt results c.key with
   | Some r -> r
-  | None -> invalid_arg ("Figures: undeclared cell " ^ c.id)
+  | None -> invalid_arg "Figures: undeclared cell"
 
-let traced_vm c =
+(* A run as it ended, fault or not. Only recovery's columns read this. *)
+let any_vm c =
   match result c with
-  | Vm_result (r, t) -> (t, r)
+  | Vm_result (r, _) -> r
   | Piii_cycles _ | Fabric_result _ -> assert false
+
+(* Every other reader goes through [traced_vm] or [vm], which abort the
+   bench unless the run exited. Whether a fault is allowed is the
+   reader's call, not the run's: recovery's fault-free bare run is also
+   the faults figure's 0-fault run, whichever figure ran it. *)
+let traced_vm c =
+  match (c.key, result c) with
+  | Vm_run { bench; _ }, Vm_result (r, t) -> (
+    match r.outcome with
+    | Exec.Exited _ -> (t, r)
+    | Exec.Fault m -> failwith (Printf.sprintf "%s faulted: %s" bench m)
+    | Exec.Out_of_fuel -> failwith (bench ^ ": out of fuel"))
+  | _ -> assert false
 
 let vm c = snd (traced_vm c)
 
@@ -105,8 +126,8 @@ let slowdown b r =
   | Piii_cycles c -> Vm.slowdown r ~piii_cycles:c
   | Vm_result _ | Fabric_result _ -> assert false
 
-(* A figure declares the cells its render reads; figures sharing
-   configurations (5/6/7, 9/10) share runs. *)
+(* A figure declares the cells its render reads; cells with equal keys
+   are one run, whichever figures declare them. *)
 type figure = { name : string; cells : cell list; render : unit -> unit }
 
 (* ------------------------------------------------------------------ *)
@@ -125,27 +146,24 @@ let row name cells =
   List.iter (fun c -> Printf.printf " %12s" c) cells;
   print_newline ()
 
-(* A benchmark x configuration sweep: one cell per pair, keyed
-   [prefix ^ config-name]. *)
-let sweep_cell prefix b (key, cfg) = run (prefix ^ key) b cfg
-
-let sweep prefix configs =
-  List.concat_map (fun b -> List.map (sweep_cell prefix b) configs) benchmarks
+(* A benchmark x configuration sweep: one cell per pair. *)
+let sweep cfgs = List.concat_map (fun b -> List.map (run b) cfgs) benchmarks
 
 (* A figure printing one value per sweep cell: a row per benchmark, a
    column per configuration. [reference] declares the reference runs that
    [slowdown] reads. *)
-let sweep_figure ?(reference = true) name ~prefix configs title text =
+let sweep_figure ?(reference = true) name configs title text =
   { name;
     cells =
-      (sweep prefix configs @ if reference then List.map piii benchmarks else []);
+      (sweep (List.map snd configs)
+       @ if reference then List.map piii benchmarks else []);
     render =
       (fun () ->
         header title (List.map fst configs);
         List.iter
           (fun b ->
             row b.Suite.name
-              (List.map (fun c -> text b (vm (sweep_cell prefix b c))) configs))
+              (List.map (fun (_, cfg) -> text b (vm (run b cfg))) configs))
           benchmarks) }
 
 let slowdown_text fmt b r = Printf.sprintf fmt (slowdown b r)
@@ -155,7 +173,7 @@ let slowdown_text fmt b r = Printf.sprintf fmt (slowdown b r)
 (* ------------------------------------------------------------------ *)
 
 let fig4 =
-  sweep_figure "fig4" ~prefix:"fig4-"
+  sweep_figure "fig4"
     [ ("no-L1.5", { Config.default with n_l15_banks = 0 });
       ("64K-1bank", { Config.default with n_l15_banks = 1 });
       ("128K-2bank", { Config.default with n_l15_banks = 2 }) ]
@@ -175,17 +193,17 @@ let fig5_configs =
     ("spec-9", Config.trans_heavy Config.default) ]
 
 let fig5 =
-  sweep_figure "fig5" ~prefix:"fig5-" fig5_configs
+  sweep_figure "fig5" fig5_configs
     "Figure 5: slowdown vs number of translation tiles (1 conservative; 1/2/4/6/9 speculative)"
     (slowdown_text "%.1f")
 
 let fig6 =
-  sweep_figure ~reference:false "fig6" ~prefix:"fig5-" fig5_configs
+  sweep_figure ~reference:false "fig6" fig5_configs
     "Figure 6: L2 code-cache accesses per cycle (same configurations)"
     (fun _ r -> Printf.sprintf "%.2e" (Metrics.l2_code_accesses_per_cycle r))
 
 let fig7 =
-  sweep_figure ~reference:false "fig7" ~prefix:"fig5-" fig5_configs
+  sweep_figure ~reference:false "fig7" fig5_configs
     "Figure 7: L2 code-cache misses per L2 access (same configurations)"
     (fun _ r -> Printf.sprintf "%.2e" (Metrics.l2_code_miss_rate r))
 
@@ -196,7 +214,7 @@ let fig7 =
 (* The paper used the dynamically reconfiguring (6-9 translators)
    configuration for these runs. *)
 let fig8 =
-  sweep_figure "fig8" ~prefix:"fig8-"
+  sweep_figure "fig8"
     [ ("no-opt", { (morph_cfg ()) with optimize = false }); ("opt", morph_cfg ()) ]
     "Figure 8: slowdown without vs with code optimization (morphing config)"
     (slowdown_text "%.1f")
@@ -213,12 +231,12 @@ let fig9_configs =
     ("thr5", morph_cfg ~threshold:5 ()) ]
 
 let fig9 =
-  sweep_figure "fig9" ~prefix:"fig9-" fig9_configs
+  sweep_figure "fig9" fig9_configs
     "Figure 9: slowdown, static (1 mem/9 trans; 4 mem/6 trans) vs morphing (thresholds 15/0/5)"
     (slowdown_text "%.2f")
 
 let fig10 =
-  let cycles b c = (vm (sweep_cell "fig9-" b c)).Vm.cycles in
+  let cycles b (_, cfg) = (vm (run b cfg)).Vm.cycles in
   let render () =
     header
       "Figure 10: percent faster than the 1 mem/9 trans static configuration (higher is better)"
@@ -234,7 +252,7 @@ let fig10 =
              (List.tl fig9_configs)))
       benchmarks
   in
-  { name = "fig10"; cells = sweep "fig9-" fig9_configs; render }
+  { name = "fig10"; cells = sweep (List.map snd fig9_configs); render }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11 (table): architecture intrinsics                          *)
@@ -261,7 +279,7 @@ let fig11 () =
 (* Section 4.5: performance-loss analysis                              *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_config = ("spec-6", List.assoc "spec-6" fig5_configs)
+let analysis_config = List.assoc "spec-6" fig5_configs
 
 let analysis () =
   let d = Analysis.paper_decomposition in
@@ -275,7 +293,7 @@ let analysis () =
     [ "measured"; "floor"; "residual"; "l2acc/cyc" ];
   List.iter
     (fun b ->
-      let r = vm (sweep_cell "fig5-" b analysis_config) in
+      let r = vm (run b analysis_config) in
       let dec =
         Analysis.decompose
           ~mem_access_rate:(min 0.6 (Metrics.mem_access_rate r))
@@ -298,7 +316,7 @@ let analysis () =
 (* ------------------------------------------------------------------ *)
 
 let ablations =
-  sweep_figure "ablations" ~prefix:"abl-"
+  sweep_figure "ablations"
     [ ("full", Config.default);
       ("no-chain", { Config.default with chaining = false });
       ("no-scoreboard", { Config.default with scoreboard = false });
@@ -348,15 +366,17 @@ let fault_counts = [ 0; 1; 2; 4; 8 ]
 let fault_seed = 2026
 let fault_horizon = 400_000
 
-(* Plans are drawn from one seed with growing counts; the stream behind
-   [Faultspec.plan] is prefix-stable, so each column adds faults to the
-   previous one and the curve is a genuine cumulative-damage sweep. *)
-let fault_plan cfg n =
-  Faultspec.plan ~horizon:fault_horizon cfg ~seed:fault_seed ~count:n
-
-let faults_cell b n =
+(* The default machine under an [n]-fault plan. Plans are drawn from one
+   seed with growing counts; the stream behind [Faultspec.plan] is
+   prefix-stable, so each column adds faults to the previous one and the
+   curve is a genuine cumulative-damage sweep. *)
+let fault_cell ?recoverable_only ?classes ?checkpoint_every b n =
   let cfg = Config.default in
-  run ~faults:(fault_plan cfg n) (Printf.sprintf "faults-%d" n) b cfg
+  let faults =
+    Faultspec.plan ~horizon:fault_horizon ?recoverable_only ?classes cfg
+      ~seed:fault_seed ~count:n
+  in
+  run ~faults ?checkpoint_every b cfg
 
 let fault_benchmarks = List.map Suite.find [ "gzip"; "mcf"; "parser" ]
 
@@ -389,7 +409,7 @@ let fault_figure name cell counts ~title ~column ~note ~activity_title
           fault_benchmarks) }
 
 let faults =
-  fault_figure "faults" faults_cell fault_counts
+  fault_figure "faults" (fun b n -> fault_cell b n) fault_counts
     ~title:
       (Printf.sprintf
          "Degradation: slowdown vs injected recoverable faults (seed %d, \
@@ -412,25 +432,15 @@ let faults =
 let recovery_counts = [ 0; 2; 4; 8 ]
 let recovery_every = 25_000
 
+let recovery_benchmarks = List.map Suite.find [ "gzip"; "mcf" ]
+
 (* Same seed and prefix-stability as the other fault sweeps, but the menu
    includes the previously-terminal sites: execution, manager and MMU
    fail-stops, and dirty-L2D storage loss. *)
-let recovery_plan cfg n =
-  Faultspec.plan ~horizon:fault_horizon ~recoverable_only:false cfg
-    ~seed:fault_seed ~count:n
-
-let recovery_benchmarks = List.map Suite.find [ "gzip"; "mcf" ]
-
-(* The bare cells may die: that is the point of the bare column. *)
-let bare_cell b n =
-  let cfg = Config.default in
-  run ~faults:(recovery_plan cfg n) ~may_fault:true
-    (Printf.sprintf "recov-%d" n) b cfg
+let bare_cell b n = fault_cell ~recoverable_only:false b n
 
 let ckpt_cell b n =
-  let cfg = Config.default in
-  run ~faults:(recovery_plan cfg n) ~checkpoint_every:recovery_every
-    (Printf.sprintf "recov-%d-ckpt" n) b cfg
+  fault_cell ~recoverable_only:false ~checkpoint_every:recovery_every b n
 
 let recovery_outcome_cell (r : Vm.result) =
   match r.Vm.outcome with
@@ -453,18 +463,19 @@ let recovery () =
       row b.Suite.name
         (List.concat_map
            (fun n ->
-             [ recovery_outcome_cell (vm (bare_cell b n));
-               recovery_outcome_cell (vm (ckpt_cell b n)) ])
+             [ recovery_outcome_cell (any_vm (bare_cell b n));
+               recovery_outcome_cell (any_vm (ckpt_cell b n)) ])
            recovery_counts))
     recovery_benchmarks;
   (* The rollback transparency claim, checked, not just printed: every
-     checkpointed cell must finish with the fault-free run's guest state. *)
+     checkpointed cell must finish with the fault-free run's guest state.
+     The bare cells may die: that is the point of the bare column. *)
   List.iter
     (fun b ->
       let clean = vm (bare_cell b 0) in
       List.iter
         (fun n ->
-          let ckpt = vm (ckpt_cell b n) in
+          let ckpt = any_vm (ckpt_cell b n) in
           match ckpt.Vm.outcome with
           | Exec.Exited _ when ckpt.Vm.digest = clean.Vm.digest -> ()
           | _ ->
@@ -508,13 +519,7 @@ let corruption_counts = [ 0; 2; 4; 8; 16 ]
 (* Same seed and prefix-stable stream as the fail-stop sweep, but drawn
    from the corruption classes only (payload flips, storage flips,
    duplicate deliveries). *)
-let corruption_plan cfg n =
-  Faultspec.plan ~horizon:fault_horizon ~classes:Fault.corruption_classes cfg
-    ~seed:fault_seed ~count:n
-
-let corruption_cell b n =
-  let cfg = Config.default in
-  run ~faults:(corruption_plan cfg n) (Printf.sprintf "corrupt-%d" n) b cfg
+let corruption_cell b n = fault_cell ~classes:Fault.corruption_classes b n
 
 let corruption =
   fault_figure "corruption" corruption_cell corruption_counts
@@ -545,12 +550,10 @@ let corruption =
    the queue drains and the manager tile becomes the busy resource. *)
 
 let trace_spec1 =
-  run ~traced:true "trace-spec-1" (Suite.find "gcc")
-    { Config.default with n_translators = 1 }
+  run ~traced:true (Suite.find "gcc") { Config.default with n_translators = 1 }
 
 let trace_spec9 =
-  run ~traced:true "trace-spec-9" (Suite.find "gcc")
-    (Config.trans_heavy Config.default)
+  run ~traced:true (Suite.find "gcc") (Config.trans_heavy Config.default)
 
 (* Peak value of a sampled gauge track (e.g. "translate-queue"). *)
 let trace_peak_gauge t name =
@@ -599,7 +602,7 @@ let all_figures =
   [ fig4; fig5; fig6; fig7; fig8; fig9; fig10;
     { name = "fig11"; cells = []; render = fig11 };
     { name = "analysis";
-      cells = sweep "fig5-" [ analysis_config ] @ List.map piii benchmarks;
+      cells = sweep [ analysis_config ] @ List.map piii benchmarks;
       render = analysis };
     ablations;
     { name = "fabric"; cells = fabric_cells; render = fabric };
@@ -614,6 +617,10 @@ let all_figures =
 
 type fig_timing = { fig : string; wall_ms : float; fig_guest_insns : int }
 
+(* A figure's [guest_insns] and [wall_ms] cover only the simulations it
+   ran: a run that several figures declare is charged to the first of them
+   in run order, so the figures' counts sum to [total_guest_insns] and a
+   figure whose runs all ran earlier (fig6, fig7) reports 0. *)
 let write_json path ~jobs ~total_wall_s ~total_insns timings =
   let oc = open_out path in
   let insns_per_sec =
@@ -654,8 +661,10 @@ let run_all ~jobs ~json_file wanted =
       let fresh =
         List.filter
           (fun c ->
-            let run = not (Hashtbl.mem results c.id || Hashtbl.mem seen c.id) in
-            Hashtbl.replace seen c.id ();
+            let run =
+              not (Hashtbl.mem results c.key || Hashtbl.mem seen c.key)
+            in
+            Hashtbl.replace seen c.key ();
             run)
           fig.cells
       in
@@ -663,7 +672,7 @@ let run_all ~jobs ~json_file wanted =
       let insns =
         List.fold_left2
           (fun acc c (r, n) ->
-            Hashtbl.replace results c.id r;
+            Hashtbl.replace results c.key r;
             acc + n)
           0 fresh done_
       in
