@@ -740,7 +740,7 @@ let translate cfg ~fetch ~guest_addr : Block.t =
         else lower_body_insn env insn ~mask:masks.(i))
       arr;
     let items = Emit.items env.e in
-    let pre_opt_count = List.length (Lblock.insns items) in
+    let pre_opt_count = Lblock.insn_count items in
     let items =
       if cfg.Config.optimize then
         items

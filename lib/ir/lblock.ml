@@ -10,28 +10,57 @@ exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
+let share l item' rest' =
+  match l with
+  | item :: rest when item == item' && rest == rest' -> l
+  | _ -> item' :: rest'
+
+let rec map f = function
+  | [] -> []
+  | item :: rest as l ->
+    let item' = f item in
+    share l item' (map f rest)
+
 let insns t =
   List.filter_map (function I i -> Some i | L _ -> None) t
 
+let label_count t =
+  let rec go n = function
+    | [] -> n
+    | I _ :: rest -> go n rest
+    | L id :: rest ->
+      if id < 0 then malformed "negative label %d" id;
+      go (Int.max n (id + 1)) rest
+  in
+  go 0 t
+
+let insn_count t =
+  let rec go n = function
+    | [] -> n
+    | L _ :: rest -> go n rest
+    | I _ :: rest -> go (n + 1) rest
+  in
+  go 0 t
+
 let linearize t =
-  (* Map label id -> instruction index (index of the next real insn). *)
-  let labels = Hashtbl.create 8 in
-  let idx = ref 0 in
-  List.iter
-    (function
-      | L id ->
-        if Hashtbl.mem labels id then malformed "duplicate label %d" id;
-        Hashtbl.add labels id !idx
-      | I _ -> incr idx)
-    t;
-  let total = !idx in
+  (* target.(id): the index of the instruction after label [id], or -1. *)
+  let target = Array.make (label_count t) (-1) in
+  let total =
+    List.fold_left
+      (fun idx -> function
+        | L id ->
+          if target.(id) >= 0 then malformed "duplicate label %d" id;
+          target.(id) <- idx;
+          idx
+        | I _ -> idx + 1)
+      0 t
+  in
   let resolve pos id =
-    match Hashtbl.find_opt labels id with
-    | None -> malformed "undefined label %d" id
-    | Some target ->
-      if target <= pos then malformed "backward branch to label %d" id;
-      (* A branch to the block end is a fall-through; clamp to total. *)
-      min target total
+    let tgt = if id >= 0 && id < Array.length target then target.(id) else -1 in
+    if tgt < 0 then malformed "undefined label %d" id;
+    if tgt <= pos then malformed "backward branch to label %d" id;
+    (* A label at the block end resolves to [total]: a fall-through. *)
+    tgt
   in
   let out = Array.make total Hinsn.Nop in
   let idx = ref 0 in
@@ -39,25 +68,23 @@ let linearize t =
     (function
       | L _ -> ()
       | I insn ->
-        out.(!idx) <- Hinsn.map_target (resolve !idx) insn;
-        incr idx)
+        let pos = !idx in
+        out.(pos) <-
+          (match insn with
+           | Branch (c, rs, rt, id) -> Branch (c, rs, rt, resolve pos id)
+           | Jump id -> Jump (resolve pos id)
+           | _ -> insn);
+        idx := pos + 1)
     t;
   out
 
-(* An allocation-free bound on the register ids an instruction names
-   explicitly (implicit Mul64/Div64 operands are hardware registers). *)
-let insn_reg_bound : Hinsn.t -> int = function
-  | Alu3 (_, a, b, c) | Shiftv (_, a, b, c) -> max a (max b c)
-  | Alui (_, a, b, _) | Shifti (_, a, b, _) | Ext (a, b, _, _)
-  | Ins (a, b, _, _) | Load (_, a, b, _) | Store (_, a, b, _)
-  | Branch (_, a, b, _) -> max a b
-  | Lui (a, _) | Trap (_, a) | Mul64 a | Div64 { divisor = a; _ } -> a
-  | Jump _ | Nop -> 0
-
 let reg_count t =
-  List.fold_left
-    (fun n -> function L _ -> n | I insn -> max n (insn_reg_bound insn + 1))
-    Hinsn.first_vreg t
+  let rec go n = function
+    | [] -> n
+    | L _ :: rest -> go n rest
+    | I insn :: rest -> go (Int.max n (Hinsn.max_reg insn + 1)) rest
+  in
+  go Hinsn.first_vreg t
 
 let pp ppf t =
   List.iter
