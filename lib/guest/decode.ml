@@ -29,9 +29,17 @@ let nth c what table i =
 
 let reg c = nth c "register" Insn.regs (u8 c)
 
+(* The first byte is [b rrr i xxx]: base flag and register, index flag
+   and register; the second is the scale. Bits the encoder leaves clear
+   must be clear, so every accepted operand re-encodes to its own bytes. *)
 let mem c : int Insn.mem_operand =
   let b1 = u8 c in
   let b2 = u8 c in
+  if b1 land 0x80 = 0 && b1 land 0x70 <> 0 then
+    bad c.start "base register bits without a base";
+  if b1 land 0x08 = 0 && (b1 land 0x07 <> 0 || b2 <> 0) then
+    bad c.start "index or scale bits without an index";
+  if b2 land 0xFC <> 0 then bad c.start "reserved scale bits 0x%02x" b2;
   let base =
     if b1 land 0x80 <> 0 then Some Insn.regs.((b1 lsr 4) land 7) else None
   in
@@ -110,6 +118,7 @@ let decode fetch ~at =
     | 0x41 -> Pop (operand c)
     | 0x42 ->
       let b = u8 c in
+      if b land 0x88 <> 0 then bad at "reserved xchg register bits 0x%02x" b;
       Xchg (Insn.regs.((b lsr 4) land 7), Insn.regs.(b land 7))
     | 0x43 ->
       let cd = cond c in

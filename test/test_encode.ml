@@ -135,10 +135,11 @@ let prop_decode_garbage_terminates =
       | _, len -> len > 0 && len <= 16
       | exception Decode.Bad_instruction _ -> true)
 
-(* Whatever the decoder accepts, the encoder produces at that length, so
-   speculatively decoding bytes that never run cannot yield an instruction
-   the rest of the system rejects. Sweeps mutated workload images
-   linearly, resynchronising one byte past each rejected instruction. *)
+(* Whatever the decoder accepts, the encoder produces from it the same
+   bytes, so speculatively decoding bytes that never run cannot yield an
+   instruction the rest of the system rejects, and no instruction has two
+   encodings. Sweeps mutated workload images linearly, resynchronising
+   one byte past each rejected instruction. *)
 let prop_decoded_is_encodable =
   let images =
     List.map
@@ -146,7 +147,7 @@ let prop_decoded_is_encodable =
         (Asm.assemble ~origin:0 (b.program ())).Asm.image)
       Vat_workloads.Suite.all
   in
-  QCheck.Test.make ~name:"decoded instructions re-encode at their length"
+  QCheck.Test.make ~name:"decoded instructions re-encode to their bytes"
     ~count:50 (Fuzz.mutants images)
     (fun s ->
       let rec sweep at =
@@ -154,12 +155,15 @@ let prop_decoded_is_encodable =
         ||
         match Decode.decode_string s ~at ~origin:0 with
         | insn, len ->
-          (match Encode.check insn with
-           | () -> Encode.sizeof insn = len
+          (match Encode.encode ~at insn with
+           | bytes when bytes = String.sub s at len -> ()
+           | _ ->
+             QCheck.Test.fail_reportf "0x%x: %s re-encodes to other bytes" at
+               (Insn.to_string insn)
            | exception Encode.Invalid reason ->
              QCheck.Test.fail_reportf "0x%x: %s: %s" at (Insn.to_string insn)
-               reason)
-          && sweep (at + len)
+               reason);
+          sweep (at + len)
         | exception Decode.Bad_instruction _ -> sweep (at + 1)
       in
       sweep 0)
