@@ -75,52 +75,42 @@ let constant_fold_n nregs items =
   let learn r v =
     if r <> Hinsn.r0 then env.(r) <- mask32 v lor (!epoch lsl 32)
   in
-  let rec go = function
-    | [] -> []
-    | (Lblock.L _ as item) :: rest as l ->
+  let step (item : Lblock.item) : Lblock.item =
+    match item with
+    | L _ ->
       incr epoch;
-      Lblock.share l item (go rest)
-    | (Lblock.I insn0 as item) :: rest as l -> (
+      item
+    | I insn0 ->
       let v = folded_value known get insn0 in
-      let insn = if v >= 0 then insn0 else reduce known get insn0 in
-      match insn with
-      | Branch (c, rs, rt, target) when known rs && known rt ->
-        if Hexec.eval_branch c (get rs) (get rt) then
-          let rest = go rest in
-          Lblock.I (Jump target) :: rest
-        else go rest
-      | _ ->
-        let final =
-          if v < 0 then insn
-          else
-            match insn with
-            | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
-            | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _) | Ext (rd, _, _, _)
-              -> (
-              match const_insn rd v with Some folded -> folded | None -> insn)
-            | _ -> insn
-        in
-        (* Update the environment from the (possibly rewritten) instruction. *)
-        Hinsn.iter_regs ~def:kill ~use:ignore final;
-        (match final with
-         | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
-         | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _) | Ext (rd, _, _, _)
-           when v >= 0 -> learn rd v
-         | Lui (rd, imm) -> learn rd ((imm land 0xFFFF) lsl 16)
-         | Alui (Ori, rd, rs, imm) when rs = Hinsn.r0 -> learn rd imm
-         | Alui (Addi, rd, rs, imm) when rs = Hinsn.r0 -> learn rd imm
-         | Alu3 (Or, rd, rs, rt) when rs = Hinsn.r0 && rt = Hinsn.r0 ->
-           learn rd 0
-         | _ -> ());
-        let item' = if final == insn0 then item else Lblock.I final in
-        Lblock.share l item' (go rest))
+      let final =
+        if v < 0 then reduce known get insn0
+        else
+          match insn0 with
+          | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
+          | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _) | Ext (rd, _, _, _) -> (
+            match const_insn rd v with Some folded -> folded | None -> insn0)
+          | _ -> insn0
+      in
+      (* Update the environment from the (possibly rewritten) instruction. *)
+      Hinsn.iter_regs ~def:kill ~use:ignore final;
+      (match final with
+       | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
+       | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _) | Ext (rd, _, _, _)
+         when v >= 0 -> learn rd v
+       | Lui (rd, imm) -> learn rd ((imm land 0xFFFF) lsl 16)
+       | Alui (Ori, rd, rs, imm) when rs = Hinsn.r0 -> learn rd imm
+       | Alui (Addi, rd, rs, imm) when rs = Hinsn.r0 -> learn rd imm
+       | Alu3 (Or, rd, rs, rt) when rs = Hinsn.r0 && rt = Hinsn.r0 ->
+         learn rd 0
+       | _ -> ());
+      if final == insn0 then item else I final
   in
-  go items
+  Lblock.map step items
 
 let constant_fold items = constant_fold_n (Lblock.reg_count items) items
 
 (* ------------------------------------------------------------------ *)
-(* Copy propagation                                                    *)
+(* Copy propagation and store-to-load forwarding                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The register [insn] copies into its (non-r0) destination, or -1. *)
@@ -147,6 +137,41 @@ let copy_propagate_n nregs items =
     src.(r) <- -1;
     ver.(r) <- ver.(r) + 1
   in
+  (* Memory facts: fact i is width.(i) and, from fact.(5 * i), base,
+     offset, value and the vers of base and value when it was recorded.
+     It says value holds the width.(i) word at base + offset while both
+     vers still match. Each load or store appends at most one; a label or
+     a store empties the table, and the newest fact for an address
+     decides. *)
+  let cap =
+    List.fold_left
+      (fun n (item : Lblock.item) ->
+        match item with I (Load _ | Store _) -> n + 1 | _ -> n)
+      0 items
+  in
+  let width = Array.make cap Hinsn.W32 and fact = Array.make (5 * cap) 0 in
+  let facts = ref 0 in
+  let record w base off value =
+    let i = !facts and f = 5 * !facts in
+    width.(i) <- w;
+    fact.(f) <- base;
+    fact.(f + 1) <- off;
+    fact.(f + 2) <- value;
+    fact.(f + 3) <- ver.(base);
+    fact.(f + 4) <- ver.(value);
+    facts := i + 1
+  in
+  (* The register holding the word at [base + off], or -1. *)
+  let rec lookup w base off i =
+    if i < 0 then -1
+    else
+      let f = 5 * i in
+      if width.(i) <> w || fact.(f) <> base || fact.(f + 1) <> off then
+        lookup w base off (i - 1)
+      else if fact.(f + 3) = ver.(base) && fact.(f + 4) = ver.(fact.(f + 2))
+      then fact.(f + 2)
+      else -1
+  in
   (* One pass over the registers notes whether a use changes and the (at
      most two) defs, which are invalidated after the uses are rewritten. *)
   let changes = ref false and def0 = ref (-1) and def1 = ref (-1) in
@@ -156,6 +181,7 @@ let copy_propagate_n nregs items =
     match item with
     | L _ ->
       incr epoch;
+      facts := 0;
       item
     | I insn ->
       changes := false;
@@ -184,8 +210,23 @@ let copy_propagate_n nregs items =
           | Trap (t, r) -> Trap (t, f r)
           | Nop -> Nop
       in
+      (* A load from an address with a fact becomes a copy of its value. *)
+      let insn' : Hinsn.t =
+        match insn' with
+        | Load (w, rd, base, off) ->
+          let v = lookup w base off (!facts - 1) in
+          if v >= 0 && v <> rd then Alu3 (Or, rd, v, Hinsn.r0) else insn'
+        | _ -> insn'
+      in
       if !def0 >= 0 then invalidate !def0;
       if !def1 >= 0 then invalidate !def1;
+      (match insn' with
+       | Load (w, rd, base, off) when rd <> base -> record w base off rd
+       | Store (w, rv, base, off) ->
+         (* Any store may alias any fact. *)
+         facts := 0;
+         if w = W32 then record w base off rv
+       | _ -> ());
       let s = copy_source insn' in
       (match insn' with
        | (Alu3 (_, rd, _, _) | Alui (_, rd, _, _)) when s >= 0 && rd <> s ->
@@ -268,129 +309,20 @@ let eliminate_dead ~live_out items =
   eliminate_dead_n ~live_out (Lblock.reg_count items) items
 
 (* ------------------------------------------------------------------ *)
-(* Redundant-load elimination / store-to-load forwarding               *)
-(* ------------------------------------------------------------------ *)
-
-let width_code : Hinsn.width -> int = function W8 -> 0 | W8s -> 1 | W32 -> 2
-
-let forward_loads_n nregs items =
-  (* The table: entry i says register value.(i) holds the word of width
-     width.(i) at base.(i) + offset.(i); keys are unique, and each load or
-     store adds at most one. refs.(r) counts the entries whose base or
-     value is r, so most defs skip the scan. *)
-  let cap = Lblock.insn_count items in
-  let width = Array.make cap 0 and base = Array.make cap 0 in
-  let offset = Array.make cap 0 and value = Array.make cap 0 in
-  let n = ref 0 in
-  let refs = Array.make nregs 0 in
-  let find w b o =
-    let rec scan i =
-      if i >= !n then -1
-      else if width.(i) = w && base.(i) = b && offset.(i) = o then value.(i)
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  let unref i =
-    refs.(base.(i)) <- refs.(base.(i)) - 1;
-    refs.(value.(i)) <- refs.(value.(i)) - 1
-  in
-  let drop i =
-    unref i;
-    decr n;
-    let last = !n in
-    width.(i) <- width.(last);
-    base.(i) <- base.(last);
-    offset.(i) <- offset.(last);
-    value.(i) <- value.(last)
-  in
-  let set w b o v =
-    let rec slot i =
-      if i >= !n then begin
-        incr n;
-        i
-      end
-      else if width.(i) = w && base.(i) = b && offset.(i) = o then begin
-        unref i;
-        i
-      end
-      else slot (i + 1)
-    in
-    let i = slot 0 in
-    width.(i) <- w;
-    base.(i) <- b;
-    offset.(i) <- o;
-    value.(i) <- v;
-    refs.(b) <- refs.(b) + 1;
-    refs.(v) <- refs.(v) + 1
-  in
-  let clear_all () =
-    for i = 0 to !n - 1 do
-      unref i
-    done;
-    n := 0
-  in
-  let clear_reg r =
-    let i = ref 0 in
-    while refs.(r) > 0 do
-      if base.(!i) = r || value.(!i) = r then drop !i else incr i
-    done
-  in
-  let step (item : Lblock.item) : Lblock.item =
-    match item with
-    | L _ ->
-      clear_all ();
-      item
-    | I insn -> begin
-      match insn with
-      | Load (w, rd, b, off) ->
-        let w = width_code w in
-        let src = find w b off in
-        clear_reg rd;
-        if src >= 0 && src <> rd then I (Alu3 (Or, rd, src, Hinsn.r0))
-        else begin
-          if rd <> b then set w b off rd;
-          item
-        end
-      | Store (w, rv, b, off) ->
-        (* Any store may alias any tracked location. *)
-        clear_all ();
-        if w = W32 then set (width_code w) b off rv;
-        item
-      | _ ->
-        if !n > 0 then Hinsn.iter_regs ~def:clear_reg ~use:ignore insn;
-        item
-    end
-  in
-  Lblock.map step items
-
-let forward_loads items = forward_loads_n (Lblock.reg_count items) items
-
-(* ------------------------------------------------------------------ *)
 (* Peephole                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let[@tail_mod_cons] rec peephole = function
+let rec peephole = function
   | [] -> []
-  | (item : Lblock.item) :: rest -> (
-    match item with
-    | I Nop -> peephole rest
-    | I (Alu3 ((Or | Add), rd, rs, rt)) when rd = rs && rt = Hinsn.r0 ->
-      peephole rest
-    | I (Alui ((Addi | Ori | Xori), rd, rs, 0)) when rd = rs -> peephole rest
-    | I (Shifti (_, rd, rs, 0)) when rd = rs -> peephole rest
-    | I (Shifti (_, rd, rs, 0)) ->
-      Lblock.I (Alu3 (Or, rd, rs, Hinsn.r0)) :: peephole rest
-    | L _ | I _ -> item :: peephole rest)
+  | Lblock.I (Alui ((Addi | Ori | Xori), rd, rs, 0)) :: rest when rd = rs ->
+    peephole rest
+  | item :: rest as l -> Lblock.share l item (peephole rest)
 
 let run_all ~live_out items =
   (* No pass names a register the input does not, so one count serves. *)
   let nregs = Lblock.reg_count items in
-  let copied = copy_propagate_n nregs (constant_fold_n nregs items) in
-  let forwarded = forward_loads_n nregs copied in
-  (* Copy propagation is idempotent, so it need not run again on a body
-     that load forwarding returned unchanged. *)
-  (if forwarded == copied then copied else copy_propagate_n nregs forwarded)
+  constant_fold_n nregs items
+  |> copy_propagate_n nregs
   |> eliminate_dead_n ~live_out nregs
   |> peephole
   |> eliminate_dead_n ~live_out nregs

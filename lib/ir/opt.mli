@@ -14,25 +14,28 @@ open Vat_host
 val constant_fold : Lblock.t -> Lblock.t
 (** Forward constant propagation and folding: materialized constants flow
     into ALU/shift/bitfield operations; register-register forms collapse to
-    immediate forms or constant loads; branches on known conditions become
-    jumps or disappear. Knowledge is dropped at labels (join points). *)
+    immediate forms or constant loads. Knowledge is dropped at labels
+    (join points). *)
 
 val copy_propagate : Lblock.t -> Lblock.t
+(** Copy propagation with store-to-load forwarding, in one forward sweep.
+    Uses of a register that copies another are rewritten to the source
+    while neither has been redefined. A load from the (width, base,
+    offset) of an earlier load, or of an earlier W32 store, becomes a copy
+    of the register that load wrote or that store read, while neither
+    that register nor the base has been redefined; the copy propagates in
+    turn. Any store forgets every address; a label forgets copies and
+    addresses. *)
 
 val eliminate_dead : live_out:Hinsn.reg list -> Lblock.t -> Lblock.t
 (** Remove instructions whose results are never observed. Loads, stores,
     traps, branches and the macro-ops are never removed. Raises
     {!Lblock.Malformed} on a branch to an undefined or earlier label. *)
 
-val forward_loads : Lblock.t -> Lblock.t
-(** Redundant-load elimination with store-to-load forwarding. A repeated
-    load from the same (base register, offset, width) with no intervening
-    store or clobber becomes a register copy. *)
-
 val peephole : Lblock.t -> Lblock.t
-(** Local cleanups: self-moves, zero-shifts, nops. *)
+(** Drops the self-moves [addi]/[ori]/[xori rd, rd, 0]. *)
 
 val run_all : live_out:Hinsn.reg list -> Lblock.t -> Lblock.t
 (** The pipeline the translator uses when optimization is on:
-    constant folding, copy propagation, load forwarding, copy propagation
-    again, dead-code elimination, peephole, and a final dead-code sweep. *)
+    constant folding, copy propagation (which forwards loads), dead-code
+    elimination, peephole, and a final dead-code sweep. *)

@@ -231,8 +231,9 @@ let prop_alloc_removes_vregs =
                (fun r -> r < Hinsn.first_vreg)
                (Hinsn.defs insn @ Hinsn.uses insn)))
 
-(* [Opt.run_all] skips the second copy propagation when load forwarding
-   changed nothing, which is sound only because of this. *)
+(* One sweep of copy propagation reaches its fixpoint, forwarded loads
+   included: a copy that forwarding makes propagates in the same sweep,
+   so [Opt.run_all] runs the pass once. *)
 let prop_copy_propagate_idempotent =
   QCheck.Test.make ~name:"copy propagation is idempotent" ~count:1000 arb_body
     (fun items ->
@@ -391,6 +392,31 @@ let test_load_forwarding () =
   in
   Alcotest.(check int) "second load forwarded" 1 loads
 
+(* The first load is forwarded from the store and becomes a copy of
+   r10, so the third reads 4(r10) like the second and is forwarded from
+   it in the same sweep. *)
+let test_forward_through_forwarded_copy () =
+  let items =
+    List.map
+      (fun i -> Lblock.I i)
+      Hinsn.
+        [ Store (W32, 10, 9, 0);
+          Load (W32, 32, 9, 0);
+          Load (W32, 33, 10, 4);
+          Load (W32, 34, 32, 4);
+          Alu3 (Add, 8, 33, 34) ]
+  in
+  let out = Opt.run_all ~live_out items in
+  let loads =
+    List.length
+      (List.filter
+         (function Hinsn.Load _ -> true | _ -> false)
+         (Lblock.insns out))
+  in
+  Alcotest.(check int) "one load left" 1 loads;
+  Alcotest.(check (pair (array int) (array int)))
+    "value" (run_body items) (run_body out)
+
 let test_loads_never_deleted () =
   (* A dead load must survive (it can fault). *)
   let items = [ Lblock.I (Hinsn.Load (W32, 32, 9, 0)) ] in
@@ -450,6 +476,8 @@ let suite =
   [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
     Alcotest.test_case "dead code removed" `Quick test_dead_code_removed;
     Alcotest.test_case "redundant load forwarded" `Quick test_load_forwarding;
+    Alcotest.test_case "load forwarded through a forwarded copy" `Quick
+      test_forward_through_forwarded_copy;
     Alcotest.test_case "dead loads survive" `Quick test_loads_never_deleted;
     Alcotest.test_case "linearize rejects backward branches" `Quick
       test_linearize_rejects_backward;

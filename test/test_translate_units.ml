@@ -132,6 +132,27 @@ let test_translation_cost_model () =
       (Array.length opt.code)
       (Array.length unopt.code)
 
+(* A store and a load of the same guest word: with optimization on, the
+   load is forwarded from the stored register. *)
+let test_store_forwarded_to_load () =
+  let items =
+    [ label "start";
+      mov (m ~base:esi ~disp:0 ()) (r ecx);
+      add (r eax) (m ~base:esi ~disp:0 ());
+      ret ]
+  in
+  let loads (b : Block.t) =
+    Array.fold_left
+      (fun n (insn : Vat_host.Hinsn.t) ->
+        match insn with Load (W32, _, _, _) -> n + 1 | _ -> n)
+      0 b.code
+  in
+  let opt = block_at items "start" in
+  let unopt =
+    block_at ~cfg:{ Config.default with optimize = false } items "start"
+  in
+  Alcotest.(check int) "one W32 load fewer" (loads unopt - 1) (loads opt)
+
 let test_code_is_hardware_only () =
   let rng = Vat_desim.Rng.create ~seed:99 in
   let prog = Randprog.generate_program rng Randprog.default_params in
@@ -156,5 +177,7 @@ let suite =
     Alcotest.test_case "superblock stops at loop edges" `Quick
       test_superblock_stops_backward;
     Alcotest.test_case "translation cost model" `Quick test_translation_cost_model;
+    Alcotest.test_case "store forwarded to a load" `Quick
+      test_store_forwarded_to_load;
     Alcotest.test_case "generated code encodes (hardware regs)" `Quick
       test_code_is_hardware_only ]
