@@ -89,6 +89,8 @@ type t = {
   l1 : Code_cache.L1.t;
   l1d : Cache.t;
   syscall_svc : syscall_req Service.t;
+  miss_replies : (unit -> unit) array;
+      (* per register: the reply to a load miss into it, built once *)
   mutable pending_mask : int;  (* bit r: register r's miss reply outstanding *)
   mutable t_local : int;
   mutable outstanding : int;
@@ -100,88 +102,6 @@ type t = {
   mutable outcome : outcome option;
   mutable on_finish : outcome -> unit;
 }
-
-let create q stats cfg layout prog ~manager ~memsys ?input
-    ?(trace = Tr.disabled) () =
-  let regs = Array.make 32 0 in
-  regs.(Translate.guest_pin ESP) <- prog.Program.initial_esp;
-  regs.(Regalloc.scratch_base_reg) <- scratch_base;
-  let world = Syscall.create_world ?input ~brk0:prog.Program.brk0 () in
-  (* Track order is part of the trace format: "exec" and "exec.fill"
-     register before the syscall service registers its own track. *)
-  let exec_track = Tr.track trace "exec" in
-  let fill_track = Tr.track trace "exec.fill" in
-  let syscall_svc =
-    Service.create ~trace q ~track:"syscall"
-      ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
-        let occupancy =
-          Config.syscall_base_cycles
-          + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
-               Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
-             else 0)
-        in
-        ( occupancy,
-          fun () ->
-            let result =
-              Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
-                ~ecx:s_ecx ~edx:s_edx
-            in
-            s_reply result ))
-  in
-  { q;
-    stats;
-    k =
-      { c_scoreboard_suspends = Stats.counter stats "exec.scoreboard_suspends";
-        c_stall_cycles = Stats.counter stats "exec.stall_cycles";
-        c_capacity_suspends = Stats.counter stats "exec.capacity_suspends";
-        c_l1d_loads = Stats.counter stats "l1d.loads";
-        c_l1d_load_misses = Stats.counter stats "l1d.load_misses";
-        c_l1d_stores = Stats.counter stats "l1d.stores";
-        c_l1d_store_misses = Stats.counter stats "l1d.store_misses";
-        c_l1d_writebacks = Stats.counter stats "l1d.writebacks";
-        c_smc_invalidations = Stats.counter stats "smc.invalidations";
-        c_indirect_transfers = Stats.counter stats "exec.indirect_transfers";
-        c_chained_transfers = Stats.counter stats "exec.chained_transfers";
-        c_dispatches = Stats.counter stats "exec.dispatches";
-        c_l1code_hits = Stats.counter stats "l1code.hits";
-        c_l1code_misses = Stats.counter stats "l1code.misses";
-        c_l1code_installs = Stats.counter stats "l1code.installs";
-        c_blocks = Stats.counter stats "exec.blocks";
-        c_syscalls = Stats.counter stats "exec.syscalls";
-        c_l1code_corrupt = Stats.counter stats "corrupt.l1code_detected";
-        c_silent_corruptions = Stats.counter stats "corrupt.silent" };
-    pb =
-      { p_dispatch = Tr.emitter trace ~track:exec_track Tr.Block_dispatch;
-        p_chain = Tr.emitter trace ~track:exec_track Tr.Block_chain;
-        p_l1_hit = Tr.emitter trace ~track:exec_track Tr.Cache_hit;
-        p_l1_miss = Tr.emitter trace ~track:exec_track Tr.Cache_miss;
-        p_l1_install = Tr.emitter trace ~track:exec_track Tr.Cache_install;
-        p_fill_begin = Tr.emitter trace ~track:fill_track Tr.Fill_begin;
-        p_fill_end = Tr.emitter trace ~track:fill_track Tr.Fill_end };
-    cfg;
-    layout;
-    prog;
-    manager;
-    memsys;
-    world;
-    regs;
-    scratch = Array.make 4096 0;
-    ready_at = Array.make 32 0;
-    l1 = Code_cache.L1.create ~capacity:Config.l1_code_bytes;
-    l1d =
-      Cache.create ~size_bytes:Config.l1d_bytes ~ways:Config.l1d_ways
-        ~line_bytes:Config.line_bytes;
-    syscall_svc;
-    pending_mask = 0;
-    t_local = 0;
-    outstanding = 0;
-    entry = None;
-    pc = 0;
-    wait = Running;
-    fuel = max_int;
-    guest_insns = 0;
-    outcome = None;
-    on_finish = ignore }
 
 let local_time t = t.t_local
 let guest_instructions t = t.guest_insns
@@ -404,18 +324,19 @@ and exec_load t w rd base off =
 and issue_miss t rd addr ~blocking =
   t.outstanding <- t.outstanding + 1;
   t.pending_mask <- t.pending_mask lor (1 lsl rd);
-  at_local t (fun () ->
-      Memsys.access t.memsys ~addr ~write:false ~on_done:(fun () ->
-          let now = Event_queue.now t.q in
-          t.pending_mask <- t.pending_mask land lnot (1 lsl rd);
-          t.ready_at.(rd) <- now;
-          t.outstanding <- t.outstanding - 1;
-          wake t));
+  let on_done = t.miss_replies.(rd) in
+  at_local t (fun () -> Memsys.access t.memsys ~addr ~write:false ~on_done);
   if blocking then begin
     t.wait <- Wait_reg (rd, t.pc + 1);
     (* The load itself completed functionally; resume after it. *)
     t.pc <- t.pc + 1
   end
+
+and miss_reply t rd =
+  t.pending_mask <- t.pending_mask land lnot (1 lsl rd);
+  t.ready_at.(rd) <- Event_queue.now t.q;
+  t.outstanding <- t.outstanding - 1;
+  wake t
 
 and exec_store t w rv base off =
   let addr = (t.regs.(base) + off) land 0xFFFFFFFF in
@@ -505,24 +426,24 @@ and leave_direct t entry dir target =
       | `Fall -> entry.chain_fall
   in
   match chained with
-  | Some next_entry ->
+  | Some next_entry as held ->
     Stats.bump t.k.c_chained_transfers;
     t.t_local <- t.t_local + Config.chain_cycles;
     Tr.emit t.pb.p_chain ~cycle:t.t_local
       ~arg:next_entry.Code_cache.L1.block.Block.guest_addr;
-    enter t next_entry
+    enter t next_entry held
   | None -> dispatch t ~chain_slot:(Some (entry, dir)) target
 
 and dispatch t ~chain_slot target =
   Stats.bump t.k.c_dispatches;
   t.t_local <- t.t_local + Config.dispatch_cycles;
   match Code_cache.L1.find t.l1 target with
-  | Some next_entry ->
+  | Some next_entry as held ->
     Stats.bump t.k.c_l1code_hits;
     Tr.emit t.pb.p_l1_hit ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-    set_chain t chain_slot next_entry;
-    enter t next_entry
+    set_chain t chain_slot held;
+    enter t next_entry held
   | None ->
     Stats.bump t.k.c_l1code_misses;
     Tr.emit t.pb.p_l1_miss ~cycle:t.t_local ~arg:target;
@@ -542,26 +463,29 @@ and dispatch t ~chain_slot target =
             in
             t.t_local <- t.t_local + max 1 install_cost;
             let next_entry = Code_cache.L1.install t.l1 block in
+            let held = Some next_entry in
             Stats.bump t.k.c_l1code_installs;
             Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
             Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
             Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-            set_chain t chain_slot next_entry;
+            set_chain t chain_slot held;
             t.wait <- Running;
-            enter t next_entry))
+            enter t next_entry held))
 
-and set_chain t chain_slot next_entry =
+and set_chain t chain_slot held =
   if t.cfg.Config.chaining then
     match chain_slot with
-    | Some (entry, `Taken) -> entry.Code_cache.L1.chain_taken <- Some next_entry
-    | Some (entry, `Fall) -> entry.Code_cache.L1.chain_fall <- Some next_entry
+    | Some (entry, `Taken) -> entry.Code_cache.L1.chain_taken <- held
+    | Some (entry, `Fall) -> entry.Code_cache.L1.chain_fall <- held
     | None -> ()
 
 (* Every block entry — dispatch hit, fill install, or chained transfer —
    funnels through here, so this is where dispatch-time integrity
    verification lives: a resident entry whose stored sum no longer matches
-   the block content is never executed. *)
-and enter t next_entry =
+   the block content is never executed. [held] is [Some next_entry], the
+   option the caller already holds (a chain link, the L1 lookup's result,
+   or the one built at install), so entering a block allocates nothing. *)
+and enter t next_entry held =
   if next_entry.Code_cache.L1.stored_sum
      <> next_entry.Code_cache.L1.block.Block.checksum
   then
@@ -581,12 +505,12 @@ and enter t next_entry =
          integrity tests assert this counter is identically zero whenever
          fault tolerance is armed. *)
       Stats.bump t.k.c_silent_corruptions;
-      enter_unchecked t next_entry
+      enter_unchecked t next_entry held
     end
-  else enter_unchecked t next_entry
+  else enter_unchecked t next_entry held
 
-and enter_unchecked t next_entry =
-  t.entry <- Some next_entry;
+and enter_unchecked t next_entry held =
+  t.entry <- held;
   t.pc <- 0;
   t.guest_insns <- t.guest_insns + next_entry.block.guest_insns;
   Stats.bump t.k.c_blocks;
@@ -640,6 +564,95 @@ and wake t =
     step t
   | Running | Wait_reg _ | Wait_capacity _ | Wait_fill | Wait_syscall
   | Finished -> ()
+
+let create q stats cfg layout prog ~manager ~memsys ?input
+    ?(trace = Tr.disabled) () =
+  let regs = Array.make 32 0 in
+  regs.(Translate.guest_pin ESP) <- prog.Program.initial_esp;
+  regs.(Regalloc.scratch_base_reg) <- scratch_base;
+  let world = Syscall.create_world ?input ~brk0:prog.Program.brk0 () in
+  (* Track order is part of the trace format: "exec" and "exec.fill"
+     register before the syscall service registers its own track. *)
+  let exec_track = Tr.track trace "exec" in
+  let fill_track = Tr.track trace "exec.fill" in
+  let syscall_svc =
+    Service.create ~trace q ~track:"syscall"
+      ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
+        let occupancy =
+          Config.syscall_base_cycles
+          + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
+               Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
+             else 0)
+        in
+        ( occupancy,
+          fun () ->
+            let result =
+              Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
+                ~ecx:s_ecx ~edx:s_edx
+            in
+            s_reply result ))
+  in
+  let t =
+    { q;
+      stats;
+      k =
+        { c_scoreboard_suspends = Stats.counter stats "exec.scoreboard_suspends";
+          c_stall_cycles = Stats.counter stats "exec.stall_cycles";
+          c_capacity_suspends = Stats.counter stats "exec.capacity_suspends";
+          c_l1d_loads = Stats.counter stats "l1d.loads";
+          c_l1d_load_misses = Stats.counter stats "l1d.load_misses";
+          c_l1d_stores = Stats.counter stats "l1d.stores";
+          c_l1d_store_misses = Stats.counter stats "l1d.store_misses";
+          c_l1d_writebacks = Stats.counter stats "l1d.writebacks";
+          c_smc_invalidations = Stats.counter stats "smc.invalidations";
+          c_indirect_transfers = Stats.counter stats "exec.indirect_transfers";
+          c_chained_transfers = Stats.counter stats "exec.chained_transfers";
+          c_dispatches = Stats.counter stats "exec.dispatches";
+          c_l1code_hits = Stats.counter stats "l1code.hits";
+          c_l1code_misses = Stats.counter stats "l1code.misses";
+          c_l1code_installs = Stats.counter stats "l1code.installs";
+          c_blocks = Stats.counter stats "exec.blocks";
+          c_syscalls = Stats.counter stats "exec.syscalls";
+          c_l1code_corrupt = Stats.counter stats "corrupt.l1code_detected";
+          c_silent_corruptions = Stats.counter stats "corrupt.silent" };
+      pb =
+        { p_dispatch = Tr.emitter trace ~track:exec_track Tr.Block_dispatch;
+          p_chain = Tr.emitter trace ~track:exec_track Tr.Block_chain;
+          p_l1_hit = Tr.emitter trace ~track:exec_track Tr.Cache_hit;
+          p_l1_miss = Tr.emitter trace ~track:exec_track Tr.Cache_miss;
+          p_l1_install = Tr.emitter trace ~track:exec_track Tr.Cache_install;
+          p_fill_begin = Tr.emitter trace ~track:fill_track Tr.Fill_begin;
+          p_fill_end = Tr.emitter trace ~track:fill_track Tr.Fill_end };
+      cfg;
+      layout;
+      prog;
+      manager;
+      memsys;
+      world;
+      regs;
+      scratch = Array.make 4096 0;
+      ready_at = Array.make 32 0;
+      l1 = Code_cache.L1.create ~capacity:Config.l1_code_bytes;
+      l1d =
+        Cache.create ~size_bytes:Config.l1d_bytes ~ways:Config.l1d_ways
+          ~line_bytes:Config.line_bytes;
+      syscall_svc;
+      miss_replies = Array.make 32 ignore;
+      pending_mask = 0;
+      t_local = 0;
+      outstanding = 0;
+      entry = None;
+      pc = 0;
+      wait = Running;
+      fuel = max_int;
+      guest_insns = 0;
+      outcome = None;
+      on_finish = ignore }
+  in
+  Array.iteri
+    (fun rd _ -> t.miss_replies.(rd) <- (fun () -> miss_reply t rd))
+    t.miss_replies;
+  t
 
 let inject t (e : Fault.event) =
   match (e.site.role, e.kind) with
@@ -721,4 +734,4 @@ let start t ~fuel ~on_finish =
           Tr.emit t.pb.p_dispatch ~cycle:t.t_local
             ~arg:t.prog.Program.entry;
           t.wait <- Running;
-          enter t entry))
+          enter t entry (Some entry)))

@@ -2,7 +2,11 @@
 
     Events are callbacks scheduled at absolute cycle times. Events scheduled
     for the same cycle fire in insertion order, which keeps whole-system
-    simulations reproducible run to run. *)
+    simulations reproducible run to run.
+
+    Scheduling and firing allocate nothing beyond the caller's closure
+    (except when the queue grows), so a caller that schedules a closure
+    it built once pays nothing per event. *)
 
 type t
 

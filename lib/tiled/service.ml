@@ -7,6 +7,13 @@ type 'req t = {
   serve : 'req -> int * (unit -> unit);
   pending : 'req Queue.t;
   mutable in_service : bool;
+  (* The request in service: its occupancy and its completion action
+     (cleared once it runs). One request is served at a time, so the
+     completion event is always [complete], a closure [create] builds
+     once. *)
+  mutable occupancy : int;
+  mutable on_complete : unit -> unit;
+  mutable complete : unit -> unit;
   mutable paused : bool;
   mutable busy_cycles : int;
   mutable served : int;
@@ -30,32 +37,6 @@ type 'req t = {
   pr_start : Tr.emitter;
   pr_stop : Tr.emitter;
 }
-
-let create ?(trace = Tr.disabled) ?on_reject ?on_corrupt q ~track ~serve =
-  let track = Tr.track trace track in
-  { q;
-    serve;
-    pending = Queue.create ();
-    in_service = false;
-    paused = false;
-    busy_cycles = 0;
-    served = 0;
-    waiters = [];
-    failed = false;
-    slow_factor = 1;
-    slow_until = 0;
-    drop_budget = 0;
-    dropped = 0;
-    corrupt_budget = 0;
-    corrupted = 0;
-    dup_budget = 0;
-    duplicated = 0;
-    on_reject;
-    on_corrupt;
-    max_queue = 0;
-    pr_recv = Tr.emitter trace ~track Tr.Msg_recv;
-    pr_start = Tr.emitter trace ~track Tr.Serve_begin;
-    pr_stop = Tr.emitter trace ~track Tr.Serve_end }
 
 (* "Idle" for drain purposes: nothing in service, and nothing startable
    (a paused service with queued work counts as drained — the queue will
@@ -81,25 +62,64 @@ let rec start_next t =
       else occupancy
     in
     t.in_service <- true;
+    t.occupancy <- occupancy;
+    t.on_complete <- on_complete;
     t.busy_cycles <- t.busy_cycles + occupancy;
     Tr.emit t.pr_start
       ~cycle:(Event_queue.now t.q)
       ~arg:(Queue.length t.pending + 1);
-    Event_queue.after t.q ~delay:(max 1 occupancy) (fun () ->
-        t.in_service <- false;
-        Tr.emit t.pr_stop ~cycle:(Event_queue.now t.q) ~arg:occupancy;
-        if t.failed then begin
-          (* The tile died mid-service: the reply is never sent. *)
-          t.dropped <- t.dropped + 1;
-          notify_if_idle t
-        end
-        else begin
-          t.served <- t.served + 1;
-          on_complete ();
-          start_next t;
-          notify_if_idle t
-        end)
+    Event_queue.after t.q ~delay:(max 1 occupancy) t.complete
   end
+
+and complete t =
+  let on_complete = t.on_complete in
+  t.on_complete <- ignore;
+  t.in_service <- false;
+  Tr.emit t.pr_stop ~cycle:(Event_queue.now t.q) ~arg:t.occupancy;
+  if t.failed then begin
+    (* The tile died mid-service: the reply is never sent. *)
+    t.dropped <- t.dropped + 1;
+    notify_if_idle t
+  end
+  else begin
+    t.served <- t.served + 1;
+    on_complete ();
+    start_next t;
+    notify_if_idle t
+  end
+
+let create ?(trace = Tr.disabled) ?on_reject ?on_corrupt q ~track ~serve =
+  let track = Tr.track trace track in
+  let t =
+    { q;
+      serve;
+      pending = Queue.create ();
+      in_service = false;
+      occupancy = 0;
+      on_complete = ignore;
+      complete = ignore;
+      paused = false;
+      busy_cycles = 0;
+      served = 0;
+      waiters = [];
+      failed = false;
+      slow_factor = 1;
+      slow_until = 0;
+      drop_budget = 0;
+      dropped = 0;
+      corrupt_budget = 0;
+      corrupted = 0;
+      dup_budget = 0;
+      duplicated = 0;
+      on_reject;
+      on_corrupt;
+      max_queue = 0;
+      pr_recv = Tr.emitter trace ~track Tr.Msg_recv;
+      pr_start = Tr.emitter trace ~track Tr.Serve_begin;
+      pr_stop = Tr.emitter trace ~track Tr.Serve_end }
+  in
+  t.complete <- (fun () -> complete t);
+  t
 
 let submit t ~delay req =
   Event_queue.after t.q ~delay:(max 0 delay) (fun () ->

@@ -7,7 +7,10 @@ open Vat_desim
     cycles and an action to run at completion (typically sending a reply).
     This one-at-a-time discipline is what creates congestion at shared
     tiles — the paper's central observation about the L2 code-cache
-    manager tile. *)
+    manager tile. It also means the service holds one completion at a
+    time: the request in service's occupancy and action sit in the
+    service itself, and its completion event is one closure built at
+    {!create}, so serving a request schedules no new closure. *)
 
 type 'req t
 

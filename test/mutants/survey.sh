@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Mutation survey of lib/ir. Each test/mutants/*.patch plants one known
-# fault in an IR pass. For each patch this applies it to a copy of the
-# checkout, builds the test runner, and runs the ir-passes,
+# Mutation survey of lib/ir and the event queue. Each
+# test/mutants/*.patch plants one known fault in an IR pass or in
+# lib/desim's Event_queue. For each patch this applies it to a copy of
+# the checkout, builds the test runner, and runs the desim, ir-passes,
 # translator-units and translator-golden groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
 # out), or "missed" when every test passes, and exits 1 if any mutant is
@@ -42,7 +43,7 @@ for patch in "$root"/test/mutants/*.patch; do
     status=1
   else
     by=""
-    for group in ir-passes translator-units translator-golden; do
+    for group in desim ir-passes translator-units translator-golden; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||

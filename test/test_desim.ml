@@ -61,6 +61,30 @@ let test_heap_growth () =
   Event_queue.run q;
   Alcotest.(check int) "all fired" 10_000 !count
 
+(* Once the heap has grown, an event costs the queue nothing: a round of
+   [after] and [step] of a closure built beforehand allocates no minor
+   words (a record per event would cost 4 each). The thousand pending
+   events keep the sifts doing real work. *)
+let test_no_allocation_per_event () =
+  let q = Event_queue.create () in
+  for _ = 1 to 1000 do
+    Event_queue.schedule q ~at:1_000_000 ignore
+  done;
+  let fired = ref 0 in
+  let action () = incr fired in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Event_queue.after q ~delay:1 action;
+    ignore (Event_queue.step q)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every round fired its event" 10_000 !fired;
+  Alcotest.(check int) "the far events still pending" 1000
+    (Event_queue.pending q);
+  if words > 64. then
+    Alcotest.failf "10,000 schedule+step rounds allocated %.0f minor words"
+      words
+
 let test_stats () =
   let s = Stats.create () in
   Stats.incr s "a";
@@ -195,6 +219,48 @@ let prop_shuffle_permutation =
       Rng.shuffle rng arr;
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
+(* The heap against an oracle: events with random delays (mostly equal
+   times, more than 64 pending so the heap grows), some scheduled from
+   inside running actions, fire in a stable sort of (absolute time,
+   insertion order); [pending] and [next_seq] match counts kept beside
+   the queue at every schedule and every firing. *)
+let prop_heap_matches_stable_sort =
+  QCheck.Test.make ~name:"event queue = stable sort by (time, insertion)"
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 65 200)
+        (pair (int_range 0 5) (list_of_size (Gen.int_range 0 2) (int_range 0 3))))
+    (fun plan ->
+      let q = Event_queue.create () in
+      let scheduled = ref [] and fired = ref [] in
+      let n_scheduled = ref 0 and n_fired = ref 0 in
+      let counts_agree = ref true in
+      let check_counts () =
+        if Event_queue.pending q <> !n_scheduled - !n_fired
+           || Event_queue.next_seq q <> !n_scheduled
+        then counts_agree := false
+      in
+      let rec add delay children =
+        let id = !n_scheduled in
+        scheduled := (Event_queue.now q + delay, id) :: !scheduled;
+        incr n_scheduled;
+        Event_queue.after q ~delay (fun () ->
+            incr n_fired;
+            fired := id :: !fired;
+            check_counts ();
+            List.iter (fun d -> add d []) children);
+        check_counts ()
+      in
+      List.iter (fun (delay, children) -> add delay children) plan;
+      Event_queue.run q;
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          (List.rev !scheduled)
+        |> List.map snd
+      in
+      !counts_agree && List.rev !fired = expected
+      && Event_queue.pending q = 0)
+
 let suite =
   let quick name f = Alcotest.test_case name `Quick f in
   [ quick "event ordering" test_ordering;
@@ -203,6 +269,7 @@ let suite =
     quick "past scheduling rejected" test_past_scheduling_rejected;
     quick "run_until" test_run_until;
     quick "heap growth" test_heap_growth;
+    quick "no allocation per event" test_no_allocation_per_event;
     quick "stats counters" test_stats;
     quick "stats counter handles" test_counter_handles;
     quick "event-queue probe" test_probe;
@@ -211,5 +278,5 @@ let suite =
     quick "pool map" test_pool_map;
     quick "pool exception propagation" test_pool_exception ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_pool_matches_sequential; prop_rng_bounds; prop_rng_deterministic;
+      [ prop_heap_matches_stable_sort; prop_pool_matches_sequential; prop_rng_bounds; prop_rng_deterministic;
         prop_shuffle_permutation ]

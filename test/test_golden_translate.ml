@@ -17,13 +17,11 @@
    charges.
 
    It also pins the translator's host allocation: the minor words its
-   [Translate.translate] calls allocate, summed per (benchmark, config).
-   For a given compiler and source tree the sum is deterministic. A total
-   more than 2% above its pin fails as a regression; one more than 2%
-   below fails too, so that a change that lowers it re-pins it and the
-   pin only ratchets down. The pins hold for OCaml 5.1 under dune's dev
-   profile, as CI builds and runs the tests; another compiler version or
-   build profile allocates differently and needs its own pins. *)
+   [Translate.translate] calls allocate, summed per (benchmark, config),
+   under [Alloc_pin]'s 2% ratchet. The pins hold for OCaml 5.1 under
+   dune's dev profile, as CI builds and runs the tests; another compiler
+   version or build profile allocates differently and needs its own
+   pins. *)
 
 open Vat_guest
 open Vat_core
@@ -196,17 +194,9 @@ let test_bench (b : Suite.benchmark) () =
       Alcotest.(check (pair int string))
         (Printf.sprintf "%s/%s blocks, digest" b.Suite.name cname)
         (nblocks, md5) actual;
-      let ratio = float_of_int words /. float_of_int (max 1 pin) in
-      if ratio > 1.02 then
-        Alcotest.failf
-          "%s/%s: translation allocated %d minor words, %.1f%% above its pin \
-           %d"
-          b.Suite.name cname words ((ratio -. 1.) *. 100.) pin;
-      if ratio < 0.98 then
-        Alcotest.failf
-          "%s/%s: translation allocated %d minor words, %.1f%% below its pin \
-           %d: re-pin it"
-          b.Suite.name cname words ((1. -. ratio) *. 100.) pin;
+      Alloc_pin.check
+        ~what:(Printf.sprintf "%s/%s: translation" b.Suite.name cname)
+        ~words ~pin;
       Alcotest.(check string)
         (Printf.sprintf
            "%s/%s op words = oracle, no load into r0, every insn encodes"

@@ -26,18 +26,23 @@ let test_terminates (b : Suite.benchmark) () =
     Alcotest.failf "%s too short: %d instructions" b.name
       (Interp.instret interp)
 
-let vm_result =
+(* One [Config.default] run per workload, shared by the tests below,
+   with the translation memo it primed. *)
+let primed =
   let cache = Hashtbl.create 16 in
   fun (b : Suite.benchmark) ->
     match Hashtbl.find_opt cache b.name with
-    | Some r -> r
+    | Some rm -> rm
     | None ->
-      let r = Vm.run ~fuel:50_000_000 Config.default (Suite.load b) in
+      let memo = Translate.Memo.create () in
+      let r = Vm.run ~memo ~fuel:50_000_000 Config.default (Suite.load b) in
       (match r.outcome with
        | Exec.Exited _ -> ()
        | _ -> Alcotest.failf "%s did not exit on the VM" b.name);
-      Hashtbl.replace cache b.name r;
-      r
+      Hashtbl.replace cache b.name (r, memo);
+      (r, memo)
+
+let vm_result b = fst (primed b)
 
 let test_translated_equivalence (b : Suite.benchmark) () =
   let o, interp = interp_run b in
@@ -90,6 +95,52 @@ let test_stats_pinned run md5 () =
     Suite.all;
   Alcotest.(check string) "MD5 of every workload's stats" md5
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The engine's host allocation: the minor words of a warm
+   [Config.default] [Vm.run] of each workload, over the memo its first
+   run primed, so no translation is in the count and the event queue,
+   the tiles' services and the exec engine carry it. gzip and mcf are
+   also pinned checkpointed every 25,000 cycles, which adds snapshot
+   capture. [Alloc_pin]'s 2% ratchet applies. The pins hold for OCaml
+   5.1 under dune's dev profile, as CI builds and runs the tests; another
+   compiler version or build profile allocates differently and needs its
+   own pins. *)
+let engine_words =
+  [ ("164.gzip", 372952);
+    ("175.vpr", 1123363);
+    ("176.gcc", 2878505);
+    ("181.mcf", 2423447);
+    ("186.crafty", 772027);
+    ("197.parser", 1111498);
+    ("253.perlbmk", 32506);
+    ("254.gap", 582252);
+    ("255.vortex", 282094);
+    ("256.bzip2", 547585);
+    ("300.twolf", 608442) ]
+
+let checkpointed_words = [ ("164.gzip", 546349); ("181.mcf", 2974729) ]
+
+let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
+  let _, memo = primed b in
+  let prog = Suite.load b in
+  let w0 = Gc.minor_words () in
+  let r = Vm.run ~memo ?checkpoint_every ~fuel:50_000_000 Config.default prog in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Alcotest.(check int) "warm run, same digest" (vm_result b).digest r.digest;
+  words
+
+let test_engine_alloc (b : Suite.benchmark) () =
+  Alloc_pin.check
+    ~what:(b.name ^ ": a warm run")
+    ~words:(warm_run_words b)
+    ~pin:(List.assoc b.name engine_words);
+  Option.iter
+    (fun pin ->
+      Alloc_pin.check
+        ~what:(b.name ^ ": a warm run checkpointed every 25,000 cycles")
+        ~words:(warm_run_words ~checkpoint_every:25_000 b)
+        ~pin)
+    (List.assoc_opt b.name checkpointed_words)
 
 let test_deterministic (b : Suite.benchmark) () =
   (* Program construction is deterministic: same digest twice. *)
@@ -149,7 +200,9 @@ let suite =
         Alcotest.test_case (b.name ^ " digest pinned") `Quick
           (test_digest_pinned b);
         Alcotest.test_case (b.name ^ " deterministic") `Quick
-          (test_deterministic b) ])
+          (test_deterministic b);
+        Alcotest.test_case (b.name ^ " engine allocation pinned") `Slow
+          (test_engine_alloc b) ])
     Suite.all
   @ [ Alcotest.test_case "axis: code working set" `Slow
         test_code_working_set_axis;
