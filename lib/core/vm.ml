@@ -78,7 +78,7 @@ type setup = {
   max_cycles : int;
   faults : Fault.plan;
   trace : Tr.t;
-  fp : int; (* the snapshot fingerprint *)
+  fp : int Lazy.t; (* the snapshot fingerprint; only snapshots read it *)
   interval : int option; (* checkpoint interval: arms rollback *)
   on_checkpoint : (Snap.t -> unit) option;
   restore_from : Snap.t option;
@@ -405,7 +405,7 @@ let capture a ~every now =
     Snap.Wr.contents b
   in
   let trace = a.s.trace in
-  Snap.v ~cycle:now ~fingerprint:a.s.fp ~interval:every
+  Snap.v ~cycle:now ~fingerprint:(Lazy.force a.s.fp) ~interval:every
     ~sections:
       [ ("sched", sched);
         ("exec", Exec.capture a.inst.i_exec);
@@ -459,12 +459,20 @@ let start_checkpoints a ~every =
     Event_queue.schedule a.q ~at (fun () ->
         if not (Exec.finished a.inst.i_exec || Option.is_some a.terminal)
         then begin
-          let snap = capture a ~every at in
-          (match a.s.restore_from with
-           | Some ref_snap when Snap.cycle ref_snap = at ->
-             verify_restore ref_snap snap
-           | _ -> ());
-          if at >= frontier then Option.iter (fun f -> f snap) a.s.on_checkpoint;
+          (* A snapshot is built only when something reads it: the restore
+             check at the snapshot's own cycle, or a consumer at or past
+             the frontier. A rollback needs only [last_cp]. *)
+          let verify =
+            match a.s.restore_from with
+            | Some ref_snap when Snap.cycle ref_snap = at -> a.s.restore_from
+            | _ -> None
+          in
+          let deliver = if at >= frontier then a.s.on_checkpoint else None in
+          if Option.is_some verify || Option.is_some deliver then begin
+            let snap = capture a ~every at in
+            Option.iter (fun ref_snap -> verify_restore ref_snap snap) verify;
+            Option.iter (fun f -> f snap) deliver
+          end;
           a.last_cp <- at;
           List.iter
             (fun le -> if le.le_restore = at then apply_quarantine a le)
@@ -556,11 +564,12 @@ let run ?input ?memo ?(fuel = 50_000_000) ?(max_cycles = 2_000_000_000)
     else { cfg with Config.fault_tolerance = true }
   in
   let fp =
-    fingerprint ~input:(Option.value input ~default:"") ~fuel ~max_cycles cfg
-      prog faults
+    lazy
+      (fingerprint ~input:(Option.value input ~default:"") ~fuel ~max_cycles
+         cfg prog faults)
   in
   (match restore_from with
-   | Some s when Snap.fingerprint s <> fp ->
+   | Some s when Snap.fingerprint s <> Lazy.force fp ->
      invalid_arg
        "Vm.run: snapshot fingerprint mismatch (different configuration, \
         program, input, limits or fault plan)"

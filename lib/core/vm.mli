@@ -57,10 +57,14 @@ val run :
     {2 Checkpoint / rollback-recovery}
 
     [checkpoint_every] (off by default; [Invalid_argument] if [<= 0])
-    takes a whole-machine {!Vat_snapshot.Snapshot} every that many cycles
-    and hands each to [on_checkpoint]. Capturing is pure observation: a
-    fault-free checkpointed run's cycles, digest, output and stats are
-    byte-identical to the same run with checkpointing off.
+    places a checkpoint every that many cycles and hands a whole-machine
+    {!Vat_snapshot.Snapshot} of each to [on_checkpoint]. A snapshot is
+    built only when it is delivered or verified (see [restore_from]): a
+    run with neither builds none, since a rollback needs only the latest
+    checkpoint's cycle. Capturing is pure observation: a fault-free
+    checkpointed run's cycles, digest, output and stats are
+    byte-identical to the same run with checkpointing off, with or
+    without a consumer.
 
     Checkpointing also arms rollback-recovery: the two previously-terminal
     fault families — an uncorrectable L2D parity loss (a corrupt dirty

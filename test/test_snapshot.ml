@@ -236,6 +236,46 @@ let test_fingerprint_mismatch_rejected () =
   | _ -> Alcotest.fail "foreign snapshot accepted"
   | exception Invalid_argument _ -> ()
 
+(* Every section [Vm] captures, in capture order. *)
+let section_names =
+  [ "sched"; "exec"; "mgr"; "l2d"; "morph"; "fault"; "stats"; "recovery";
+    "trace.hwm" ]
+
+(* A real mid-run snapshot rebuilt with one byte of its exec section
+   flipped: same cycle, fingerprint and interval, so only the replay's
+   own capture at that cycle can tell it is not this run's. *)
+let test_tampered_snapshot_fails_verification () =
+  let prog () = Program.of_asm workload_program in
+  let _, snaps = run_collecting ~every:10_000 Config.default (prog ()) in
+  let mid = List.nth snaps (List.length snaps / 2) in
+  let rebuild edit =
+    Snap.v ~cycle:(Snap.cycle mid) ~fingerprint:(Snap.fingerprint mid)
+      ~interval:(Snap.interval mid)
+      ~sections:
+        (List.map
+           (fun name -> (name, edit name (Option.get (Snap.find mid name))))
+           section_names)
+  in
+  Alcotest.(check (list string)) "rebuilt untouched, equal" []
+    (Snap.diff mid (rebuild (fun _ payload -> payload)));
+  let flip name payload =
+    if name <> "exec" then payload
+    else
+      let b = Bytes.of_string payload in
+      let i = Bytes.length b / 2 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Bytes.to_string b
+  in
+  match Vm.run ~fuel ~restore_from:(rebuild flip) Config.default (prog ()) with
+  | _ -> Alcotest.fail "tampered snapshot restored"
+  | exception Failure m ->
+    Alcotest.(check string) "names the tampered section"
+      (Printf.sprintf
+         "Vm.run: restore verification failed at cycle %d; diverging \
+          sections: exec"
+         (Snap.cycle mid))
+      m
+
 let test_bad_interval_rejected () =
   match Vm.run ~fuel ~checkpoint_every:0 Config.default
           (Program.of_asm workload_program)
@@ -273,12 +313,25 @@ let reference items =
   | Interp.Fault m -> Alcotest.failf "interpreter faulted: %s" m
   | Interp.Out_of_fuel -> Alcotest.fail "interpreter out of fuel"
 
+(* A manager fail-stop at cycle 25,000: terminal without rollback. *)
+let manager_failstop_plan =
+  Fault.make ~seed:1
+    [ { Fault.at = 25_000; site = Fault.site "manager"; kind = Fault.Fail_stop } ]
+
+(* Corrupt storage in L2D bank 0 at cycle 100,000: under the store-heavy
+   program it hits a dirty line, an uncorrectable parity loss. *)
+let dirty_parity_plan =
+  Fault.make ~seed:1
+    [ { Fault.at = 100_000; site = Fault.site ~index:0 "l2d";
+        kind = Fault.Corrupt_storage } ]
+
+(* Default deadlines: the 128 KiB streaming working set saturates the
+   memory system, and the tight test deadlines of [ft_cfg] would wedge it
+   into timeout storms before the fault even fires. *)
+let parity_cfg = { Config.default with fault_tolerance = true }
+
 let test_manager_failstop_recovery () =
-  let plan =
-    Fault.make ~seed:1
-      [ { Fault.at = 25_000; site = Fault.site "manager";
-          kind = Fault.Fail_stop } ]
-  in
+  let plan = manager_failstop_plan in
   (* Without checkpointing this exact plan is terminal... *)
   let dead =
     Vm.run ~fuel ~faults:plan ft_cfg (Program.of_asm workload_program)
@@ -308,18 +361,9 @@ let test_manager_failstop_recovery () =
     (Metrics.get rv "recovery.quarantines" >= 1)
 
 let test_dirty_parity_rollback () =
-  (* Default deadlines: the 128 KiB streaming working set saturates the
-     memory system, and the tight test deadlines above would wedge it into
-     timeout storms before the fault even fires. *)
-  let cfg = { Config.default with fault_tolerance = true } in
-  let plan =
-    Fault.make ~seed:1
-      [ { Fault.at = 100_000; site = Fault.site ~index:0 "l2d";
-          kind = Fault.Corrupt_storage } ]
-  in
   let code, digest, _ = reference store_heavy_program in
   let rv, _ =
-    run_collecting ~faults:plan ~every:10_000 cfg
+    run_collecting ~faults:dirty_parity_plan ~every:10_000 parity_cfg
       (Program.of_asm store_heavy_program)
   in
   (match rv.Vm.outcome with
@@ -369,6 +413,45 @@ let test_give_up_dirty_parity () =
   Alcotest.(check string) "pinned message"
     "uncorrectable L2D parity error (bank 0)" m;
   Alcotest.(check int) "pinned cycles" 576498 cycles
+
+(* The restore cycles of the recovery ledger a snapshot carries. *)
+let ledger_restores snap =
+  let r = Snap.Rd.of_string (Option.get (Snap.find snap "recovery")) in
+  List.init (Snap.Rd.int r) (fun _ ->
+      let _at = Snap.Rd.int r in
+      let _role = Snap.Rd.string r in
+      let _index = Snap.Rd.int r in
+      let _kind = Snap.Rd.string r in
+      Snap.Rd.int r)
+
+(* A consumer only observes: a run that rolls back ends the same with
+   and without one, and each attempt hands it only the checkpoints at or
+   past its frontier (the latest restore cycle of its ledger). *)
+let test_consumer_transparent_under_rollback () =
+  List.iter
+    (fun (label, plan, cfg, items) ->
+      let bare =
+        Vm.run ~fuel ~faults:plan ~checkpoint_every:10_000 cfg
+          (Program.of_asm items)
+      in
+      let fed, snaps =
+        run_collecting ~faults:plan ~every:10_000 cfg (Program.of_asm items)
+      in
+      check_same_result label bare fed;
+      Alcotest.(check int) (label ^ ": one rollback") 1 (Metrics.recoveries fed);
+      Alcotest.(check bool) (label ^ ": delivered after the rollback") true
+        (List.exists (fun s -> ledger_restores s <> []) snaps);
+      List.iter
+        (fun s ->
+          List.iter
+            (fun restore ->
+              if restore > Snap.cycle s then
+                Alcotest.failf "%s: delivered cycle %d before its frontier %d"
+                  label (Snap.cycle s) restore)
+            (ledger_restores s))
+        snaps)
+    [ ("manager fail-stop", manager_failstop_plan, ft_cfg, workload_program);
+      ("dirty parity", dirty_parity_plan, parity_cfg, store_heavy_program) ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -498,6 +581,8 @@ let suite =
     Alcotest.test_case "vm: resume = uninterrupted" `Quick test_resume_identity;
     Alcotest.test_case "vm: foreign snapshot rejected" `Quick
       test_fingerprint_mismatch_rejected;
+    Alcotest.test_case "vm: a tampered snapshot fails restore verification"
+      `Quick test_tampered_snapshot_fails_verification;
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
     Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
@@ -512,6 +597,8 @@ let suite =
       test_give_up_manager;
     Alcotest.test_case "vm: rollback give-up keeps the parity message" `Quick
       test_give_up_dirty_parity;
+    Alcotest.test_case "vm: a consumer is transparent under rollback" `Quick
+      test_consumer_transparent_under_rollback;
     QCheck_alcotest.to_alcotest prop_checkpoint_transparent;
     QCheck_alcotest.to_alcotest prop_resume_identity;
     QCheck_alcotest.to_alcotest prop_no_fault_terminal ]

@@ -100,11 +100,11 @@ let test_stats_pinned run md5 () =
    [Config.default] [Vm.run] of each workload, over the memo its first
    run primed, so no translation is in the count and the event queue,
    the tiles' services and the exec engine carry it. gzip and mcf are
-   also pinned checkpointed every 25,000 cycles, which adds snapshot
-   capture. [Alloc_pin]'s 2% ratchet applies. The pins hold for OCaml
-   5.1 under dune's dev profile, as CI builds and runs the tests; another
-   compiler version or build profile allocates differently and needs its
-   own pins. *)
+   also pinned checkpointed every 25,000 cycles with no consumer, which
+   adds the checkpoint chain but no snapshot. [Alloc_pin]'s 2% ratchet
+   applies. The pins hold for OCaml 5.1 under dune's dev profile, as CI
+   builds and runs the tests; another compiler version or build profile
+   allocates differently and needs its own pins. *)
 let engine_words =
   [ ("164.gzip", 372952);
     ("175.vpr", 1123363);
@@ -118,7 +118,7 @@ let engine_words =
     ("256.bzip2", 547585);
     ("300.twolf", 608442) ]
 
-let checkpointed_words = [ ("164.gzip", 546349); ("181.mcf", 2974729) ]
+let checkpointed_words = [ ("164.gzip", 373789); ("181.mcf", 2426091) ]
 
 let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let _, memo = primed b in
@@ -127,19 +127,32 @@ let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let r = Vm.run ~memo ?checkpoint_every ~fuel:50_000_000 Config.default prog in
   let words = int_of_float (Gc.minor_words () -. w0) in
   Alcotest.(check int) "warm run, same digest" (vm_result b).digest r.digest;
-  words
+  (words, r.cycles)
+
+(* A checkpoint that no consumer reads builds no snapshot: beyond the
+   plain run, each may allocate only its event's closure and the next
+   link of the chain. *)
+let unread_checkpoint_words = 32
 
 let test_engine_alloc (b : Suite.benchmark) () =
+  let plain, _ = warm_run_words b in
   Alloc_pin.check
     ~what:(b.name ^ ": a warm run")
-    ~words:(warm_run_words b)
+    ~words:plain
     ~pin:(List.assoc b.name engine_words);
   Option.iter
     (fun pin ->
+      let every = 25_000 in
+      let words, cycles = warm_run_words ~checkpoint_every:every b in
       Alloc_pin.check
         ~what:(b.name ^ ": a warm run checkpointed every 25,000 cycles")
-        ~words:(warm_run_words ~checkpoint_every:25_000 b)
-        ~pin)
+        ~words ~pin;
+      let checkpoints = cycles / every in
+      if words - plain > unread_checkpoint_words * checkpoints then
+        Alcotest.failf
+          "%s: %d unread checkpoints allocated %d minor words beyond the \
+           plain run, more than %d each"
+          b.name checkpoints (words - plain) unread_checkpoint_words)
     (List.assoc_opt b.name checkpointed_words)
 
 let test_deterministic (b : Suite.benchmark) () =
