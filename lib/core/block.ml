@@ -62,7 +62,11 @@ let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     checksum = checksum_of ~guest_addr ~code ~term;
     ops = Array.map op_of code }
 
-let size_bytes t = (Array.length t.code * Hencode.bytes_per_insn) + 8
+(* Every instruction is one 32-bit word: [make] encodes each, and
+   [Hexec.encode] refuses any that does not fit. *)
+let bytes_per_insn = 4
+
+let size_bytes t = (Array.length t.code * bytes_per_insn) + 8
 
 let direct_successors t =
   match t.term with

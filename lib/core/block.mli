@@ -55,9 +55,8 @@ val make :
 (** The only way to build a block: computes [checksum] and [ops] from
     the content, so neither can disagree with it. Raises
     [Invalid_argument] on an instruction {!Vat_host.Hexec.encode}
-    refuses (a register above r31, a [W8s] store, an immediate that does
-    not fit) and on a load into r0: the engine writes its register file
-    unguarded. *)
+    refuses (one that does not fit a 32-bit word, or a [W8s] store) and
+    on a load into r0: the engine writes its register file unguarded. *)
 
 val recompute_checksum : t -> int
 (** Recompute the sum from the block's content (what a verifier compares

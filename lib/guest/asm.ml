@@ -118,8 +118,6 @@ module Dsl = struct
     Mem { base; index; disp = d }
 
   let mb reg = m ~base:reg ()
-  let mbd reg disp = m ~base:reg ~disp ()
-  let msym ?(off = 0) s = m ~sym:s ~disp:off ()
 
   let mov d s = Ins (Mov (d, s))
   let movb d s = Ins (Movb (d, s))
@@ -144,7 +142,6 @@ module Dsl = struct
   let inc d = Ins (Unop (Inc, d))
   let dec d = Ins (Unop (Dec, d))
   let neg d = Ins (Unop (Neg, d))
-  let not_ d = Ins (Unop (Not, d))
 
   let shift op d n = Ins (Shift (op, d, Sh_imm n))
   let shl d n = shift Shl d n
@@ -153,7 +150,6 @@ module Dsl = struct
   let rol d n = shift Rol d n
   let ror d n = shift Ror d n
   let shl_cl d = Ins (Shift (Shl, d, Sh_cl))
-  let shr_cl d = Ins (Shift (Shr, d, Sh_cl))
   let sar_cl d = Ins (Shift (Sar, d, Sh_cl))
 
   let imul reg s = Ins (Imul (reg, s))
@@ -175,15 +171,7 @@ module Dsl = struct
   let je l = jcc E l
   let jne l = jcc NE l
   let jl l = jcc L l
-  let jle l = jcc LE l
-  let jg l = jcc G l
   let jge l = jcc GE l
-  let jb l = jcc B l
-  let jbe l = jcc BE l
-  let ja l = jcc A l
-  let jae l = jcc AE l
-  let js l = jcc S l
-  let jns l = jcc NS l
   let call l = Ins (Call (Direct (Sym l)))
   let calli op = Ins (Call (Indirect op))
   let ret = Ins Ret
@@ -191,9 +179,6 @@ module Dsl = struct
   let nop = Ins Nop
   let hlt = Ins Hlt
   let label name = Label name
-
-  let sys_exit_code status =
-    [ mov (r ebx) status; mov (r eax) (i Syscall.sys_exit); int_ Syscall.vector ]
 
   let sys_write_buf ~buf ~len =
     [ mov (r ebx) (i 1);

@@ -63,12 +63,6 @@ module Dsl : sig
   val mb : Insn.reg -> expr Insn.operand
   (** [\[reg\]] *)
 
-  val mbd : Insn.reg -> int -> expr Insn.operand
-  (** [\[reg + disp\]] *)
-
-  val msym : ?off:int -> string -> expr Insn.operand
-  (** [\[sym + off\]] *)
-
   val mov : expr Insn.operand -> expr Insn.operand -> item
   val movb : expr Insn.operand -> expr Insn.operand -> item
   val movzxb : Insn.reg -> expr Insn.operand -> item
@@ -88,14 +82,12 @@ module Dsl : sig
   val inc : expr Insn.operand -> item
   val dec : expr Insn.operand -> item
   val neg : expr Insn.operand -> item
-  val not_ : expr Insn.operand -> item
   val shl : expr Insn.operand -> int -> item
   val shr : expr Insn.operand -> int -> item
   val sar : expr Insn.operand -> int -> item
   val rol : expr Insn.operand -> int -> item
   val ror : expr Insn.operand -> int -> item
   val shl_cl : expr Insn.operand -> item
-  val shr_cl : expr Insn.operand -> item
   val sar_cl : expr Insn.operand -> item
   val imul : Insn.reg -> expr Insn.operand -> item
   val mul : expr Insn.operand -> item
@@ -115,15 +107,7 @@ module Dsl : sig
   val je : string -> item
   val jne : string -> item
   val jl : string -> item
-  val jle : string -> item
-  val jg : string -> item
   val jge : string -> item
-  val jb : string -> item
-  val jbe : string -> item
-  val ja : string -> item
-  val jae : string -> item
-  val js : string -> item
-  val jns : string -> item
   val call : string -> item
   val calli : expr Insn.operand -> item
   val ret : item
@@ -131,9 +115,6 @@ module Dsl : sig
   val nop : item
   val hlt : item
   val label : string -> item
-
-  val sys_exit_code : expr Insn.operand -> item list
-  (** exit(status): loads EAX/EBX and raises the syscall interrupt. *)
 
   val sys_write_buf : buf:string -> len:expr Insn.operand -> item list
   (** write(1, sym buf, len). *)

@@ -68,7 +68,6 @@ let rs_shift = rd_shift + 5
 let rt_shift = rs_shift + 5
 let ru_shift = rt_shift + 5
 let imm_shift = ru_shift + 5
-let imm_limit = 1 lsl (Sys.int_size - imm_shift - 1)
 
 let kind w = kinds.(w land opcode_mask)
 let rd w = (w lsr rd_shift) land 31
@@ -84,16 +83,20 @@ let imm w = w asr imm_shift
 let guest_eax = Hinsn.guest_reg_base
 let guest_edx = Hinsn.guest_reg_base + 2
 
-let reg r =
-  if r < 0 || r > 31 then
-    invalid_arg (Printf.sprintf "Hexec.encode: register %d is not r0–r31" r)
-  else r
+(* The fields of the 32-bit instruction word. *)
+let unfit what v =
+  invalid_arg
+    (Printf.sprintf "Hexec.encode: %s %d does not fit its field" what v)
+
+let u5 what v = if v >= 0 && v <= 31 then v else unfit what v
+let s16 what v = if Hinsn.fits_s16 v then v else unfit what v
+let u16 what v = if Hinsn.fits_u16 v then v else unfit what v
+let reg r = u5 "register" r
 
 (* Positional, not optional, fields: an optional argument is boxed at
-   every call, and [Block.make] encodes every translated instruction. *)
+   every call, and [Block.make] encodes every translated instruction.
+   The caller checks [imm]'s field. *)
 let word op rd rs rt ru imm =
-  if imm < -imm_limit || imm >= imm_limit then
-    invalid_arg (Printf.sprintf "Hexec.encode: immediate %d does not fit" imm);
   number op
   lor (reg rd lsl rd_shift)
   lor (reg rs lsl rs_shift)
@@ -102,10 +105,7 @@ let word op rd rs rt ru imm =
   lor (imm lsl imm_shift)
 
 let bitfield pos size =
-  if pos < 0 || pos > 63 || size < 0 || size > 63 then
-    invalid_arg
-      (Printf.sprintf "Hexec.encode: bitfield %d,%d out of range" pos size);
-  pos lor (size lsl 6)
+  u5 "bitfield position" pos lor (u5 "bitfield size" size lsl 6)
 
 let alu3_op : Hinsn.alu3 -> opcode = function
   | Add -> Add | Sub -> Sub | And -> And | Or -> Or | Xor -> Xor
@@ -130,20 +130,25 @@ let branch_op : Hinsn.brcond -> opcode = function
 let encode (insn : Hinsn.t) =
   match insn with
   | Alu3 (op, rd, rs, rt) -> word (alu3_op op) rd rs rt 0 0
-  | Alui (op, rd, rs, imm) -> word (alui_op op) rd rs 0 0 imm
-  | Lui (rd, imm) -> word Lui rd 0 0 0 imm
-  | Shifti (op, rd, rs, n) -> word (shifti_op op) rd rs 0 0 n
+  | Alui (((Addi | Slti) as op), rd, rs, imm) ->
+    word (alui_op op) rd rs 0 0 (s16 "immediate" imm)
+  | Alui (op, rd, rs, imm) -> word (alui_op op) rd rs 0 0 (u16 "immediate" imm)
+  | Lui (rd, imm) -> word Lui rd 0 0 0 (u16 "immediate" imm)
+  | Shifti (op, rd, rs, n) ->
+    word (shifti_op op) rd rs 0 0 (u5 "shift amount" n)
   | Shiftv (op, rd, rs, rc) -> word (shiftv_op op) rd rs rc 0 0
   | Ext (rd, rs, pos, size) -> word Ext rd rs 0 0 (bitfield pos size)
   | Ins (rd, rs, pos, size) -> word Ins rd rd rs 0 (bitfield pos size)
   | Load (w, rd, base, off) ->
     let op = match w with W8 -> Lb | W8s -> Lbs | W32 -> Lw in
-    word op rd base 0 0 off
+    word op rd base 0 0 (s16 "offset" off)
   | Store (W8s, _, _, _) -> invalid_arg "Hexec.encode: store width W8s"
-  | Store (w, rv, base, off) -> word (if w = W8 then Sb else Sw) 0 rv base 0 off
-  | Branch (((Beq | Bne) as c), rs, rt, tgt) -> word (branch_op c) 0 rs rt 0 tgt
-  | Branch (c, rs, _, tgt) -> word (branch_op c) 0 rs 0 0 tgt
-  | Jump tgt -> word Jump 0 0 0 0 tgt
+  | Store (w, rv, base, off) ->
+    word (if w = W8 then Sb else Sw) 0 rv base 0 (s16 "offset" off)
+  | Branch (((Beq | Bne) as c), rs, rt, tgt) ->
+    word (branch_op c) 0 rs rt 0 (u16 "target" tgt)
+  | Branch (c, rs, _, tgt) -> word (branch_op c) 0 rs 0 0 (u16 "target" tgt)
+  | Jump tgt -> word Jump 0 0 0 0 (u16 "target" tgt)
   | Mul64 rs -> word Mul64 0 guest_eax rs 0 0
   | Div64 { divisor; signed } ->
     word (if signed then Div64s else Div64u) 0 guest_eax guest_edx divisor 0

@@ -16,7 +16,7 @@
     bits 11–15   rs: first source
     bits 16–20   rt: second source
     bits 21–25   ru: third source
-    bits 26–62   imm: signed immediate (37 bits)
+    bits 26–62   imm: signed immediate (37 bits; {!encode} fills 16 at most)
     v}
 
     The source fields hold {!Hinsn.uses} in order, padded with r0, so a
@@ -45,10 +45,18 @@ type kind =
   | Store of Hinsn.width  (** mem\[rt + imm\] <- rs *)
 
 val encode : Hinsn.t -> int
-(** The op word of one instruction. Raises [Invalid_argument] on what it
-    cannot encode: a register outside r0–r31, a [W8s] store, an
-    immediate outside 37 signed bits, or an [Ext]/[Ins] position or size
-    outside [0, 63]. *)
+(** The op word of one instruction. Raises [Invalid_argument] on a
+    [W8s] store and on any instruction that does not fit the one 32-bit
+    H-ISA word [Block.size_bytes] charges for it, whose fields are:
+    - registers r0–r31;
+    - 16 bits signed: [Addi]/[Slti] immediates and load/store offsets;
+    - 16 bits unsigned: [Andi]/[Ori]/[Xori]/[Sltiu] and [Lui] immediates
+      and branch/jump targets;
+    - 5 bits: shift amounts and [Ext]/[Ins] position and size.
+
+    Each accepted instruction therefore fits 32 bits: a 6-bit opcode
+    (there are fewer than 64), then either at most two 5-bit registers
+    and 16 bits, or three registers and at most 11 bits. *)
 
 (** {2 Fields} *)
 

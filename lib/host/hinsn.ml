@@ -109,6 +109,19 @@ let has_side_effect = function
   | Store _ | Branch _ | Jump _ | Trap _ | Mul64 _ | Div64 _ | Load _ -> true
   | Alu3 _ | Alui _ | Lui _ | Shifti _ | Shiftv _ | Ext _ | Ins _ | Nop -> false
 
+let fits_s16 v = v >= -32768 && v <= 32767
+let fits_u16 v = v >= 0 && v <= 0xFFFF
+
+let const_insn rd v =
+  let v = v land 0xFFFFFFFF in
+  if v = 0 then Some (Alu3 (Or, rd, r0, r0))
+  else if fits_u16 v then Some (Alui (Ori, rd, r0, v))
+  else if fits_s16 (v - 0x100000000) then
+    (* Small negative 32-bit value: addi sign-extends for free. *)
+    Some (Alui (Addi, rd, r0, v - 0x100000000))
+  else if v land 0xFFFF = 0 then Some (Lui (rd, v lsr 16))
+  else None
+
 let alu3_name = function
   | Add -> "add" | Sub -> "sub" | And -> "and" | Or -> "or" | Xor -> "xor"
   | Nor -> "nor" | Slt -> "slt" | Sltu -> "sltu" | Mul -> "mul" | Mulh -> "mulh"

@@ -95,5 +95,14 @@ val has_side_effect : t -> bool
 (** Stores, traps, branches, jumps, and the macro-ops: instructions DCE must
     never delete. Loads are also kept (they can fault). *)
 
+val fits_s16 : int -> bool
+val fits_u16 : int -> bool
+(** Whether a value fits a signed or unsigned 16-bit immediate field. *)
+
+val const_insn : reg -> int -> t option
+(** The single instruction that sets [rd] to the 32-bit value [v land
+    0xFFFFFFFF], if one exists: [or rd, r0, r0], [ori], [addi] (a small
+    negative value) or [lui] (low half zero). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -24,20 +24,13 @@ let ins t insn =
 
 let place t id = t.rev_items <- Lblock.L id :: t.rev_items
 
-let fits_s16 v = v >= -32768 && v <= 32767
-let fits_u16 v = v >= 0 && v <= 0xFFFF
-
 let li t rd v =
-  let v = v land 0xFFFFFFFF in
-  if v = 0 then ins t (Hinsn.Alu3 (Or, rd, Hinsn.r0, Hinsn.r0))
-  else if fits_u16 v then ins t (Hinsn.Alui (Ori, rd, Hinsn.r0, v))
-  else if fits_s16 (v - 0x100000000) then
-    (* Small negative 32-bit value: addi sign-extends for free. *)
-    ins t (Hinsn.Alui (Addi, rd, Hinsn.r0, v - 0x100000000))
-  else begin
+  match Hinsn.const_insn rd v with
+  | Some insn -> ins t insn
+  | None ->
+    let v = v land 0xFFFFFFFF in
     ins t (Hinsn.Lui (rd, v lsr 16));
-    if v land 0xFFFF <> 0 then ins t (Hinsn.Alui (Ori, rd, rd, v land 0xFFFF))
-  end
+    ins t (Hinsn.Alui (Ori, rd, rd, v land 0xFFFF))
 
 let li_reg t v =
   if v land 0xFFFFFFFF = 0 then Hinsn.r0
@@ -52,8 +45,8 @@ let addi_big t ~dst ~src v =
   if v32 = 0 then begin
     if dst <> src then ins t (Hinsn.Alu3 (Or, dst, src, Hinsn.r0))
   end
-  else if fits_s16 v then ins t (Hinsn.Alui (Addi, dst, src, v))
-  else if fits_s16 (v32 - 0x100000000) then
+  else if Hinsn.fits_s16 v then ins t (Hinsn.Alui (Addi, dst, src, v))
+  else if Hinsn.fits_s16 (v32 - 0x100000000) then
     ins t (Hinsn.Alui (Addi, dst, src, v32 - 0x100000000))
   else begin
     let tmp = li_reg t v32 in

@@ -6,19 +6,6 @@ let mask32 v = v land 0xFFFFFFFF
 (* Constant folding / propagation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let fits_s16 v = v >= -32768 && v <= 32767
-let fits_u16 v = v >= 0 && v <= 0xFFFF
-
-(* A single instruction materializing a constant, when one exists. *)
-let const_insn rd v : Hinsn.t option =
-  let v = mask32 v in
-  if v = 0 then Some (Alu3 (Or, rd, Hinsn.r0, Hinsn.r0))
-  else if fits_u16 v then Some (Alui (Ori, rd, Hinsn.r0, v))
-  else if fits_s16 (v - 0x100000000) then
-    Some (Alui (Addi, rd, Hinsn.r0, v - 0x100000000))
-  else if v land 0xFFFF = 0 then Some (Lui (rd, v lsr 16))
-  else None
-
 (* The value an instruction computes from known operands, masked to 32
    bits, or -1. [known r] and [get r] read the environment. *)
 let folded_value known get : Hinsn.t -> int = function
@@ -42,21 +29,21 @@ let folded_value known get : Hinsn.t -> int = function
 let reduce known get (insn : Hinsn.t) : Hinsn.t =
   match insn with
   | Alu3 (Add, rd, rs, rt) ->
-    if known rs && (not (known rt)) && fits_s16 (get rs) then
+    if known rs && (not (known rt)) && Hinsn.fits_s16 (get rs) then
       Alui (Addi, rd, rt, get rs)
-    else if known rt && (not (known rs)) && fits_s16 (get rt) then
+    else if known rt && (not (known rs)) && Hinsn.fits_s16 (get rt) then
       Alui (Addi, rd, rs, get rt)
     else insn
   | Alu3 (Sub, rd, rs, rt) ->
-    if known rt && fits_s16 (-get rt) then Alui (Addi, rd, rs, -get rt)
+    if known rt && Hinsn.fits_s16 (-get rt) then Alui (Addi, rd, rs, -get rt)
     else insn
   | Alu3 ((And | Or | Xor) as op, rd, rs, rt) ->
     let to_imm : Hinsn.alui =
       match op with And -> Andi | Or -> Ori | _ -> Xori
     in
-    if known rs && (not (known rt)) && fits_u16 (get rs) then
+    if known rs && (not (known rt)) && Hinsn.fits_u16 (get rs) then
       Alui (to_imm, rd, rt, get rs)
-    else if known rt && (not (known rs)) && fits_u16 (get rt) then
+    else if known rt && (not (known rs)) && Hinsn.fits_u16 (get rt) then
       Alui (to_imm, rd, rs, get rt)
     else insn
   | Shiftv (op, rd, rs, rc) ->
@@ -88,7 +75,9 @@ let constant_fold_n nregs items =
           match insn0 with
           | Alu3 (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
           | Shifti (_, rd, _, _) | Shiftv (_, rd, _, _) | Ext (rd, _, _, _) -> (
-            match const_insn rd v with Some folded -> folded | None -> insn0)
+            match Hinsn.const_insn rd v with
+            | Some folded -> folded
+            | None -> insn0)
           | _ -> insn0
       in
       (* Update the environment from the (possibly rewritten) instruction. *)
@@ -250,6 +239,12 @@ let mem set r = set.(r lsr 5) land bit r <> 0
 let add set r = set.(r lsr 5) <- set.(r lsr 5) lor bit r
 let remove set r = set.(r lsr 5) <- set.(r lsr 5) land lnot (bit r)
 
+(* [addi]/[ori]/[xori rd, rd, 0] leaves every register as it was, so
+   dropping it leaves every live set unchanged. *)
+let self_move : Hinsn.t -> bool = function
+  | Alui ((Addi | Ori | Xori), rd, rs, 0) -> rd = rs
+  | _ -> false
+
 let eliminate_dead_n ~live_out nregs items =
   (* One reverse pass: internal branches are forward-only, so every branch
      target's live-in is known before its branch is reached. [live] is the
@@ -300,29 +295,20 @@ let eliminate_dead_n ~live_out nregs items =
         def_seen := false;
         def_live := false;
         Hinsn.iter_regs ~def:kill ~use:gen insn;
-        let keep = !def_live || (not !def_seen) || Hinsn.has_side_effect insn in
+        let keep =
+          (!def_live || (not !def_seen) || Hinsn.has_side_effect insn)
+          && not (self_move insn)
+        in
         if keep then Lblock.share l item rest' else rest')
   in
   go items
 
-let eliminate_dead ~live_out items =
-  eliminate_dead_n ~live_out (Lblock.reg_count items) items
-
-(* ------------------------------------------------------------------ *)
-(* Peephole                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec peephole = function
-  | [] -> []
-  | Lblock.I (Alui ((Addi | Ori | Xori), rd, rs, 0)) :: rest when rd = rs ->
-    peephole rest
-  | item :: rest as l -> Lblock.share l item (peephole rest)
-
 let run_all ~live_out items =
-  (* No pass names a register the input does not, so one count serves. *)
+  (* No pass names a register the input does not, so one count serves.
+     A sweep still counts the uses of what it drops, so the second
+     removes defs whose only readers the first dropped. *)
   let nregs = Lblock.reg_count items in
   constant_fold_n nregs items
   |> copy_propagate_n nregs
   |> eliminate_dead_n ~live_out nregs
-  |> peephole
   |> eliminate_dead_n ~live_out nregs

@@ -27,15 +27,12 @@ val copy_propagate : Lblock.t -> Lblock.t
     turn. Any store forgets every address; a label forgets copies and
     addresses. *)
 
-val eliminate_dead : live_out:Hinsn.reg list -> Lblock.t -> Lblock.t
-(** Remove instructions whose results are never observed. Loads, stores,
-    traps, branches and the macro-ops are never removed. Raises
-    {!Lblock.Malformed} on a branch to an undefined or earlier label. *)
-
-val peephole : Lblock.t -> Lblock.t
-(** Drops the self-moves [addi]/[ori]/[xori rd, rd, 0]. *)
-
 val run_all : live_out:Hinsn.reg list -> Lblock.t -> Lblock.t
-(** The pipeline the translator uses when optimization is on:
-    constant folding, copy propagation (which forwards loads), dead-code
-    elimination, peephole, and a final dead-code sweep. *)
+(** The pipeline the translator uses when optimization is on, four
+    passes: constant folding, copy propagation (which forwards loads),
+    and two dead-code sweeps. A sweep removes instructions whose results
+    are never observed, and the self-moves [addi]/[ori]/[xori rd, rd,
+    0]; loads, stores, traps, branches and the macro-ops stay. It still
+    counts the uses of what it removes, so the second sweep removes the
+    defs that only the first sweep's removals read. Raises
+    {!Lblock.Malformed} on a branch to an undefined or earlier label. *)

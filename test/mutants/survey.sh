@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Mutation survey of lib/ir, the event queue and restore verification.
-# Each test/mutants/*.patch plants one known fault in an IR pass, in
-# lib/desim's Event_queue or in Vm's checkpoint chain. For each patch
-# this applies it to a copy of the checkout, builds the test runner, and
-# runs the desim, ir-passes, translator-units, translator-golden and
-# snapshot groups under a timeout. It
+# Mutation survey of lib/ir, the event queue, restore verification and
+# the H-ISA word format. Each test/mutants/*.patch plants one known fault
+# in an IR pass, in lib/desim's Event_queue, in Vm's checkpoint chain or
+# in Hexec.encode's field checks. For each patch this applies it to a
+# copy of the checkout, builds the test runner, and runs the desim,
+# host-isa, ir-passes, translator-units, translator-golden and snapshot
+# groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
 # out), or "missed" when every test passes, and exits 1 if any mutant is
 # missed or does not apply or build.
@@ -44,7 +45,8 @@ for patch in "$root"/test/mutants/*.patch; do
     status=1
   else
     by=""
-    for group in desim ir-passes translator-units translator-golden snapshot; do
+    for group in desim host-isa ir-passes translator-units translator-golden \
+      snapshot; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||

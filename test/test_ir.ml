@@ -36,7 +36,10 @@ module G = struct
         (3,
          let* op = oneofl [ Addi; Andi; Ori; Xori ] in
          let* rd = rd and* rs = src defined in
-         let* imm = int_range 0 0xFFFF in
+         (* Addi's immediate is signed, the logical ones' unsigned. *)
+         let* imm =
+           if op = Addi then int_range (-32768) 32767 else int_range 0 0xFFFF
+         in
          return (Alui (op, rd, rs, imm)));
         (* Constants and copies, for folding and copy propagation. *)
         (1,

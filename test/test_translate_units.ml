@@ -161,11 +161,9 @@ let test_code_is_hardware_only () =
       ~fetch:(Mem.read_u8 prog.Program.mem)
       ~guest_addr:prog.Program.entry
   in
-  Array.iter
-    (fun insn ->
-      (* Encoding raises if any register is still virtual. *)
-      ignore (Vat_host.Hencode.encode insn))
-    b.code
+  (* [Block.make] encodes every instruction and refuses a register that
+     is still virtual, so translating is the check. *)
+  Alcotest.(check bool) "some code" true (Array.length b.code > 0)
 
 let suite =
   [ Alcotest.test_case "terminator shapes" `Quick test_terminator_shapes;

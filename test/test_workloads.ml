@@ -155,6 +155,41 @@ let test_engine_alloc (b : Suite.benchmark) () =
           b.name checkpoints (words - plain) unread_checkpoint_words)
     (List.assoc_opt b.name checkpointed_words)
 
+(* The events a warm [Config.default] run of each workload dispatches,
+   built the way perfbench's engine layer builds it ([Vm.create] over
+   the primed memo, [Vm.start], then the queue run until empty) and
+   counted by an [Event_queue] probe. An event added or dropped fails
+   here even when every stat holds. *)
+let pinned_events =
+  [ ("164.gzip", 14447);
+    ("175.vpr", 47954);
+    ("176.gcc", 114578);
+    ("181.mcf", 216140);
+    ("186.crafty", 34443);
+    ("197.parser", 87029);
+    ("253.perlbmk", 1370);
+    ("254.gap", 26078);
+    ("255.vortex", 13984);
+    ("256.bzip2", 31778);
+    ("300.twolf", 27894) ]
+
+let test_events_pinned (b : Suite.benchmark) () =
+  let _, memo = primed b in
+  let q = Vat_desim.Event_queue.create () in
+  let vm =
+    Vm.create ~memo q (Vat_desim.Stats.create ()) Config.default (Suite.load b)
+  in
+  let events = ref 0 and outcome = ref None in
+  Vat_desim.Event_queue.set_probe q (fun ~now:_ ~pending:_ -> incr events);
+  Vm.start vm ~fuel:50_000_000 ~on_finish:(fun o -> outcome := Some o);
+  Vat_desim.Event_queue.run q;
+  (match !outcome with
+   | Some (Exec.Exited _) -> ()
+   | _ -> Alcotest.failf "%s did not exit" b.name);
+  Alcotest.(check int) "same digest as Vm.run" (vm_result b).digest
+    (Exec.digest (Vm.exec_of vm));
+  Alcotest.(check int) "events" (List.assoc b.name pinned_events) !events
+
 let test_deterministic (b : Suite.benchmark) () =
   (* Program construction is deterministic: same digest twice. *)
   let _, i1 = interp_run b in
@@ -215,7 +250,9 @@ let suite =
         Alcotest.test_case (b.name ^ " deterministic") `Quick
           (test_deterministic b);
         Alcotest.test_case (b.name ^ " engine allocation pinned") `Slow
-          (test_engine_alloc b) ])
+          (test_engine_alloc b);
+        Alcotest.test_case (b.name ^ " event count pinned") `Slow
+          (test_events_pinned b) ])
     Suite.all
   @ [ Alcotest.test_case "axis: code working set" `Slow
         test_code_working_set_axis;
