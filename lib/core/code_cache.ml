@@ -31,6 +31,16 @@ let table_digest table hash_entry =
   Hashtbl.fold (fun addr e acc -> (acc + hash_entry addr e) land max_int)
     table 0
 
+(* The block a [found] holds before its first hit. *)
+let no_block =
+  Block.make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
+    ~term:(T_fault "no block found") ~optimized:false ~translation_cycles:0
+    ~page_lo:(-1) ~page_hi:(-1)
+
+type found = { mutable hit : bool; mutable block : Block.t; mutable sum : int }
+
+let found () = { hit = false; block = no_block; sum = 0 }
+
 module L1 = struct
   type entry = {
     block : Block.t;
@@ -120,14 +130,9 @@ module L15 = struct
     mutable misses : int;
   }
 
-  let sentinel_block =
-    Block.make ~guest_addr:(-1) ~guest_len:0 ~guest_insns:0 ~code:[||]
-      ~term:(T_fault "L1.5 recency-list sentinel") ~optimized:false
-      ~translation_cycles:0 ~page_lo:(-1) ~page_hi:(-1)
-
   let create ~capacity =
     let rec lru =
-      { block = sentinel_block; stored_sum = 0; last_use = 0; prev = lru;
+      { block = no_block; stored_sum = 0; last_use = 0; prev = lru;
         next = lru }
     in
     { capacity; table = Hashtbl.create 256; lru; used = 0; tick = 0; hits = 0;
@@ -143,18 +148,20 @@ module L15 = struct
     t.lru.prev.next <- slot;
     t.lru.prev <- slot
 
-  let find t addr =
+  let find t addr (f : found) =
     t.tick <- t.tick + 1;
-    match Hashtbl.find_opt t.table addr with
-    | Some slot ->
+    match Hashtbl.find t.table addr with
+    | slot ->
       slot.last_use <- t.tick;
       unlink slot;
       append t slot;
       t.hits <- t.hits + 1;
-      Some (slot.block, slot.stored_sum)
-    | None ->
+      f.hit <- true;
+      f.block <- slot.block;
+      f.sum <- slot.stored_sum
+    | exception Not_found ->
       t.misses <- t.misses + 1;
-      None
+      f.hit <- false
 
   let drop t addr slot =
     Hashtbl.remove t.table addr;
@@ -231,9 +238,13 @@ module L2 = struct
       if n <= 0 then Hashtbl.remove t.pages p else Hashtbl.replace t.pages p n
     done
 
-  let find t addr =
-    Hashtbl.find_opt t.table addr
-    |> Option.map (fun c -> (c.block, c.stored_sum))
+  let find t addr (f : found) =
+    match Hashtbl.find t.table addr with
+    | c ->
+      f.hit <- true;
+      f.block <- c.block;
+      f.sum <- c.stored_sum
+    | exception Not_found -> f.hit <- false
 
   let remove t addr =
     match Hashtbl.find_opt t.table addr with

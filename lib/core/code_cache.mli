@@ -20,6 +20,15 @@
     flip one bit of its stored sum; they return [false] when the structure
     is empty and the fault is absorbed. *)
 
+type found = { mutable hit : bool; mutable block : Block.t; mutable sum : int }
+(** Where an {!L15.find} or {!L2.find} leaves its result, so that a
+    lookup allocates nothing: [hit] says whether a block was resident,
+    and if so [block] and [sum] are that block and its stored sum as of
+    the lookup. A caller keeps one per lookup site. *)
+
+val found : unit -> found
+(** A fresh result, [hit = false]. *)
+
 module L1 : sig
   type entry = {
     block : Block.t;
@@ -52,8 +61,10 @@ module L15 : sig
 
   val create : capacity:int -> t
 
-  val find : t -> int -> (Block.t * int) option
-  (** The resident block and its stored sum. *)
+  val find : t -> int -> found -> unit
+  (** [find t addr f] writes the block resident at [addr] and its stored
+      sum into [f] (or sets [f.hit] to [false]). A hit counts as a use
+      for the recency order. *)
 
   val install : ?sum:int -> t -> Block.t -> unit
   (** Evicts least-recently-used blocks until the new one fits. [sum]
@@ -75,8 +86,8 @@ module L2 : sig
 
   val create : capacity:int -> t
 
-  val find : t -> int -> (Block.t * int) option
-  (** The resident block and its stored sum. *)
+  val find : t -> int -> found -> unit
+  (** As {!L15.find}, without the recency order. *)
 
   val install : ?sum:int -> t -> Block.t -> unit
   val remove : t -> int -> unit

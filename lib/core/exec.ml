@@ -33,6 +33,9 @@ type wait_state =
   | Wait_syscall
   | Finished
 
+(* Which chain link of the block being left a dispatch may fill in. *)
+type link = Unlinked | Link_taken | Link_fall
+
 (* Pre-resolved stat counters for the per-instruction / per-event paths:
    one hashtable probe at engine construction, then one [Stats.bump] per
    event (a call, under dune's dev profile, not an inlined increment). *)
@@ -92,6 +95,14 @@ type t = {
   miss_replies : (unit -> unit) array;
       (* per register: the reply to a load miss into it, built once *)
   mutable pending_mask : int;  (* bit r: register r's miss reply outstanding *)
+  (* The one L1 fill outstanding while [wait = Wait_fill]: its target,
+     the block it may chain from and which link. The fill's request
+     event and its reply read them; both closures are built once, in
+     [create]. *)
+  mutable fill_target : int;
+  mutable fill_from : Code_cache.L1.entry option;
+  mutable fill_link : link;
+  mutable fill_request : unit -> unit;
   mutable t_local : int;
   mutable outstanding : int;
   mutable entry : Code_cache.L1.entry option;
@@ -396,8 +407,8 @@ and terminator t entry =
   match term with
   | Block.T_fault msg -> finish t (Fault msg)
   | Block.T_syscall { next } -> do_syscall t next
-  | Block.T_jmp { target } -> leave_direct t entry `Taken target
-  | Block.T_call { target; _ } -> leave_direct t entry `Taken target
+  | Block.T_jmp { target } -> leave_direct t entry Link_taken target
+  | Block.T_call { target; _ } -> leave_direct t entry Link_taken target
   | Block.T_jcc { taken; fall } ->
     let r = Block.term_reg in
     if pending t r then begin
@@ -405,8 +416,8 @@ and terminator t entry =
     end
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
-      if t.regs.(r) <> 0 then leave_direct t entry `Taken taken
-      else leave_direct t entry `Fall fall
+      if t.regs.(r) <> 0 then leave_direct t entry Link_taken taken
+      else leave_direct t entry Link_fall fall
     end
   | Block.T_jind _ ->
     let r = Block.term_reg in
@@ -414,16 +425,17 @@ and terminator t entry =
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
       Stats.bump t.k.c_indirect_transfers;
-      dispatch t ~chain_slot:None (t.regs.(r))
+      dispatch t Unlinked t.regs.(r)
     end
 
-and leave_direct t entry dir target =
+and leave_direct t entry link target =
   let chained =
     if not t.cfg.Config.chaining then None
     else
-      match dir with
-      | `Taken -> entry.chain_taken
-      | `Fall -> entry.chain_fall
+      match link with
+      | Link_taken -> entry.chain_taken
+      | Link_fall -> entry.chain_fall
+      | Unlinked -> None
   in
   match chained with
   | Some next_entry as held ->
@@ -432,9 +444,11 @@ and leave_direct t entry dir target =
     Tr.emit t.pb.p_chain ~cycle:t.t_local
       ~arg:next_entry.Code_cache.L1.block.Block.guest_addr;
     enter t next_entry held
-  | None -> dispatch t ~chain_slot:(Some (entry, dir)) target
+  | None -> dispatch t link target
 
-and dispatch t ~chain_slot target =
+(* [link] names the link of the block being left, which is still
+   [t.entry], that the dispatched block may fill. *)
+and dispatch t link target =
   Stats.bump t.k.c_dispatches;
   t.t_local <- t.t_local + Config.dispatch_cycles;
   match Code_cache.L1.find t.l1 target with
@@ -442,42 +456,46 @@ and dispatch t ~chain_slot target =
     Stats.bump t.k.c_l1code_hits;
     Tr.emit t.pb.p_l1_hit ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-    set_chain t chain_slot held;
+    set_chain t t.entry link held;
     enter t next_entry held
   | None ->
     Stats.bump t.k.c_l1code_misses;
     Tr.emit t.pb.p_l1_miss ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_fill_begin ~cycle:t.t_local ~arg:target;
     t.wait <- Wait_fill;
-    at_local t (fun () ->
-        Manager.note_on_path t.manager target;
-        Manager.request_fill t.manager ~addr:target ~on_ready:(fun block ->
-            (* Arrived back at the execution tile. *)
-            let now = Event_queue.now t.q in
-            if now > t.t_local then t.t_local <- now;
-            let install_cost =
-              (Block.size_bytes block / Config.l1_install_bytes_per_cycle)
-              + (if t.cfg.Config.fault_tolerance then
-                   t.cfg.Config.checksum_cycles
-                 else 0)
-            in
-            t.t_local <- t.t_local + max 1 install_cost;
-            let next_entry = Code_cache.L1.install t.l1 block in
-            let held = Some next_entry in
-            Stats.bump t.k.c_l1code_installs;
-            Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
-            Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
-            Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-            set_chain t chain_slot held;
-            t.wait <- Running;
-            enter t next_entry held))
+    t.fill_target <- target;
+    t.fill_from <- t.entry;
+    t.fill_link <- link;
+    at_local t t.fill_request
 
-and set_chain t chain_slot held =
+(* The block of the outstanding fill arrived back at the execution
+   tile. *)
+and fill_ready t block _sum =
+  let now = Event_queue.now t.q in
+  if now > t.t_local then t.t_local <- now;
+  let install_cost =
+    (Block.size_bytes block / Config.l1_install_bytes_per_cycle)
+    + (if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles
+       else 0)
+  in
+  t.t_local <- t.t_local + max 1 install_cost;
+  let next_entry = Code_cache.L1.install t.l1 block in
+  let held = Some next_entry in
+  let target = t.fill_target in
+  Stats.bump t.k.c_l1code_installs;
+  Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
+  Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
+  Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
+  set_chain t t.fill_from t.fill_link held;
+  t.wait <- Running;
+  enter t next_entry held
+
+and set_chain t from link held =
   if t.cfg.Config.chaining then
-    match chain_slot with
-    | Some (entry, `Taken) -> entry.Code_cache.L1.chain_taken <- held
-    | Some (entry, `Fall) -> entry.Code_cache.L1.chain_fall <- held
-    | None -> ()
+    match (from, link) with
+    | Some entry, Link_taken -> entry.Code_cache.L1.chain_taken <- held
+    | Some entry, Link_fall -> entry.Code_cache.L1.chain_fall <- held
+    | None, _ | _, Unlinked -> ()
 
 (* Every block entry — dispatch hit, fill install, or chained transfer —
    funnels through here, so this is where dispatch-time integrity
@@ -498,7 +516,7 @@ and enter t next_entry held =
       let target = next_entry.Code_cache.L1.block.Block.guest_addr in
       Code_cache.L1.flush t.l1;
       t.entry <- None;
-      dispatch t ~chain_slot:None target
+      dispatch t Unlinked target
     end
     else begin
       (* Unprotected configuration: the corruption goes unnoticed. The
@@ -545,7 +563,7 @@ and do_syscall t next =
                     t.regs.(Translate.guest_pin EAX) <- v land 0xFFFFFFFF;
                     t.ready_at.(Translate.guest_pin EAX) <- t.t_local;
                     t.wait <- Running;
-                    dispatch t ~chain_slot:None next)) })
+                    dispatch t Unlinked next)) })
 
 and wake t =
   match t.wait with
@@ -577,20 +595,15 @@ let create q stats cfg layout prog ~manager ~memsys ?input
   let fill_track = Tr.track trace "exec.fill" in
   let syscall_svc =
     Service.create ~trace q ~track:"syscall"
-      ~serve:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
-        let occupancy =
-          Config.syscall_base_cycles
-          + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
-               Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
-             else 0)
-        in
-        ( occupancy,
-          fun () ->
-            let result =
-              Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
-                ~ecx:s_ecx ~edx:s_edx
-            in
-            s_reply result ))
+      ~serve:(fun { s_eax; s_edx; _ } ->
+        Config.syscall_base_cycles
+        + (if s_eax = Syscall.sys_write || s_eax = Syscall.sys_read then
+             Config.syscall_per_byte_cycles * (s_edx land 0xFFFF)
+           else 0))
+      ~complete:(fun { s_eax; s_ebx; s_ecx; s_edx; s_reply } ->
+        s_reply
+          (Syscall.dispatch world prog.Program.mem ~eax:s_eax ~ebx:s_ebx
+             ~ecx:s_ecx ~edx:s_edx))
   in
   let t =
     { q;
@@ -639,6 +652,10 @@ let create q stats cfg layout prog ~manager ~memsys ?input
       syscall_svc;
       miss_replies = Array.make 32 ignore;
       pending_mask = 0;
+      fill_target = 0;
+      fill_from = None;
+      fill_link = Unlinked;
+      fill_request = ignore;
       t_local = 0;
       outstanding = 0;
       entry = None;
@@ -652,6 +669,11 @@ let create q stats cfg layout prog ~manager ~memsys ?input
   Array.iteri
     (fun rd _ -> t.miss_replies.(rd) <- (fun () -> miss_reply t rd))
     t.miss_replies;
+  let on_ready = fill_ready t in
+  t.fill_request <-
+    (fun () ->
+      Manager.note_on_path t.manager t.fill_target;
+      Manager.request_fill t.manager ~addr:t.fill_target ~on_ready);
   t
 
 let inject t (e : Fault.event) =
@@ -725,7 +747,7 @@ let start t ~fuel ~on_finish =
   Tr.emit t.pb.p_fill_begin ~cycle:0 ~arg:t.prog.Program.entry;
   Event_queue.schedule t.q ~at:0 (fun () ->
       Manager.request_fill t.manager ~addr:t.prog.Program.entry
-        ~on_ready:(fun block ->
+        ~on_ready:(fun block _sum ->
           let now = Event_queue.now t.q in
           if now > t.t_local then t.t_local <- now;
           let entry = Code_cache.L1.install t.l1 block in

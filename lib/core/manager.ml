@@ -89,6 +89,8 @@ type t = {
   mutable l15_alive : int array;      (* physical bank indexes still alive *)
   mutable mgr_service : mgr_req Service.t option;
   mutable l15_services : l15_req Service.t array;
+  mgr_found : Code_cache.found;       (* the manager service's lookup *)
+  l15_found : Code_cache.found array; (* each L1.5 service's lookup *)
   mutable drain_waiters : (unit -> unit) list;
   pr : probes;
   c : counters;
@@ -224,150 +226,169 @@ let stream_cycles (block : Block.t) =
 
 let verify_cost t = if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles else 0
 
+(* The manager's and the L1.5 banks' [serve] look the block up and
+   leave what they found in their service's slot ([mgr_found],
+   [l15_found]); [complete] replies from that slot, not from a second
+   lookup, since the cache may have changed by then. *)
 let serve_mgr t req =
   let ft = t.cfg.Config.fault_tolerance in
   match req with
-  | Fill { addr; corrupt; reply } ->
+  | Fill { addr; _ } ->
+    let f = t.mgr_found in
     Stats.incr_lazy t.c.l2code_accesses;
-    (match Code_cache.L2.find t.l2 addr with
-     | Some (block, sum) when (not ft) || sum = block.Block.checksum ->
-       (* The L2 code cache lives in off-chip DRAM: the manager fetches
-          the block before streaming it. *)
-       Tr.emit t.pr.l2_hit ~cycle:(Event_queue.now t.q) ~arg:addr;
-       let occupancy =
-         Config.mgr_lookup_cycles + Config.dram_cycles
-         + stream_cycles block + verify_cost t
-       in
-       ( occupancy,
-         fun () ->
-           Event_queue.after t.q
-             ~delay:(Layout.lat_manager_exec t.layout)
-             (fun () ->
-               let sum = if corrupt then sum lxor 0x2000 else sum in
-               reply block sum) )
-     | found ->
-       (match found with
-        | Some _ ->
-          (* Stored sum no longer matches the content: the resident line
-             took a soft error. Discard and demand retranslation — corrupt
-             code is never served. *)
-          Stats.incr t.stats "corrupt.l2code_detected";
-          Code_cache.L2.remove t.l2 addr
-        | None -> ());
-       Stats.incr_lazy t.c.l2code_misses;
-       Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
-       ( Config.mgr_lookup_cycles + verify_cost t,
-         fun () ->
-           add_waiter t addr reply;
-           (* If the block was invalidated (SMC) or evicted after being
-              marked done, allow it back into the queues. *)
-           Spec.forget_done t.spec addr;
-           Spec.request_demand t.spec addr;
-           kick_slaves t ))
-  | Translated { seq; slave; block; sum; gens } ->
+    Code_cache.L2.find t.l2 addr f;
+    if f.hit && ((not ft) || f.sum = f.block.Block.checksum) then begin
+      (* The L2 code cache lives in off-chip DRAM: the manager fetches
+         the block before streaming it. *)
+      Tr.emit t.pr.l2_hit ~cycle:(Event_queue.now t.q) ~arg:addr;
+      Config.mgr_lookup_cycles + Config.dram_cycles + stream_cycles f.block
+      + verify_cost t
+    end
+    else begin
+      if f.hit then begin
+        (* Stored sum no longer matches the content: the resident line
+           took a soft error. Discard and demand retranslation — corrupt
+           code is never served. *)
+        f.hit <- false;
+        Stats.incr t.stats "corrupt.l2code_detected";
+        Code_cache.L2.remove t.l2 addr
+      end;
+      Stats.incr_lazy t.c.l2code_misses;
+      Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
+      Config.mgr_lookup_cycles + verify_cost t
+    end
+  | Translated { block; _ } ->
     (* Installs drain through a DRAM write buffer: the manager only pays
        the bookkeeping and half-rate streaming, not the DRAM round trip
        (fills, which execution waits on, still do). *)
-    let occupancy =
-      Config.mgr_install_cycles + (stream_cycles block / 2) + verify_cost t
-    in
-    ( occupancy,
-      fun () ->
-        if ft && Hashtbl.mem t.acked seq then begin
-          (* A retransmit of an install we already accepted: idempotent —
-             just re-ack so the slave stops resending. *)
-          Stats.incr t.stats "corrupt.duplicate_installs";
-          send_ack t seq slave
-        end
-        else if ft && sum <> block.Block.checksum then begin
-          (* Garbled delivery. No ack: the slave's deadline retransmits a
-             clean copy. The corruption is charged to the slave's link for
-             the quarantine monitor. *)
-          Stats.incr t.stats "corrupt.install_rejected";
-          t.slave_corruptions.(slave) <- t.slave_corruptions.(slave) + 1
-        end
-        else begin
-          if ft then begin
-            Hashtbl.replace t.acked seq ();
-            send_ack t seq slave
-          end;
-          let stale =
-            List.exists (fun (p, g) -> t.page_gen ~page:p <> g) gens
-          in
-          if stale then begin
-            (* A guest store raced with this translation: drop the stale
-               block; anyone waiting triggers a fresh translation. *)
-            Stats.incr t.stats "smc.stale_translations";
-            Spec.forget t.spec block.guest_addr;
-            if Hashtbl.mem t.waiters block.guest_addr then begin
-              Spec.request_demand t.spec block.guest_addr;
-              kick_slaves t
-            end
-          end
-          else begin
-            Code_cache.L2.install t.l2 block;
-            Tr.emit t.pr.l2_install
-              ~cycle:(Event_queue.now t.q)
-              ~arg:block.guest_addr;
-            Spec.mark_done t.spec block.guest_addr;
-            Spec.note_block_translated t.spec block;
-            (match Hashtbl.find_opt t.waiters block.guest_addr with
-             | None -> ()
-             | Some replies ->
-               Hashtbl.remove t.waiters block.guest_addr;
-               let delay = Layout.lat_manager_exec t.layout in
-               List.iter
-                 (fun reply ->
-                   Event_queue.after t.q ~delay (fun () ->
-                       reply block block.Block.checksum))
-                 replies)
-          end
-        end;
-        kick_slaves t )
+    Config.mgr_install_cycles + (stream_cycles block / 2) + verify_cost t
 
-let serve_l15 t { addr; bank; corrupt; reply } =
+let complete_mgr t req =
   let ft = t.cfg.Config.fault_tolerance in
-  match Code_cache.L15.find t.l15_banks.(bank) addr with
-  | Some (block, sum) when (not ft) || sum = block.Block.checksum ->
+  match req with
+  | Fill { addr; corrupt; reply } ->
+    let f = t.mgr_found in
+    if f.hit then begin
+      let block = f.block in
+      let sum = if corrupt then f.sum lxor 0x2000 else f.sum in
+      Event_queue.after t.q
+        ~delay:(Layout.lat_manager_exec t.layout)
+        (fun () -> reply block sum)
+    end
+    else begin
+      add_waiter t addr reply;
+      (* If the block was invalidated (SMC) or evicted after being
+         marked done, allow it back into the queues. *)
+      Spec.forget_done t.spec addr;
+      Spec.request_demand t.spec addr;
+      kick_slaves t
+    end
+  | Translated { seq; slave; block; sum; gens } ->
+    if ft && Hashtbl.mem t.acked seq then begin
+      (* A retransmit of an install we already accepted: idempotent —
+         just re-ack so the slave stops resending. *)
+      Stats.incr t.stats "corrupt.duplicate_installs";
+      send_ack t seq slave
+    end
+    else if ft && sum <> block.Block.checksum then begin
+      (* Garbled delivery. No ack: the slave's deadline retransmits a
+         clean copy. The corruption is charged to the slave's link for
+         the quarantine monitor. *)
+      Stats.incr t.stats "corrupt.install_rejected";
+      t.slave_corruptions.(slave) <- t.slave_corruptions.(slave) + 1
+    end
+    else begin
+      if ft then begin
+        Hashtbl.replace t.acked seq ();
+        send_ack t seq slave
+      end;
+      let stale =
+        List.exists (fun (p, g) -> t.page_gen ~page:p <> g) gens
+      in
+      if stale then begin
+        (* A guest store raced with this translation: drop the stale
+           block; anyone waiting triggers a fresh translation. *)
+        Stats.incr t.stats "smc.stale_translations";
+        Spec.forget t.spec block.guest_addr;
+        if Hashtbl.mem t.waiters block.guest_addr then begin
+          Spec.request_demand t.spec block.guest_addr;
+          kick_slaves t
+        end
+      end
+      else begin
+        Code_cache.L2.install t.l2 block;
+        Tr.emit t.pr.l2_install
+          ~cycle:(Event_queue.now t.q)
+          ~arg:block.guest_addr;
+        Spec.mark_done t.spec block.guest_addr;
+        Spec.note_block_translated t.spec block;
+        (match Hashtbl.find_opt t.waiters block.guest_addr with
+         | None -> ()
+         | Some replies ->
+           Hashtbl.remove t.waiters block.guest_addr;
+           let delay = Layout.lat_manager_exec t.layout in
+           List.iter
+             (fun reply ->
+               Event_queue.after t.q ~delay (fun () ->
+                   reply block block.Block.checksum))
+             replies)
+      end
+    end;
+    kick_slaves t
+
+let serve_l15 t { addr; bank; _ } =
+  let ft = t.cfg.Config.fault_tolerance in
+  let f = t.l15_found.(bank) in
+  Code_cache.L15.find t.l15_banks.(bank) addr f;
+  if f.hit && ((not ft) || f.sum = f.block.Block.checksum) then begin
     Stats.incr_lazy t.c.l15_hits;
     Tr.emit t.pr.l15_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
-    ( Config.l15_lookup_cycles + stream_cycles block + verify_cost t,
-      fun () ->
-        let sum =
-          if corrupt then begin
-            t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
-            sum lxor 0x4000
-          end
-          else sum
-        in
-        (* Reply straight back to the execution tile. *)
-        Event_queue.after t.q
-          ~delay:(Layout.lat_exec_l15 t.layout bank)
-          (fun () -> reply block sum) )
-  | found ->
-    (match found with
-     | Some _ ->
-       (* Resident copy took a soft error: drop it and refetch from the
-          manager, exactly as if it had been evicted. *)
-       Stats.incr t.stats "corrupt.l15code_detected";
-       t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
-       Code_cache.L15.remove t.l15_banks.(bank) addr
-     | None -> ());
+    Config.l15_lookup_cycles + stream_cycles f.block + verify_cost t
+  end
+  else begin
+    if f.hit then begin
+      (* Resident copy took a soft error: drop it and refetch from the
+         manager, exactly as if it had been evicted. *)
+      f.hit <- false;
+      Stats.incr t.stats "corrupt.l15code_detected";
+      t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
+      Code_cache.L15.remove t.l15_banks.(bank) addr
+    end;
     Stats.incr_lazy t.c.l15_misses;
     Tr.emit t.pr.l15_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
-    ( Config.l15_lookup_cycles + verify_cost t,
-      fun () ->
-        (* Forward to the manager; when the block comes back, keep a copy
-           in this bank before handing it to the execution tile. A
-           delivery whose sum fails verification is not cached. *)
-        let reply_installing block sum =
-          if (not ft) || sum = (block : Block.t).checksum then
-            Code_cache.L15.install ~sum t.l15_banks.(bank) block;
-          reply block sum
-        in
-        Service.submit (mgr t)
-          ~delay:(Layout.lat_l15_manager t.layout bank)
-          (Fill { addr; corrupt; reply = reply_installing }) )
+    Config.l15_lookup_cycles + verify_cost t
+  end
+
+let complete_l15 t { addr; bank; corrupt; reply } =
+  let f = t.l15_found.(bank) in
+  if f.hit then begin
+    let block = f.block in
+    let sum =
+      if corrupt then begin
+        t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
+        f.sum lxor 0x4000
+      end
+      else f.sum
+    in
+    (* Reply straight back to the execution tile. *)
+    Event_queue.after t.q
+      ~delay:(Layout.lat_exec_l15 t.layout bank)
+      (fun () -> reply block sum)
+  end
+  else begin
+    (* Forward to the manager; when the block comes back, keep a copy in
+       this bank before handing it to the execution tile. A delivery
+       whose sum fails verification is not cached. *)
+    let ft = t.cfg.Config.fault_tolerance in
+    let reply_installing block sum =
+      if (not ft) || sum = (block : Block.t).checksum then
+        Code_cache.L15.install ~sum t.l15_banks.(bank) block;
+      reply block sum
+    in
+    Service.submit (mgr t)
+      ~delay:(Layout.lat_l15_manager t.layout bank)
+      (Fill { addr; corrupt; reply = reply_installing })
+  end
 
 (* A request reaching a dead L1.5 bank falls through to the manager (the
    network re-routes; the bank's caching is simply lost). *)
@@ -432,6 +453,8 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       l15_alive = Array.init cfg.Config.n_l15_banks (fun i -> i);
       mgr_service = None;
       l15_services = [||];
+      mgr_found = Code_cache.found ();
+      l15_found = Array.init n_l15 (fun _ -> Code_cache.found ());
       drain_waiters = [];
       pr;
       c =
@@ -451,12 +474,13 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
            | Fill f -> Fill { f with corrupt = true }
            | Translated { seq; slave; block; sum; gens } ->
              Translated { seq; slave; block; sum = sum lxor 0x1000; gens })
-         q ~track:"manager" ~serve:(serve_mgr t));
+         q ~track:"manager" ~serve:(serve_mgr t) ~complete:(complete_mgr t));
   t.l15_services <-
     Array.init n_l15 (fun i ->
         Service.create ~trace ~on_reject:(reroute_l15 t)
           ~on_corrupt:(fun r -> { r with corrupt = true })
-          q ~track:(l15_track_name i) ~serve:(serve_l15 t));
+          q ~track:(l15_track_name i) ~serve:(serve_l15 t)
+          ~complete:(complete_l15 t));
   t
 
 let seed t addr =
@@ -495,14 +519,19 @@ let degraded_fill t ~addr ~reply =
     Spec.note_block_translated t.spec b;
     b
   in
+  (* Its own lookup result: the manager service's slot may hold the
+     request in service's. *)
+  let f = Code_cache.found () in
+  Code_cache.L2.find t.l2 addr f;
   let block =
-    match Code_cache.L2.find t.l2 addr with
-    | Some (b, sum) when sum = b.Block.checksum -> b
-    | Some _ ->
-      Stats.incr t.stats "corrupt.l2code_detected";
-      Code_cache.L2.remove t.l2 addr;
+    if f.hit && f.sum = f.block.Block.checksum then f.block
+    else begin
+      if f.hit then begin
+        Stats.incr t.stats "corrupt.l2code_detected";
+        Code_cache.L2.remove t.l2 addr
+      end;
       fresh ()
-    | None -> fresh ()
+    end
   in
   Event_queue.after t.q
     ~delay:
@@ -512,7 +541,7 @@ let degraded_fill t ~addr ~reply =
 
 let request_fill t ~addr ~on_ready =
   if not t.cfg.Config.fault_tolerance then
-    submit_fill_once t ~addr ~reply:(fun block _sum -> on_ready block)
+    submit_fill_once t ~addr ~reply:on_ready
   else begin
     (* First verified reply wins; duplicates from retried requests and
        deliveries whose sum fails the end-to-end check are dropped (the
@@ -524,7 +553,7 @@ let request_fill t ~addr ~on_ready =
           Stats.incr t.stats "corrupt.fill_rejected"
         else begin
           done_ := true;
-          on_ready block
+          on_ready block sum
         end
       end
     in

@@ -36,9 +36,11 @@ val create :
 val seed : t -> int -> unit
 (** Queue the program entry point before the run starts. *)
 
-val request_fill : t -> addr:int -> on_ready:(Block.t -> unit) -> unit
-(** Execution-tile L1 code miss. [on_ready] fires when the block arrives
-    back at the execution tile (it still pays L1 install cost there). *)
+val request_fill : t -> addr:int -> on_ready:(Block.t -> int -> unit) -> unit
+(** Execution-tile L1 code miss. [on_ready block sum] fires when the
+    block arrives back at the execution tile (it still pays L1 install
+    cost there), with the checksum it was delivered with; with fault
+    tolerance armed that sum has been verified. *)
 
 val note_on_path : t -> int -> unit
 (** The engine entered this address (resets speculation depth). *)

@@ -34,6 +34,15 @@ type t = {
   bank_corruptions : int array; (* detected per bank, for quarantine *)
   mutable mmu : mmu_req Service.t option;
   mutable bank_services : bank_req Service.t array;
+  (* What each service's [serve] found that its [complete] acts on, one
+     slot per service (one request is in service at a time): the MMU's
+     physical address, target bank (-1: uncached DRAM) and forwarding
+     latency; each bank's reply latency and parity-fatal message. *)
+  mutable mmu_paddr : int;
+  mutable mmu_bank : int;
+  mutable mmu_forward_latency : int;
+  bank_reply_latency : int array;
+  bank_fatal : string option array;
   mutable reconfiguring : bool;
   mutable on_fatal : (bank:int -> string -> unit) option;
   pr : probes;
@@ -113,7 +122,7 @@ let bank_track_name i = Printf.sprintf "l2d.%d" i
 
 let make_bank_service t ~trace idx =
   Service.create ~trace t.q ~track:(bank_track_name idx)
-    ~serve:(fun { paddr; bwrite; bank; bon_done } ->
+    ~serve:(fun { paddr; bwrite; bank; _ } ->
       let cache = t.banks.(bank) in
       let { Cache.hit; writeback; parity } =
         Cache.access cache ~addr:(bank_local_addr t paddr) ~write:bwrite
@@ -134,57 +143,63 @@ let make_bank_service t ~trace idx =
              | None -> 0)
         end
       in
+      t.bank_reply_latency.(idx) <- Layout.lat_bank_exec t.layout bank;
       (* Parity on the banked L2D: a corrupt clean line is scrubbed and
          refetched from DRAM (time, never wrong data); a corrupt dirty
          line held the only copy of its data, so the access must fail
          loudly — never return a silent wrong value. *)
-      let occupancy, fatal =
-        match parity with
-        | Cache.Parity_ok -> (occupancy, None)
-        | Cache.Corrected ->
-          Stats.incr t.stats "corrupt.parity_corrected";
-          t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-          (occupancy + Config.dram_cycles, None)
-        | Cache.Uncorrectable ->
-          Stats.incr t.stats "corrupt.parity_uncorrectable";
-          t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-          ( occupancy,
-            Some (Printf.sprintf "uncorrectable L2D parity error (bank %d)" bank) )
-      in
-      let reply_latency = Layout.lat_bank_exec t.layout bank in
-      ( occupancy,
-        fun () ->
-          (match fatal with
-           | Some msg -> (match t.on_fatal with Some f -> f ~bank msg | None -> ())
-           | None -> ());
-          Event_queue.after t.q ~delay:reply_latency bon_done ))
+      match parity with
+      | Cache.Parity_ok ->
+        t.bank_fatal.(idx) <- None;
+        occupancy
+      | Cache.Corrected ->
+        Stats.incr t.stats "corrupt.parity_corrected";
+        t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
+        t.bank_fatal.(idx) <- None;
+        occupancy + Config.dram_cycles
+      | Cache.Uncorrectable ->
+        Stats.incr t.stats "corrupt.parity_uncorrectable";
+        t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
+        t.bank_fatal.(idx) <-
+          Some (Printf.sprintf "uncorrectable L2D parity error (bank %d)" bank);
+        occupancy)
+    ~complete:(fun { bank; bon_done; _ } ->
+      (match t.bank_fatal.(idx) with
+       | Some msg -> (match t.on_fatal with Some f -> f ~bank msg | None -> ())
+       | None -> ());
+      Event_queue.after t.q ~delay:t.bank_reply_latency.(idx) bon_done)
 
 let make_mmu t ~trace =
   Service.create ~trace t.q ~track:"mmu"
-    ~serve:(fun { vaddr; write; on_done } ->
+    ~serve:(fun { vaddr; _ } ->
       Stats.incr_lazy t.c_mmu_requests;
       let vpage = vaddr / Mem.page_size in
       let hit = tlb_lookup t vpage in
       let occupancy =
         if hit then Config.mmu_tlb_hit_cycles else Config.mmu_walk_cycles
       in
-      let paddr = translate t vaddr in
+      t.mmu_paddr <- translate t vaddr;
       if Array.length t.bank_map = 0 then begin
         (* Every bank is dead: the MMU serves straight from DRAM. *)
         Stats.incr t.stats "fault.uncached_dram_accesses";
         Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:3;
-        ( occupancy + Config.dram_cycles,
-          fun () ->
-            Event_queue.after t.q ~delay:(Layout.lat_exec_mmu t.layout) on_done )
+        t.mmu_bank <- -1;
+        occupancy + Config.dram_cycles
       end
       else begin
-        let phys = t.bank_map.(bank_of t paddr) in
-        let forward_latency = Layout.lat_mmu_bank t.layout phys in
-        ( occupancy,
-          fun () ->
-            Service.submit t.bank_services.(phys) ~delay:forward_latency
-              { paddr; bwrite = write; bank = phys; bon_done = on_done } )
+        let phys = t.bank_map.(bank_of t t.mmu_paddr) in
+        t.mmu_bank <- phys;
+        t.mmu_forward_latency <- Layout.lat_mmu_bank t.layout phys;
+        occupancy
       end)
+    ~complete:(fun { write; on_done; _ } ->
+      if t.mmu_bank < 0 then
+        Event_queue.after t.q ~delay:(Layout.lat_exec_mmu t.layout) on_done
+      else
+        Service.submit t.bank_services.(t.mmu_bank)
+          ~delay:t.mmu_forward_latency
+          { paddr = t.mmu_paddr; bwrite = write; bank = t.mmu_bank;
+            bon_done = on_done })
 
 let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
   let banks =
@@ -222,6 +237,11 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       bank_corruptions = Array.make max_banks 0;
       mmu = None;
       bank_services = [||];
+      mmu_paddr = 0;
+      mmu_bank = -1;
+      mmu_forward_latency = 0;
+      bank_reply_latency = Array.make max_banks 0;
+      bank_fatal = Array.make max_banks None;
       reconfiguring = false;
       on_fatal = None;
       pr;

@@ -4,16 +4,22 @@ module Tr = Vat_trace.Trace
 
 type 'req t = {
   q : Event_queue.t;
-  serve : 'req -> int * (unit -> unit);
-  pending : 'req Queue.t;
+  serve : 'req -> int;
+  complete : 'req -> unit;
+  (* Pending requests, FIFO: [len] of them from [head] on, wrapping
+     round [ring]. While [in_service], the request in service is still
+     at [head] and counts in [len]; [end_service] pops it. The ring is
+     built at the first arrival (a service has no ['req] to fill it with
+     before then) and doubles when full. *)
+  mutable ring : 'req array;
+  mutable head : int;
+  mutable len : int;
   mutable in_service : bool;
-  (* The request in service: its occupancy and its completion action
-     (cleared once it runs). One request is served at a time, so the
-     completion event is always [complete], a closure [create] builds
-     once. *)
+  (* The occupancy of the request in service. One request is served at a
+     time, so the completion event is always [end_event], a closure
+     [create] builds once. *)
   mutable occupancy : int;
-  mutable on_complete : unit -> unit;
-  mutable complete : unit -> unit;
+  mutable end_event : unit -> unit;
   mutable paused : bool;
   mutable busy_cycles : int;
   mutable served : int;
@@ -38,10 +44,38 @@ type 'req t = {
   pr_stop : Tr.emitter;
 }
 
+let initial_capacity = 8
+
+(* Requests waiting, not counting the one in service. *)
+let waiting t = if t.in_service then t.len - 1 else t.len
+
+(* The ring index [i] slots past the head, for [i <= len]. *)
+let slot t i =
+  let j = t.head + i in
+  if j >= Array.length t.ring then j - Array.length t.ring else j
+
+let push t req =
+  if t.len = Array.length t.ring then begin
+    let ring = Array.make (max initial_capacity (2 * t.len)) req in
+    for i = 0 to t.len - 1 do
+      ring.(i) <- t.ring.(slot t i)
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  t.ring.(slot t t.len) <- req;
+  t.len <- t.len + 1
+
+let pop t =
+  let req = t.ring.(t.head) in
+  t.head <- slot t 1;
+  t.len <- t.len - 1;
+  req
+
 (* "Idle" for drain purposes: nothing in service, and nothing startable
    (a paused service with queued work counts as drained — the queue will
    resume after the role change). *)
-let idle t = (not t.in_service) && (t.paused || Queue.is_empty t.pending)
+let idle t = (not t.in_service) && (t.paused || t.len = 0)
 
 let notify_if_idle t =
   if idle t && t.waiters <> [] then begin
@@ -51,11 +85,9 @@ let notify_if_idle t =
   end
 
 let rec start_next t =
-  if (not t.in_service) && (not t.paused) && (not t.failed)
-     && not (Queue.is_empty t.pending)
+  if (not t.in_service) && (not t.paused) && (not t.failed) && t.len > 0
   then begin
-    let req = Queue.pop t.pending in
-    let occupancy, on_complete = t.serve req in
+    let occupancy = t.serve t.ring.(t.head) in
     let occupancy =
       if t.slow_factor > 1 && Event_queue.now t.q < t.slow_until then
         occupancy * t.slow_factor
@@ -63,17 +95,13 @@ let rec start_next t =
     in
     t.in_service <- true;
     t.occupancy <- occupancy;
-    t.on_complete <- on_complete;
     t.busy_cycles <- t.busy_cycles + occupancy;
-    Tr.emit t.pr_start
-      ~cycle:(Event_queue.now t.q)
-      ~arg:(Queue.length t.pending + 1);
-    Event_queue.after t.q ~delay:(max 1 occupancy) t.complete
+    Tr.emit t.pr_start ~cycle:(Event_queue.now t.q) ~arg:t.len;
+    Event_queue.after t.q ~delay:(max 1 occupancy) t.end_event
   end
 
-and complete t =
-  let on_complete = t.on_complete in
-  t.on_complete <- ignore;
+and end_service t =
+  let req = pop t in
   t.in_service <- false;
   Tr.emit t.pr_stop ~cycle:(Event_queue.now t.q) ~arg:t.occupancy;
   if t.failed then begin
@@ -83,21 +111,24 @@ and complete t =
   end
   else begin
     t.served <- t.served + 1;
-    on_complete ();
+    t.complete req;
     start_next t;
     notify_if_idle t
   end
 
-let create ?(trace = Tr.disabled) ?on_reject ?on_corrupt q ~track ~serve =
+let create ?(trace = Tr.disabled) ?on_reject ?on_corrupt q ~track ~serve
+    ~complete =
   let track = Tr.track trace track in
   let t =
     { q;
       serve;
-      pending = Queue.create ();
+      complete;
+      ring = [||];
+      head = 0;
+      len = 0;
       in_service = false;
       occupancy = 0;
-      on_complete = ignore;
-      complete = ignore;
+      end_event = ignore;
       paused = false;
       busy_cycles = 0;
       served = 0;
@@ -118,8 +149,21 @@ let create ?(trace = Tr.disabled) ?on_reject ?on_corrupt q ~track ~serve =
       pr_start = Tr.emitter trace ~track Tr.Serve_begin;
       pr_stop = Tr.emitter trace ~track Tr.Serve_end }
   in
-  t.complete <- (fun () -> complete t);
+  t.end_event <- (fun () -> end_service t);
   t
+
+let arrive t req =
+  push t req;
+  if t.dup_budget > 0 then begin
+    (* The interconnect redelivers the message; receivers must treat the
+       copy idempotently. *)
+    t.dup_budget <- t.dup_budget - 1;
+    t.duplicated <- t.duplicated + 1;
+    push t req
+  end;
+  if t.len > t.max_queue then t.max_queue <- t.len;
+  Tr.emit t.pr_recv ~cycle:(Event_queue.now t.q) ~arg:t.len;
+  start_next t
 
 let submit t ~delay req =
   Event_queue.after t.q ~delay:(max 0 delay) (fun () ->
@@ -132,41 +176,20 @@ let submit t ~delay req =
         t.drop_budget <- t.drop_budget - 1;
         t.dropped <- t.dropped + 1
       end
+      else if t.corrupt_budget <= 0 then arrive t req
       else begin
-        let req =
-          if t.corrupt_budget <= 0 then Some req
-          else begin
-            (* Soft error in flight: the message arrives bit-flipped. The
-               owner's transformer marks it corrupt (so checksums catch it
-               downstream); without one the message is undecodable and is
-               simply lost — the deadline/retry layer recovers it. *)
-            t.corrupt_budget <- t.corrupt_budget - 1;
-            t.corrupted <- t.corrupted + 1;
-            match t.on_corrupt with
-            | Some f -> Some (f req)
-            | None ->
-              t.dropped <- t.dropped + 1;
-              None
-          end
-        in
-        match req with
-        | None -> ()
-        | Some req ->
-          Queue.push req t.pending;
-          if t.dup_budget > 0 then begin
-            (* The interconnect redelivers the message; receivers must
-               treat the copy idempotently. *)
-            t.dup_budget <- t.dup_budget - 1;
-            t.duplicated <- t.duplicated + 1;
-            Queue.push req t.pending
-          end;
-          let ql = Queue.length t.pending + if t.in_service then 1 else 0 in
-          if ql > t.max_queue then t.max_queue <- ql;
-          Tr.emit t.pr_recv ~cycle:(Event_queue.now t.q) ~arg:ql;
-          start_next t
+        (* Soft error in flight: the message arrives bit-flipped. The
+           owner's transformer marks it corrupt (so checksums catch it
+           downstream); without one the message is undecodable and is
+           simply lost — the deadline/retry layer recovers it. *)
+        t.corrupt_budget <- t.corrupt_budget - 1;
+        t.corrupted <- t.corrupted + 1;
+        match t.on_corrupt with
+        | Some f -> arrive t (f req)
+        | None -> t.dropped <- t.dropped + 1
       end)
 
-let queue_length t = Queue.length t.pending + if t.in_service then 1 else 0
+let queue_length t = t.len
 
 (* Checkpoint observation: every mutable scalar of the service, in a
    fixed order. Requests themselves are closures/records the snapshot
@@ -175,7 +198,7 @@ let queue_length t = Queue.length t.pending + if t.in_service then 1 else 0
    reconstructing it. *)
 let capture t =
   let b v = if v then 1 else 0 in
-  [ Queue.length t.pending;
+  [ waiting t;
     b t.in_service;
     b t.paused;
     t.busy_cycles;
@@ -207,8 +230,13 @@ let set_paused t paused =
 
 let fail t =
   t.failed <- true;
-  let orphans = List.of_seq (Queue.to_seq t.pending) in
-  Queue.clear t.pending;
+  (* The request in service stays at the head until its completion
+     abandons it. *)
+  let kept = t.len - waiting t in
+  let orphans =
+    List.init (waiting t) (fun i -> t.ring.(slot t (kept + i)))
+  in
+  t.len <- kept;
   t.dropped <- t.dropped + List.length orphans;
   notify_if_idle t;
   orphans

@@ -3,14 +3,16 @@ open Vat_desim
 (** A tile acting as a serialized service center.
 
     Requests arrive (after their network latency), queue FIFO, and are
-    served one at a time; the handler returns the service occupancy in
-    cycles and an action to run at completion (typically sending a reply).
-    This one-at-a-time discipline is what creates congestion at shared
-    tiles — the paper's central observation about the L2 code-cache
-    manager tile. It also means the service holds one completion at a
-    time: the request in service's occupancy and action sit in the
-    service itself, and its completion event is one closure built at
-    {!create}, so serving a request schedules no new closure. *)
+    served one at a time: the owner's [serve] returns the service
+    occupancy in cycles, and its [complete] runs when that occupancy
+    ends (typically sending a reply). This one-at-a-time discipline is
+    what creates congestion at shared tiles — the paper's central
+    observation about the L2 code-cache manager tile.
+
+    Serving a request allocates nothing. Pending requests wait in a ring
+    that grows by doubling; the request in service stays at its head,
+    and its completion event is one closure built at {!create}. Only
+    {!submit}'s arrival event is a closure per request. *)
 
 type 'req t
 
@@ -20,9 +22,17 @@ val create :
   ?on_corrupt:('req -> 'req) ->
   Event_queue.t ->
   track:string ->
-  serve:('req -> int * (unit -> unit)) ->
+  serve:('req -> int) ->
+  complete:('req -> unit) ->
   'req t
-(** [serve req] returns [(occupancy_cycles, on_complete)].
+(** [serve req] runs when [req] enters service and returns its occupancy
+    in cycles; [complete req] runs when that occupancy ends, with the
+    same request, unless the tile failed in the meantime. Requests enter
+    service in arrival order, and [complete] for one request always runs
+    before [serve] for the next, so an owner that must carry a fact from
+    [serve] to [complete] (a cache lookup's result, a latency read off a
+    map that may change by completion) keeps it in one slot of its own
+    per service.
 
     The service records its own timeline on the trace track named
     [track] (default recorder {!Vat_trace.Trace.disabled}, which records

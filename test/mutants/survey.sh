@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Mutation survey of lib/ir, the event queue, restore verification and
-# the H-ISA word format. Each test/mutants/*.patch plants one known fault
-# in an IR pass, in lib/desim's Event_queue, in Vm's checkpoint chain or
-# in Hexec.encode's field checks. For each patch this applies it to a
-# copy of the checkout, builds the test runner, and runs the desim,
-# host-isa, ir-passes, translator-units, translator-golden and snapshot
-# groups under a timeout. It
+# Mutation survey of lib/ir, the event queue, restore verification, the
+# H-ISA word format and the tile service queue. Each test/mutants/*.patch
+# plants one known fault in an IR pass, in lib/desim's Event_queue, in
+# Vm's checkpoint chain, in Hexec.encode's field checks or in
+# Tiled.Service's request ring. For each patch this applies it to a copy
+# of the checkout, builds the test runner, and runs the desim, host-isa,
+# ir-passes, translator-units, translator-golden, snapshot and
+# tiled-substrate groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
 # out), or "missed" when every test passes, and exits 1 if any mutant is
 # missed or does not apply or build.
@@ -46,7 +47,7 @@ for patch in "$root"/test/mutants/*.patch; do
   else
     by=""
     for group in desim host-isa ir-passes translator-units translator-golden \
-      snapshot; do
+      snapshot tiled-substrate; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||

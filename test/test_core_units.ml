@@ -45,6 +45,12 @@ let test_l1_chaining_fields () =
 
 (* --- L1.5 -------------------------------------------------------------- *)
 
+(* The resident block and its stored sum, if any. *)
+let l15_find bank addr =
+  let f = Code_cache.found () in
+  Code_cache.L15.find bank addr f;
+  if f.hit then Some (f.block, f.sum) else None
+
 let test_l15_lru_eviction () =
   let block_size = Block.size_bytes (dummy_block ()) in
   let l15 = Code_cache.L15.create ~capacity:(block_size * 3) in
@@ -52,12 +58,12 @@ let test_l15_lru_eviction () =
     (fun a -> Code_cache.L15.install l15 (dummy_block ~addr:a ()))
     [ 0x1000; 0x2000; 0x3000 ];
   (* Touch 0x1000 so 0x2000 becomes LRU; a fourth block evicts it. *)
-  ignore (Code_cache.L15.find l15 0x1000);
+  ignore (l15_find l15 0x1000);
   Code_cache.L15.install l15 (dummy_block ~addr:0x4000 ());
   Alcotest.(check bool) "refreshed survives" true
-    (Code_cache.L15.find l15 0x1000 <> None);
+    (l15_find l15 0x1000 <> None);
   Alcotest.(check bool) "LRU evicted" true
-    (Code_cache.L15.find l15 0x2000 = None)
+    (l15_find l15 0x2000 = None)
 
 let test_l15_drop_page () =
   let l15 = Code_cache.L15.create ~capacity:1_000_000 in
@@ -65,9 +71,9 @@ let test_l15_drop_page () =
   Code_cache.L15.install l15 (dummy_block ~addr:0x5000 ());
   Code_cache.L15.drop_page l15 (0x1000 / 4096);
   Alcotest.(check bool) "same page dropped" true
-    (Code_cache.L15.find l15 0x1000 = None);
+    (l15_find l15 0x1000 = None);
   Alcotest.(check bool) "other page kept" true
-    (Code_cache.L15.find l15 0x5000 <> None)
+    (l15_find l15 0x5000 <> None)
 
 (* Random install/find/remove/drop_page sequences on a bank that holds
    about three blocks, against a model that evicts the resident block
@@ -162,7 +168,7 @@ let prop_l15_recency =
              | None -> None
            in
            let actual =
-             Code_cache.L15.find bank a
+             l15_find bank a
              |> Option.map (fun ((b : Block.t), sum) ->
                     (b.guest_addr, Block.size_bytes b, sum))
            in

@@ -59,8 +59,8 @@ let test_plan_ordering () =
 (* ------------------------------------------------------------------ *)
 
 let mk_service ?on_reject q completions =
-  Service.create ?on_reject q ~track:"s" ~serve:(fun id ->
-      (10, fun () -> completions := id :: !completions))
+  Service.create ?on_reject q ~track:"s" ~serve:(fun _ -> 10)
+    ~complete:(fun id -> completions := id :: !completions)
 
 let test_service_fail_stop () =
   let q = Event_queue.create () in
@@ -113,8 +113,8 @@ let test_service_slow () =
   let q = Event_queue.create () in
   let done_at = ref [] in
   let svc =
-    Service.create q ~track:"s" ~serve:(fun () ->
-        (10, fun () -> done_at := Event_queue.now q :: !done_at))
+    Service.create q ~track:"s" ~serve:(fun () -> 10) ~complete:(fun () ->
+        done_at := Event_queue.now q :: !done_at)
   in
   Service.inject svc (Fault.Slow { factor = 4; cycles = 15 });
   Service.submit svc ~delay:0 ();  (* starts at 0, occupancy 40 *)

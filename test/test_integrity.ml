@@ -123,8 +123,8 @@ let prop_random_prefix_stable =
 (* ------------------------------------------------------------------ *)
 
 let mk_service ?on_corrupt q completions =
-  Service.create ?on_corrupt q ~track:"s" ~serve:(fun id ->
-      (10, fun () -> completions := id :: !completions))
+  Service.create ?on_corrupt q ~track:"s" ~serve:(fun _ -> 10)
+    ~complete:(fun id -> completions := id :: !completions)
 
 let test_service_corrupt_with_handler () =
   let q = Event_queue.create () in

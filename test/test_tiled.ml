@@ -84,8 +84,8 @@ let test_service_serializes () =
   let q = Event_queue.create () in
   let completions = ref [] in
   let svc =
-    Service.create q ~track:"s" ~serve:(fun () ->
-        (10, fun () -> completions := Event_queue.now q :: !completions))
+    Service.create q ~track:"s" ~serve:(fun () -> 10) ~complete:(fun () ->
+        completions := Event_queue.now q :: !completions)
   in
   Service.submit svc ~delay:0 ();
   Service.submit svc ~delay:0 ();
@@ -99,7 +99,10 @@ let test_service_serializes () =
 let test_service_pause_drain () =
   let q = Event_queue.create () in
   let served = ref 0 in
-  let svc = Service.create q ~track:"s" ~serve:(fun () -> (5, fun () -> incr served)) in
+  let svc =
+    Service.create q ~track:"s" ~serve:(fun () -> 5) ~complete:(fun () ->
+        incr served)
+  in
   Service.submit svc ~delay:0 ();
   Service.submit svc ~delay:0 ();
   (* Pause after the first dispatch; drain should fire once in-service
@@ -115,6 +118,118 @@ let test_service_pause_drain () =
   Event_queue.run q;
   Alcotest.(check int) "resumed" 2 !served
 
+(* A request with an identity: the tests below check that [complete]
+   gets the very record [serve] got, not a copy. *)
+type req = { id : int }
+
+let ids reqs = List.rev_map (fun r -> r.id) reqs
+
+let test_service_fifo_through_growth () =
+  (* Five requests fill part of the ring; once two are served the head
+     has moved, so the next pushes wrap round the end of the ring, and
+     thirty in all force it to grow twice past its initial 8 slots while
+     wrapped. *)
+  let q = Event_queue.create () in
+  let done_ = ref [] in
+  let svc =
+    Service.create q ~track:"s" ~serve:(fun _ -> 10) ~complete:(fun r ->
+        done_ := r :: !done_)
+  in
+  for id = 0 to 4 do
+    Service.submit svc ~delay:0 { id }
+  done;
+  Event_queue.schedule q ~at:25 (fun () -> Service.set_paused svc true);
+  Event_queue.schedule q ~at:26 (fun () ->
+      for id = 5 to 29 do
+        Service.submit svc ~delay:0 { id }
+      done);
+  Event_queue.run_until q ~limit:100;
+  Alcotest.(check (list int)) "paused after the third" [ 0; 1; 2 ] (ids !done_);
+  Alcotest.(check int) "all the rest queued" 27 (Service.queue_length svc);
+  Service.set_paused svc false;
+  Event_queue.run q;
+  Alcotest.(check (list int)) "arrival order" (List.init 30 Fun.id)
+    (ids !done_);
+  Alcotest.(check int) "served" 30 (Service.served svc);
+  Alcotest.(check int) "empty" 0 (Service.queue_length svc)
+
+let test_service_fail_orphans_after_wrap () =
+  (* Requests 0-5 arrive at once; at cycle 45 request 4 is in service
+     and 6-11 arrive, wrapping round the ring's 8 slots without filling
+     it past them. *)
+  let q = Event_queue.create () in
+  let done_ = ref [] in
+  let svc =
+    Service.create q ~track:"s" ~serve:(fun _ -> 10) ~complete:(fun r ->
+        done_ := r :: !done_)
+  in
+  for id = 0 to 5 do
+    Service.submit svc ~delay:0 { id }
+  done;
+  Event_queue.schedule q ~at:45 (fun () ->
+      for id = 6 to 11 do
+        Service.submit svc ~delay:0 { id }
+      done);
+  let orphans = ref [] in
+  Event_queue.schedule q ~at:46 (fun () -> orphans := Service.fail svc);
+  Event_queue.run q;
+  Alcotest.(check (list int)) "orphans in submission order"
+    [ 5; 6; 7; 8; 9; 10; 11 ]
+    (List.map (fun r -> r.id) !orphans);
+  Alcotest.(check (list int)) "completed before the failure" [ 0; 1; 2; 3 ]
+    (ids !done_);
+  (* Seven orphans and request 4, abandoned in service. *)
+  Alcotest.(check int) "dropped" 8 (Service.dropped svc)
+
+let test_service_duplicate_same_request () =
+  let q = Event_queue.create () in
+  let done_ = ref [] in
+  let svc =
+    Service.create q ~track:"s" ~serve:(fun _ -> 10) ~complete:(fun r ->
+        done_ := r :: !done_)
+  in
+  let a = { id = 1 } and b = { id = 2 } in
+  Service.inject svc (Fault.Duplicate_delivery 1);
+  Service.submit svc ~delay:0 a;
+  Service.submit svc ~delay:1 b;
+  Event_queue.run q;
+  match List.rev !done_ with
+  | [ x; y; z ] ->
+    Alcotest.(check bool) "the first request, completed twice" true
+      (x == a && y == a);
+    Alcotest.(check bool) "then the second" true (z == b)
+  | l -> Alcotest.failf "expected three completions, got %d" (List.length l)
+
+let test_service_complete_gets_served_request () =
+  (* Under a slow-down the occupancy [serve] returns is multiplied, but
+     [complete] still runs once per request, with the record [serve]
+     saw, after the scaled occupancy. *)
+  let q = Event_queue.create () in
+  let in_service = ref None and mismatches = ref 0 and done_at = ref [] in
+  let svc =
+    Service.create q ~track:"s"
+      ~serve:(fun r ->
+        in_service := Some r;
+        5 + r.id)
+      ~complete:(fun r ->
+        (match !in_service with
+         | Some s when s == r -> ()
+         | _ -> incr mismatches);
+        in_service := None;
+        done_at := (r.id, Event_queue.now q) :: !done_at)
+  in
+  Service.inject svc (Fault.Slow { factor = 3; cycles = 20 });
+  List.iter
+    (fun (id, delay) -> Service.submit svc ~delay { id })
+    [ (1, 0); (2, 0); (3, 10); (4, 40) ];
+  Event_queue.run q;
+  Alcotest.(check int) "complete got what serve got" 0 !mismatches;
+  (* 1 starts at 0 (18 cycles, slowed), 2 at 18 (21, slowed), 3 at 39
+     (8, nominal again), 4 at 47 (9). *)
+  Alcotest.(check (list (pair int int))) "completion times"
+    [ (1, 18); (2, 39); (3, 47); (4, 56) ]
+    (List.rev !done_at)
+
 let suite =
   [ Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache LRU" `Quick test_cache_lru;
@@ -124,5 +239,13 @@ let suite =
     Alcotest.test_case "grid latencies" `Quick test_grid_latency;
     Alcotest.test_case "grid indexing" `Quick test_grid_indexing;
     Alcotest.test_case "service serializes" `Quick test_service_serializes;
-    Alcotest.test_case "service pause/drain" `Quick test_service_pause_drain ]
+    Alcotest.test_case "service pause/drain" `Quick test_service_pause_drain;
+    Alcotest.test_case "service FIFO through ring growth and wrap" `Quick
+      test_service_fifo_through_growth;
+    Alcotest.test_case "service fail: orphans in order after a wrap" `Quick
+      test_service_fail_orphans_after_wrap;
+    Alcotest.test_case "service duplicate completes the same request" `Quick
+      test_service_duplicate_same_request;
+    Alcotest.test_case "service complete gets the served request" `Quick
+      test_service_complete_gets_served_request ]
   @ [ QCheck_alcotest.to_alcotest prop_cache_capacity ]

@@ -106,19 +106,19 @@ let test_stats_pinned run md5 () =
    builds and runs the tests; another compiler version or build profile
    allocates differently and needs its own pins. *)
 let engine_words =
-  [ ("164.gzip", 372952);
-    ("175.vpr", 1123363);
-    ("176.gcc", 2878505);
-    ("181.mcf", 2423447);
-    ("186.crafty", 772027);
-    ("197.parser", 1111498);
-    ("253.perlbmk", 32506);
-    ("254.gap", 582252);
-    ("255.vortex", 282094);
-    ("256.bzip2", 547585);
-    ("300.twolf", 608442) ]
+  [ ("164.gzip", 257558);
+    ("175.vpr", 631475);
+    ("176.gcc", 1764709);
+    ("181.mcf", 1198898);
+    ("186.crafty", 400200);
+    ("197.parser", 596837);
+    ("253.perlbmk", 23796);
+    ("254.gap", 302408);
+    ("255.vortex", 145017);
+    ("256.bzip2", 336663);
+    ("300.twolf", 315037) ]
 
-let checkpointed_words = [ ("164.gzip", 373789); ("181.mcf", 2426091) ]
+let checkpointed_words = [ ("164.gzip", 258417); ("181.mcf", 1201564) ]
 
 let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let _, memo = primed b in
