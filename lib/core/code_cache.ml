@@ -6,19 +6,27 @@
 
 let mix_salt salt = salt * 0x9E3779B9 land max_int
 
-(* Deterministic victim pick over a hashtable: the entry whose address
-   xor-mixed with the salt is smallest. Independent of hashtable iteration
-   order, so injection is reproducible across runs and domains. *)
-let pick_victim table salt =
+(* Soft-error injection: [flip e bit] xors [bit] into resident entry
+   [e]'s stored sum; [false] when nothing is resident. The victim
+   is the entry whose address xor-mixed with the salt is smallest:
+   independent of hashtable iteration order, so injection is
+   reproducible across runs and domains. *)
+let corrupt_stored_sum table ~salt ~flip =
   let mixed = mix_salt salt in
-  Hashtbl.fold
-    (fun addr _ best ->
-      let score = addr lxor mixed in
-      match best with
-      | Some (s, _) when s <= score -> best
-      | _ -> Some (score, addr))
-    table None
-  |> Option.map snd
+  let victim =
+    Hashtbl.fold
+      (fun addr _ best ->
+        let score = addr lxor mixed in
+        match best with
+        | Some (s, _) when s <= score -> best
+        | _ -> Some (score, addr))
+      table None
+  in
+  match victim with
+  | None -> false
+  | Some (_, addr) ->
+    flip (Hashtbl.find table addr) (1 lsl (salt land 15));
+    true
 
 (* Checkpoint digests must not depend on hashtable iteration order (it
    varies with insertion history even for equal contents), so per-entry
@@ -82,12 +90,8 @@ module L1 = struct
     entry
 
   let corrupt_one t ~salt =
-    match pick_victim t.table salt with
-    | None -> false
-    | Some addr ->
-      let entry = Hashtbl.find t.table addr in
-      entry.stored_sum <- entry.stored_sum lxor (1 lsl (salt land 15));
-      true
+    corrupt_stored_sum t.table ~salt ~flip:(fun e bit ->
+        e.stored_sum <- e.stored_sum lxor bit)
 
   let used_bytes t = t.used
   let flushes t = t.flushes
@@ -193,12 +197,8 @@ module L15 = struct
     end
 
   let corrupt_one t ~salt =
-    match pick_victim t.table salt with
-    | None -> false
-    | Some addr ->
-      let slot = Hashtbl.find t.table addr in
-      slot.stored_sum <- slot.stored_sum lxor (1 lsl (salt land 15));
-      true
+    corrupt_stored_sum t.table ~salt ~flip:(fun s bit ->
+        s.stored_sum <- s.stored_sum lxor bit)
 
   let used_bytes t = t.used
 
@@ -277,12 +277,8 @@ module L2 = struct
     add_pages t block 1
 
   let corrupt_one t ~salt =
-    match pick_victim t.table salt with
-    | None -> false
-    | Some addr ->
-      let cell = Hashtbl.find t.table addr in
-      cell.stored_sum <- cell.stored_sum lxor (1 lsl (salt land 15));
-      true
+    corrupt_stored_sum t.table ~salt ~flip:(fun (c : cell) bit ->
+        c.stored_sum <- c.stored_sum lxor bit)
 
   let blocks t = Hashtbl.length t.table
   let used_bytes t = t.used

@@ -24,11 +24,14 @@ type syscall_req = {
   s_reply : Syscall.result -> unit;
 }
 
-(* Why the engine is not currently running. *)
+(* Why the engine is not currently running. A suspended engine resumes
+   at [t.pc]: after a blocking load, or at the instruction (a load to
+   retry, or the terminator at pc = length) that found its register
+   pending or no miss slot free. *)
 type wait_state =
   | Running
-  | Wait_reg of int * int      (* register, resume pc *)
-  | Wait_capacity of int       (* resume pc (retry the load) *)
+  | Wait_reg                   (* on register [t.wait_reg] *)
+  | Wait_capacity              (* on a free miss slot *)
   | Wait_fill
   | Wait_syscall
   | Finished
@@ -95,12 +98,10 @@ type t = {
   miss_replies : (unit -> unit) array;
       (* per register: the reply to a load miss into it, built once *)
   mutable pending_mask : int;  (* bit r: register r's miss reply outstanding *)
-  (* The one L1 fill outstanding while [wait = Wait_fill]: its target,
-     the block it may chain from and which link. The fill's request
-     event and its reply read them; both closures are built once, in
-     [create]. *)
+  (* The one L1 fill outstanding while [wait = Wait_fill]: its target
+     and which link of [entry] it may fill. The fill's request event and
+     its reply read them; both closures are built once, in [create]. *)
   mutable fill_target : int;
-  mutable fill_from : Code_cache.L1.entry option;
   mutable fill_link : link;
   mutable fill_request : unit -> unit;
   mutable t_local : int;
@@ -108,6 +109,7 @@ type t = {
   mutable entry : Code_cache.L1.entry option;
   mutable pc : int;
   mutable wait : wait_state;
+  mutable wait_reg : int;      (* the register [Wait_reg] waits on *)
   mutable fuel : int;
   mutable guest_insns : int;
   mutable outcome : outcome option;
@@ -197,6 +199,10 @@ let[@inline] max3 (a : int) b c =
   let m = if a > b then a else b in
   if m > c then m else c
 
+let suspend_on t r =
+  t.wait <- Wait_reg;
+  t.wait_reg <- r
+
 let rec step t =
   match t.entry with
   | None -> ()
@@ -214,7 +220,7 @@ let rec step t =
       if ((1 lsl rs) lor (1 lsl rt) lor (1 lsl ru)) land -2 land t.pending_mask
          <> 0
       then begin
-        t.wait <- Wait_reg (first_pending t rs rt ru, pc);
+        suspend_on t (first_pending t rs rt ru);
         Stats.bump t.k.c_scoreboard_suspends
       end
       else begin
@@ -321,7 +327,7 @@ and exec_load t w rd base off =
           issue_miss t rd addr ~blocking:true
         else if t.outstanding >= Config.max_outstanding then begin
           (* All miss slots busy: retry this load when one frees up. *)
-          t.wait <- Wait_capacity t.pc;
+          t.wait <- Wait_capacity;
           Stats.bump t.k.c_capacity_suspends
         end
         else begin
@@ -338,7 +344,7 @@ and issue_miss t rd addr ~blocking =
   let on_done = t.miss_replies.(rd) in
   at_local t (fun () -> Memsys.access t.memsys ~addr ~write:false ~on_done);
   if blocking then begin
-    t.wait <- Wait_reg (rd, t.pc + 1);
+    suspend_on t rd;
     (* The load itself completed functionally; resume after it. *)
     t.pc <- t.pc + 1
   end
@@ -411,9 +417,7 @@ and terminator t entry =
   | Block.T_call { target; _ } -> leave_direct t entry Link_taken target
   | Block.T_jcc { taken; fall } ->
     let r = Block.term_reg in
-    if pending t r then begin
-      t.wait <- Wait_reg (r, t.pc) (* pc = len: re-run terminator *)
-    end
+    if pending t r then suspend_on t r
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
       if t.regs.(r) <> 0 then leave_direct t entry Link_taken taken
@@ -421,7 +425,7 @@ and terminator t entry =
     end
   | Block.T_jind _ ->
     let r = Block.term_reg in
-    if pending t r then t.wait <- Wait_reg (r, t.pc)
+    if pending t r then suspend_on t r
     else begin
       if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
       Stats.bump t.k.c_indirect_transfers;
@@ -456,7 +460,7 @@ and dispatch t link target =
     Stats.bump t.k.c_l1code_hits;
     Tr.emit t.pb.p_l1_hit ~cycle:t.t_local ~arg:target;
     Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-    set_chain t t.entry link held;
+    set_chain t link held;
     enter t next_entry held
   | None ->
     Stats.bump t.k.c_l1code_misses;
@@ -464,7 +468,6 @@ and dispatch t link target =
     Tr.emit t.pb.p_fill_begin ~cycle:t.t_local ~arg:target;
     t.wait <- Wait_fill;
     t.fill_target <- target;
-    t.fill_from <- t.entry;
     t.fill_link <- link;
     at_local t t.fill_request
 
@@ -486,13 +489,15 @@ and fill_ready t block _sum =
   Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
   Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
   Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
-  set_chain t t.fill_from t.fill_link held;
+  set_chain t t.fill_link held;
   t.wait <- Running;
   enter t next_entry held
 
-and set_chain t from link held =
+(* Nothing enters a block while a fill is outstanding, so [t.entry] is
+   still the block being left when the fill's reply arrives. *)
+and set_chain t link held =
   if t.cfg.Config.chaining then
-    match (from, link) with
+    match (t.entry, link) with
     | Some entry, Link_taken -> entry.Code_cache.L1.chain_taken <- held
     | Some entry, Link_fall -> entry.Code_cache.L1.chain_fall <- held
     | None, _ | _, Unlinked -> ()
@@ -567,21 +572,20 @@ and do_syscall t next =
 
 and wake t =
   match t.wait with
-  | Wait_reg (r, pc) when not (pending t r) ->
+  | Wait_reg when not (pending t t.wait_reg) ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
+    let r = t.wait_reg in
     if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
-    t.pc <- pc;
     t.wait <- Running;
     step t
-  | Wait_capacity pc when t.outstanding < Config.max_outstanding ->
+  | Wait_capacity when t.outstanding < Config.max_outstanding ->
     let now = Event_queue.now t.q in
     if now > t.t_local then t.t_local <- now;
-    t.pc <- pc;
     t.wait <- Running;
     step t
-  | Running | Wait_reg _ | Wait_capacity _ | Wait_fill | Wait_syscall
-  | Finished -> ()
+  | Running | Wait_reg | Wait_capacity | Wait_fill | Wait_syscall | Finished ->
+    ()
 
 let create q stats cfg layout prog ~manager ~memsys ?input
     ?(trace = Tr.disabled) () =
@@ -653,7 +657,6 @@ let create q stats cfg layout prog ~manager ~memsys ?input
       miss_replies = Array.make 32 ignore;
       pending_mask = 0;
       fill_target = 0;
-      fill_from = None;
       fill_link = Unlinked;
       fill_request = ignore;
       t_local = 0;
@@ -661,6 +664,7 @@ let create q stats cfg layout prog ~manager ~memsys ?input
       entry = None;
       pc = 0;
       wait = Running;
+      wait_reg = 0;
       fuel = max_int;
       guest_insns = 0;
       outcome = None;
@@ -717,8 +721,8 @@ let capture t =
   Wr.int w t.pc;
   (match t.wait with
    | Running -> Wr.int_list w [ 0; 0; 0 ]
-   | Wait_reg (r, pc) -> Wr.int_list w [ 1; r; pc ]
-   | Wait_capacity pc -> Wr.int_list w [ 2; pc; 0 ]
+   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg; t.pc ]
+   | Wait_capacity -> Wr.int_list w [ 2; t.pc; 0 ]
    | Wait_fill -> Wr.int_list w [ 3; 0; 0 ]
    | Wait_syscall -> Wr.int_list w [ 4; 0; 0 ]
    | Finished -> Wr.int_list w [ 5; 0; 0 ]);

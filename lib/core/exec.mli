@@ -68,6 +68,7 @@ val digest : t -> int
 
 val capture : t -> string
 (** Checkpoint section payload: registers, memory/scratch digests,
-    scoreboard and wait state, fuel, retirement count, OS-world state,
-    L1 code/data digests, syscall-service scalars. Pure observation —
-    capturing never perturbs timing. *)
+    scoreboard and wait state (a suspended engine resumes at its pc; a
+    scoreboard wait adds its register), fuel, retirement count, OS-world
+    state, L1 code/data digests, syscall-service scalars. Pure
+    observation — capturing never perturbs timing. *)

@@ -28,10 +28,9 @@ type l15_req = {
 }
 
 type slave = {
-  mutable busy : bool;
   mutable active : bool;
   mutable failed : bool;
-  mutable current : int option;       (* guest addr being translated *)
+  mutable current : int;  (* guest addr being translated; -1: idle *)
   mutable slow_factor : int;
   mutable slow_until : int;
 }
@@ -109,7 +108,7 @@ let rec last_idle_slave t i =
   if i < 0 then -1
   else
     let s = t.slaves.(i) in
-    if s.active && (not s.failed) && not s.busy then i
+    if s.active && (not s.failed) && s.current < 0 then i
     else last_idle_slave t (i - 1)
 
 let rec kick_slaves t =
@@ -120,8 +119,7 @@ let rec kick_slaves t =
     | None -> ()
     | Some addr ->
       let s = t.slaves.(i) in
-      s.busy <- true;
-      s.current <- Some addr;
+      s.current <- addr;
       Tr.emit t.pr.tb_slave.(i) ~cycle:(Event_queue.now t.q) ~arg:addr;
       (* [gens]: the generations of the guest pages the translator read,
          so a store racing with this translation is caught at install
@@ -143,8 +141,7 @@ let rec kick_slaves t =
           (* A slave that fail-stopped mid-block never delivers it; the
              requeue happened at eviction time. *)
           if not s.failed then begin
-            s.busy <- false;
-            s.current <- None;
+            s.current <- -1;
             Tr.emit t.pr.te_slave.(i) ~cycle:(Event_queue.now t.q) ~arg:addr;
             send_install t i block gens;
             (* A slave that was deactivated mid-block finishes it first. *)
@@ -172,12 +169,13 @@ and send_install t i (block : Block.t) gens =
   if t.cfg.Config.fault_tolerance then begin
     let addr = block.Block.guest_addr in
     Hashtbl.replace t.unacked seq { p_slave = i; p_addr = addr };
+    (* A deadline finding [seq] still unacked comes from a live slave:
+       [retire_slave] removes a failed slave's [unacked] entries, and a
+       failed slave sends no further installs. *)
     let rec watch retries deadline =
       Event_queue.after t.q ~delay:deadline (fun () ->
           if Hashtbl.mem t.unacked seq then begin
-            if retries < t.cfg.Config.ack_max_retries
-               && not t.slaves.(i).failed
-            then begin
+            if retries < t.cfg.Config.ack_max_retries then begin
               Stats.incr t.stats "corrupt.install_retransmits";
               Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
               submit ();
@@ -200,7 +198,8 @@ and send_install t i (block : Block.t) gens =
   end
 
 and notify_drained t =
-  if t.drain_waiters <> [] && Array.for_all (fun s -> s.active || not s.busy) t.slaves
+  if t.drain_waiters <> []
+     && Array.for_all (fun s -> s.active || s.current < 0) t.slaves
   then begin
     let ws = List.rev t.drain_waiters in
     t.drain_waiters <- [];
@@ -438,10 +437,9 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       spec = Spec.create cfg stats;
       slaves =
         Array.init 9 (fun i ->
-            { busy = false;
-              active = i < cfg.Config.n_translators;
+            { active = i < cfg.Config.n_translators;
               failed = false;
-              current = None;
+              current = -1;
               slow_factor = 1;
               slow_until = 0 });
       waiters = Hashtbl.create 64;
@@ -604,7 +602,7 @@ let set_active_slaves t n ~on_done =
       end)
     t.slaves;
   kick_slaves t;
-  if Array.for_all (fun s -> s.active || not s.busy) t.slaves then on_done ()
+  if Array.for_all (fun s -> s.active || s.current < 0) t.slaves then on_done ()
   else t.drain_waiters <- on_done :: t.drain_waiters
 
 (* ------------------------------------------------------------------ *)
@@ -619,16 +617,15 @@ let retire_slave t i ~stat =
     s.failed <- true;
     s.active <- false;
     Stats.incr t.stats stat;
-    (match s.current with
-     | Some addr ->
-       (* The in-flight block dies with the tile: requeue it if anyone is
-          (or becomes) interested. *)
-       Stats.incr t.stats "fault.translations_lost";
-       Spec.forget t.spec addr;
-       if Hashtbl.mem t.waiters addr then Spec.request_demand t.spec addr
-     | None -> ());
-    s.busy <- false;
-    s.current <- None;
+    let addr = s.current in
+    if addr >= 0 then begin
+      (* The in-flight block dies with the tile: requeue it if anyone is
+         (or becomes) interested. *)
+      Stats.incr t.stats "fault.translations_lost";
+      Spec.forget t.spec addr;
+      if Hashtbl.mem t.waiters addr then Spec.request_demand t.spec addr
+    end;
+    s.current <- -1;
     (* Unacked installs lose their retransmitter; requeue the addresses
        unless the original delivery already landed. *)
     let doomed =
@@ -728,10 +725,10 @@ let capture t =
   let mix2 a b = (((a * 0x100000001b3) + b + 1) * 0x100000001b3) land max_int in
   Array.iter
     (fun s ->
-      Wr.bool w s.busy;
+      Wr.bool w (s.current >= 0);
       Wr.bool w s.active;
       Wr.bool w s.failed;
-      Wr.int w (Option.value ~default:(-1) s.current);
+      Wr.int w s.current;
       Wr.int w s.slow_factor;
       Wr.int w s.slow_until)
     t.slaves;

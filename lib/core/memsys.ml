@@ -3,8 +3,10 @@ open Vat_tiled
 open Vat_guest
 module Tr = Vat_trace.Trace
 
+(* An access travels as one request: the MMU forwards it to its bank
+   as it came, and the bank recomputes the physical address from the
+   fixed page table. *)
 type mmu_req = { vaddr : int; write : bool; on_done : unit -> unit }
-type bank_req = { paddr : int; bwrite : bool; bank : int; bon_done : unit -> unit }
 
 (* Pre-resolved trace emitters (dead branches untraced). Bank cache events
    land on the "l2d.N" tracks; recovery instants on "mmu", whose arg says
@@ -29,16 +31,14 @@ type t = {
   mutable tlb_misses : int;
   mutable n_banks : int;        (* logical interleave width *)
   mutable bank_map : int array; (* logical bank -> physical bank *)
-  alive : bool array;           (* physical bank still working *)
   banks : Cache.t array;        (* up to the maximum bank count *)
   bank_corruptions : int array; (* detected per bank, for quarantine *)
   mutable mmu : mmu_req Service.t option;
-  mutable bank_services : bank_req Service.t array;
+  mutable bank_services : mmu_req Service.t array; (* per physical bank *)
   (* What each service's [serve] found that its [complete] acts on, one
      slot per service (one request is in service at a time): the MMU's
-     physical address, target bank (-1: uncached DRAM) and forwarding
-     latency; each bank's reply latency and parity-fatal message. *)
-  mutable mmu_paddr : int;
+     target bank (-1: uncached DRAM) and forwarding latency; each bank's
+     reply latency and parity-fatal message. *)
   mutable mmu_bank : int;
   mutable mmu_forward_latency : int;
   bank_reply_latency : int array;
@@ -58,18 +58,23 @@ let the_mmu t =
 
 let max_banks = 4
 
+(* A physical bank is alive until its service fails. *)
+let alive t i = not (Service.failed t.bank_services.(i))
+
 let alive_count t =
-  Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.alive
+  Array.fold_left
+    (fun acc s -> if Service.failed s then acc else acc + 1)
+    0 t.bank_services
 
 let compute_map t n =
   let out = ref [] and taken = ref 0 in
   Array.iteri
-    (fun i a ->
-      if a && !taken < n then begin
+    (fun i _ ->
+      if alive t i && !taken < n then begin
         out := i :: !out;
         incr taken
       end)
-    t.alive;
+    t.bank_services;
   Array.of_list (List.rev !out)
 
 (* Tags start at -1 and enter only on a miss, so a virtual page sits in
@@ -120,12 +125,12 @@ let bank_local_addr t paddr =
 
 let bank_track_name i = Printf.sprintf "l2d.%d" i
 
-let make_bank_service t ~trace idx =
-  Service.create ~trace t.q ~track:(bank_track_name idx)
-    ~serve:(fun { paddr; bwrite; bank; _ } ->
-      let cache = t.banks.(bank) in
+let make_bank_service t ~trace bank =
+  Service.create ~trace t.q ~track:(bank_track_name bank)
+    ~serve:(fun { vaddr; write; _ } ->
+      let paddr = translate t vaddr in
       let { Cache.hit; writeback; parity } =
-        Cache.access cache ~addr:(bank_local_addr t paddr) ~write:bwrite
+        Cache.access t.banks.(bank) ~addr:(bank_local_addr t paddr) ~write
       in
       Stats.incr_lazy t.c_l2d_accesses;
       let occupancy =
@@ -143,31 +148,31 @@ let make_bank_service t ~trace idx =
              | None -> 0)
         end
       in
-      t.bank_reply_latency.(idx) <- Layout.lat_bank_exec t.layout bank;
+      t.bank_reply_latency.(bank) <- Layout.lat_bank_exec t.layout bank;
       (* Parity on the banked L2D: a corrupt clean line is scrubbed and
          refetched from DRAM (time, never wrong data); a corrupt dirty
          line held the only copy of its data, so the access must fail
          loudly — never return a silent wrong value. *)
       match parity with
       | Cache.Parity_ok ->
-        t.bank_fatal.(idx) <- None;
+        t.bank_fatal.(bank) <- None;
         occupancy
       | Cache.Corrected ->
         Stats.incr t.stats "corrupt.parity_corrected";
         t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-        t.bank_fatal.(idx) <- None;
+        t.bank_fatal.(bank) <- None;
         occupancy + Config.dram_cycles
       | Cache.Uncorrectable ->
         Stats.incr t.stats "corrupt.parity_uncorrectable";
         t.bank_corruptions.(bank) <- t.bank_corruptions.(bank) + 1;
-        t.bank_fatal.(idx) <-
+        t.bank_fatal.(bank) <-
           Some (Printf.sprintf "uncorrectable L2D parity error (bank %d)" bank);
         occupancy)
-    ~complete:(fun { bank; bon_done; _ } ->
-      (match t.bank_fatal.(idx) with
+    ~complete:(fun { on_done; _ } ->
+      (match t.bank_fatal.(bank) with
        | Some msg -> (match t.on_fatal with Some f -> f ~bank msg | None -> ())
        | None -> ());
-      Event_queue.after t.q ~delay:t.bank_reply_latency.(idx) bon_done)
+      Event_queue.after t.q ~delay:t.bank_reply_latency.(bank) on_done)
 
 let make_mmu t ~trace =
   Service.create ~trace t.q ~track:"mmu"
@@ -178,7 +183,6 @@ let make_mmu t ~trace =
       let occupancy =
         if hit then Config.mmu_tlb_hit_cycles else Config.mmu_walk_cycles
       in
-      t.mmu_paddr <- translate t vaddr;
       if Array.length t.bank_map = 0 then begin
         (* Every bank is dead: the MMU serves straight from DRAM. *)
         Stats.incr t.stats "fault.uncached_dram_accesses";
@@ -187,19 +191,17 @@ let make_mmu t ~trace =
         occupancy + Config.dram_cycles
       end
       else begin
-        let phys = t.bank_map.(bank_of t t.mmu_paddr) in
+        let phys = t.bank_map.(bank_of t (translate t vaddr)) in
         t.mmu_bank <- phys;
         t.mmu_forward_latency <- Layout.lat_mmu_bank t.layout phys;
         occupancy
       end)
-    ~complete:(fun { write; on_done; _ } ->
+    ~complete:(fun req ->
       if t.mmu_bank < 0 then
-        Event_queue.after t.q ~delay:(Layout.lat_exec_mmu t.layout) on_done
+        Event_queue.after t.q ~delay:(Layout.lat_exec_mmu t.layout) req.on_done
       else
         Service.submit t.bank_services.(t.mmu_bank)
-          ~delay:t.mmu_forward_latency
-          { paddr = t.mmu_paddr; bwrite = write; bank = t.mmu_bank;
-            bon_done = on_done })
+          ~delay:t.mmu_forward_latency req)
 
 let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
   let banks =
@@ -232,12 +234,10 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       tlb_misses = 0;
       n_banks;
       bank_map = Array.init n_banks (fun i -> i);
-      alive = Array.make max_banks true;
       banks;
       bank_corruptions = Array.make max_banks 0;
       mmu = None;
       bank_services = [||];
-      mmu_paddr = 0;
       mmu_bank = -1;
       mmu_forward_latency = 0;
       bank_reply_latency = Array.make max_banks 0;
@@ -322,7 +322,7 @@ let reshape t n ~on_done =
         (* A bank can die during the switch window itself; never leave a
            dead tile in the map. (Caches are timing-only, so skipping a
            second flush here costs accuracy, not correctness.) *)
-        if Array.exists (fun b -> not t.alive.(b)) t.bank_map then begin
+        if Array.exists (fun b -> not (alive t b)) t.bank_map then begin
           let n = max 1 (min t.n_banks (max 1 (alive_count t))) in
           t.n_banks <- n;
           t.bank_map <- compute_map t n
@@ -349,12 +349,11 @@ let reconfigure_banks t n ~on_done =
 
 let retire_bank t i ~stat =
   if i < 0 || i >= max_banks then invalid_arg "Memsys.retire_bank";
-  if t.alive.(i) then begin
-    t.alive.(i) <- false;
-    Stats.incr t.stats stat;
+  if alive t i then begin
     (* Queued and in-flight requests die with the tile; the access-level
        retry deadline recovers them. *)
     ignore (Service.fail t.bank_services.(i));
+    Stats.incr t.stats stat;
     if t.reconfiguring then ()
       (* The in-progress reshape reads the alive set when it lands. *)
     else
@@ -381,7 +380,7 @@ let quarantine t ~threshold =
 let recovery_retire_bank t i = retire_bank t i ~stat:"recovery.quarantined_banks"
 
 let alive_banks t = alive_count t
-let bank_alive t i = i >= 0 && i < max_banks && t.alive.(i)
+let bank_alive t i = i >= 0 && i < max_banks && alive t i
 
 let set_fatal_handler t f = t.on_fatal <- Some f
 
@@ -451,7 +450,7 @@ let capture t =
   Wr.int w t.tlb_misses;
   Wr.int w t.n_banks;
   Wr.int_array w t.bank_map;
-  Array.iter (Wr.bool w) t.alive;
+  Array.iter (fun s -> Wr.bool w (not (Service.failed s))) t.bank_services;
   Wr.int_array w t.bank_corruptions;
   Array.iter (fun c -> Wr.int w (Cache.state_digest c)) t.banks;
   Wr.bool w t.reconfiguring;

@@ -5,7 +5,9 @@ open Vat_desim
 
     This is a timing model — data values always come from the functional
     guest memory. Each stage is a serialized {!Vat_tiled.Service}, so
-    concurrent misses queue and the pipeline overlaps with execution.
+    concurrent misses queue and the pipeline overlaps with execution; the
+    MMU forwards an access to its bank as the request it received. A
+    bank is alive until its service fails.
     Reconfiguration can change the number of active banks at runtime
     (flushing them, since the address interleave changes). *)
 
@@ -104,6 +106,7 @@ val tlb_hits : t -> int
 val tlb_misses : t -> int
 
 val capture : t -> string
-(** Checkpoint section payload: TLB contents, banking geometry, per-bank
-    cache digests, and every service's mutable scalars. Pure
+(** Checkpoint section payload: TLB contents, banking geometry (with
+    each bank's alive flag, read off its service), per-bank cache
+    digests, and every service's mutable scalars. Pure
     observation — capturing never perturbs timing. *)

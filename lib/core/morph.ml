@@ -4,7 +4,8 @@ module Tr = Vat_trace.Trace
 type t = {
   q : Event_queue.t;
   stats : Stats.t;
-  cfg : Config.t;
+  trans : Config.t;  (* the translation-heavy configuration *)
+  mem : Config.t;    (* the memory-heavy configuration *)
   manager : Manager.t;
   memsys : Memsys.t;
   mutable morphing : bool;
@@ -15,11 +16,6 @@ type t = {
   p_qdepth : Tr.emitter;  (* the sampled translate-queue length *)
 }
 
-let trans_slaves = 9
-let mem_slaves = 6
-let trans_banks = 1
-let mem_banks = 4
-
 let desired ~qlen ~threshold = if qlen > threshold then `Trans else `Mem
 
 (* Fail-stopped tiles shrink what each configuration can actually get:
@@ -27,10 +23,10 @@ let desired ~qlen ~threshold = if qlen > threshold then `Trans else `Mem
 let effective t =
   let usable = Manager.usable_slaves t.manager in
   let alive = Memsys.alive_banks t.memsys in
-  ( max 1 (min trans_slaves usable),
-    max 1 (min trans_banks (max 1 alive)),
-    max 1 (min mem_slaves usable),
-    max 1 (min mem_banks (max 1 alive)) )
+  ( max 1 (min t.trans.Config.n_translators usable),
+    max 1 (min t.trans.Config.n_l2d_banks (max 1 alive)),
+    max 1 (min t.mem.Config.n_translators usable),
+    max 1 (min t.mem.Config.n_l2d_banks (max 1 alive)) )
 
 let current t =
   let ts, tb, ms, _ = effective t in
@@ -95,7 +91,8 @@ let create ?(trace = Tr.disabled) q stats cfg manager memsys =
   let t =
     { q;
       stats;
-      cfg;
+      trans = Config.trans_heavy cfg;
+      mem = Config.mem_heavy cfg;
       manager;
       memsys;
       morphing = false;

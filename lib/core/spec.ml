@@ -1,17 +1,22 @@
 open Vat_desim
 
-type status =
-  | Queued of int (* current priority *)
-  | In_flight
-  | Done
+type status = Queued | In_flight | Done
+
+(* What is known of one address. [prio] is the live priority while
+   [Queued]; [depth] is -1 for an address marked done without ever being
+   queued, which has no depth. *)
+type entry = {
+  mutable status : status;
+  mutable prio : int;
+  mutable depth : int;
+}
 
 type t = {
   cfg : Config.t;
   queues : int Queue.t array; (* by priority, 0 = most urgent *)
-  status : (int, status) Hashtbl.t;
-  depth : (int, int) Hashtbl.t;
+  entries : (int, entry) Hashtbl.t;
   mutable queued_count : int; (* queue entries, stale duplicates included *)
-  mutable live_queued : int;  (* addresses whose status is [Queued _] *)
+  mutable live_queued : int;  (* addresses whose status is [Queued] *)
   enqueued : Stats.lazy_counter;
   demand_requests : Stats.lazy_counter;
   max_queue_length : Stats.lazy_counter;
@@ -22,8 +27,7 @@ let priorities = 4
 let create cfg stats =
   { cfg;
     queues = Array.init priorities (fun _ -> Queue.create ());
-    status = Hashtbl.create 1024;
-    depth = Hashtbl.create 1024;
+    entries = Hashtbl.create 1024;
     queued_count = 0;
     live_queued = 0;
     enqueued = Stats.lazy_counter stats "spec.enqueued";
@@ -37,37 +41,44 @@ let priority_of_depth t d =
   else if d <= 5 then 2
   else 3
 
-let depth_of t addr = Option.value ~default:0 (Hashtbl.find_opt t.depth addr)
+(* What [find] returns for an address with no entry: never mutated,
+   told apart by physical equality, and neither queued nor done. *)
+let absent = { status = In_flight; prio = 0; depth = -1 }
 
-let push t addr prio =
+let find t addr = try Hashtbl.find t.entries addr with Not_found -> absent
+
+let depth_of t addr = max 0 (find t addr).depth
+
+let push t addr e prio =
   Queue.push addr t.queues.(prio);
   t.queued_count <- t.queued_count + 1;
-  Hashtbl.replace t.status addr (Queued prio);
+  e.status <- Queued;
+  e.prio <- prio;
   Stats.set_max_lazy t.max_queue_length t.queued_count
 
 let enqueue t addr ~depth =
-  match Hashtbl.find_opt t.status addr with
-  | Some (Done | In_flight) -> ()
-  | Some (Queued old_prio) ->
-    let prio = priority_of_depth t depth in
-    if prio < old_prio then begin
-      (* Promote: push at the higher priority; the stale queue entry is
-         skipped lazily at pop time (status records the live priority). *)
-      Hashtbl.replace t.depth addr depth;
-      push t addr prio
-    end
-  | None ->
-    Hashtbl.replace t.depth addr depth;
+  let e = find t addr and prio = priority_of_depth t depth in
+  if e == absent then begin
+    let e = { status = Queued; prio; depth } in
+    Hashtbl.add t.entries addr e;
     t.live_queued <- t.live_queued + 1;
-    push t addr (priority_of_depth t depth);
+    push t addr e prio;
     Stats.incr_lazy t.enqueued
+  end
+  else if e.status = Queued && prio < e.prio then begin
+    (* Promote: push at the higher priority; the stale queue entry is
+       skipped lazily at pop time (the entry records the live priority). *)
+    e.depth <- depth;
+    push t addr e prio
+  end
 
 let request_demand t addr =
   Stats.incr_lazy t.demand_requests;
   enqueue t addr ~depth:0
 
 let note_on_path t addr =
-  if Hashtbl.mem t.depth addr then Hashtbl.replace t.depth addr 0
+  let e = find t addr in
+  if e.depth >= 0 then e.depth <- 0
 
 let seed t addr = enqueue t addr ~depth:0
 
@@ -100,33 +111,28 @@ let note_block_translated t (block : Block.t) =
     | T_jind { kind = K_jump | K_ret } | T_fault _ -> ()
   end
 
-(* The status leaves [Queued _]; its queue entries go stale and are
+(* The status leaves [Queued]; its queue entries go stale and are
    skipped at pop time. *)
-let leave_queued t addr =
-  match Hashtbl.find_opt t.status addr with
-  | Some (Queued _) -> t.live_queued <- t.live_queued - 1
-  | Some (In_flight | Done) | None -> ()
+let leave_queued t (e : entry) =
+  if e.status = Queued then t.live_queued <- t.live_queued - 1
 
 let mark_done t addr =
-  leave_queued t addr;
-  Hashtbl.replace t.status addr Done
+  let e = find t addr in
+  if e == absent then
+    Hashtbl.add t.entries addr { status = Done; prio = 0; depth = -1 }
+  else begin
+    leave_queued t e;
+    e.status <- Done
+  end
 
 let forget t addr =
-  leave_queued t addr;
-  Hashtbl.remove t.status addr;
-  Hashtbl.remove t.depth addr
+  leave_queued t (find t addr);
+  Hashtbl.remove t.entries addr
 
 let forget_done t addr =
-  match Hashtbl.find_opt t.status addr with
-  | Some Done ->
-    Hashtbl.remove t.status addr;
-    Hashtbl.remove t.depth addr
-  | Some (Queued _ | In_flight) | None -> ()
+  if (find t addr).status = Done then Hashtbl.remove t.entries addr
 
-let is_done t addr =
-  match Hashtbl.find_opt t.status addr with
-  | Some Done -> true
-  | Some (Queued _ | In_flight) | None -> false
+let is_done t addr = (find t addr).status = Done
 
 let rec pop_queue t prio =
   if prio >= priorities then None
@@ -135,12 +141,13 @@ let rec pop_queue t prio =
     | None -> pop_queue t (prio + 1)
     | Some addr -> begin
       t.queued_count <- t.queued_count - 1;
-      match Hashtbl.find_opt t.status addr with
-      | Some (Queued live_prio) when live_prio = prio ->
+      let e = find t addr in
+      if e.status = Queued && e.prio = prio then begin
         t.live_queued <- t.live_queued - 1;
-        Hashtbl.replace t.status addr In_flight;
+        e.status <- In_flight;
         Some addr
-      | Some (Queued _ | In_flight | Done) | None ->
+      end
+      else
         (* Stale entry from a promotion; skip it. *)
         pop_queue t prio
     end
@@ -149,25 +156,28 @@ let pop t = pop_queue t 0
 
 let queue_length t = t.live_queued
 
-(* Checkpoint digest: the hashtables are combined commutatively (their
-   iteration order depends on insertion history), the queues in FIFO
-   order (that order is observable via [pop]). *)
+(* Checkpoint digest: the entries are combined commutatively (their
+   iteration order depends on insertion history), as a sum of status
+   terms and a sum of depth terms (an entry without a depth adds none),
+   the queues in FIFO order (that order is observable via [pop]). *)
 let state_digest t =
   let mix2 a b = (((a * 0x100000001b3) + b + 1) * 0x100000001b3) land max_int in
-  let status_code = function
-    | Queued p -> 16 + p
+  let status_code e =
+    match e.status with
+    | Queued -> 16 + e.prio
     | In_flight -> 1
     | Done -> 2
   in
   let statuses =
     Hashtbl.fold
-      (fun addr s acc -> (acc + mix2 addr (status_code s)) land max_int)
-      t.status 0
+      (fun addr e acc -> (acc + mix2 addr (status_code e)) land max_int)
+      t.entries 0
   in
   let depths =
     Hashtbl.fold
-      (fun addr d acc -> (acc + mix2 addr d) land max_int)
-      t.depth 0
+      (fun addr e acc ->
+        if e.depth < 0 then acc else (acc + mix2 addr e.depth) land max_int)
+      t.entries 0
   in
   let queues =
     Array.fold_left

@@ -50,5 +50,5 @@ val queue_length : t -> int
 
 val state_digest : t -> int
 (** Iteration-order-independent hash of the whole speculation state
-    (status + depth tables, queue contents in FIFO order) — a checkpoint
-    ingredient. *)
+    (each address's status and depth, queue contents in FIFO order) — a
+    checkpoint ingredient. *)

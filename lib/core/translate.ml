@@ -498,6 +498,23 @@ let lower_shift env (sh : Insn.shift) dst amount ~mask =
     Emit.place env.e skip;
     write_loc env dst ~addr res
 
+(* A guest push stores before committing ESP, so a faulting push leaves
+   ESP intact, matching the reference interpreter. *)
+let push_value env v =
+  let sp = guest_pin ESP in
+  let t = vreg env in
+  ins env (Alui (Addi, t, sp, -4));
+  ins env (Store (W32, v, t, 0));
+  Emit.mov env.e ~dst:sp ~src:t
+
+(* A guest pop: the popped value, in a fresh virtual register. *)
+let pop_value env =
+  let sp = guest_pin ESP in
+  let t = vreg env in
+  ins env (Load (W32, t, sp, 0));
+  ins env (Alui (Addi, sp, sp, 4));
+  t
+
 let lower_body_insn env (insn : int Insn.t) ~mask =
   match insn with
   | Mov (d, s) ->
@@ -566,21 +583,8 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
     let b = read_operand env s in
     ins env (Div64 { divisor = b; signed = true })
   | Cdq -> ins env (Shifti (Sra, guest_pin EDX, guest_pin EAX, 31))
-  | Push s ->
-    (* Store before committing ESP so a faulting push leaves ESP intact,
-       matching the reference interpreter. *)
-    let v = read_operand env s in
-    let sp = guest_pin ESP in
-    let t = vreg env in
-    ins env (Alui (Addi, t, sp, -4));
-    ins env (Store (W32, v, t, 0));
-    Emit.mov env.e ~dst:sp ~src:t
-  | Pop d ->
-    let sp = guest_pin ESP in
-    let t = vreg env in
-    ins env (Load (W32, t, sp, 0));
-    ins env (Alui (Addi, sp, sp, 4));
-    write_loc env d ~addr:None t
+  | Push s -> push_value env (read_operand env s)
+  | Pop d -> write_loc env d ~addr:None (pop_value env)
   | Xchg (a, b) ->
     let t = vreg env in
     Emit.mov env.e ~dst:t ~src:(guest_pin a);
@@ -609,13 +613,6 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
    back to itself through the dispatcher (where chaining makes the
    back-edge a single cycle). *)
 let lower_terminator env (insn : int Insn.t) ~self ~next : Block.term =
-  let push_value v =
-    let sp = guest_pin ESP in
-    let t = vreg env in
-    ins env (Alui (Addi, t, sp, -4));
-    ins env (Store (W32, v, t, 0));
-    Emit.mov env.e ~dst:sp ~src:t
-  in
   match insn with
   | Jmp (Direct a) -> T_jmp { target = a }
   | Jmp (Indirect op) ->
@@ -628,20 +625,16 @@ let lower_terminator env (insn : int Insn.t) ~self ~next : Block.term =
     T_jcc { taken = target; fall = next }
   | Call (Direct a) ->
     let r = Emit.li_reg env.e next in
-    push_value r;
+    push_value env r;
     T_call { target = a; ret = next }
   | Call (Indirect op) ->
     let v = read_operand env op in
     let r = Emit.li_reg env.e next in
-    push_value r;
+    push_value env r;
     Emit.mov env.e ~dst:Block.term_reg ~src:v;
     T_jind { kind = K_call next }
   | Ret ->
-    let sp = guest_pin ESP in
-    let t = vreg env in
-    ins env (Load (W32, t, sp, 0));
-    ins env (Alui (Addi, sp, sp, 4));
-    Emit.mov env.e ~dst:Block.term_reg ~src:t;
+    Emit.mov env.e ~dst:Block.term_reg ~src:(pop_value env);
     T_jind { kind = K_ret }
   | Int v ->
     if v = Syscall.vector then T_syscall { next }

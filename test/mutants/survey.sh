@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Mutation survey of lib/ir, the event queue, restore verification, the
-# H-ISA word format and the tile service queue. Each test/mutants/*.patch
-# plants one known fault in an IR pass, in lib/desim's Event_queue, in
-# Vm's checkpoint chain, in Hexec.encode's field checks or in
-# Tiled.Service's request ring. For each patch this applies it to a copy
-# of the checkout, builds the test runner, and runs the desim, host-isa,
-# ir-passes, translator-units, translator-golden, snapshot and
-# tiled-substrate groups under a timeout. It
+# H-ISA word format, the tile service queue and the speculation state.
+# Each test/mutants/*.patch plants one known fault in an IR pass, in
+# lib/desim's Event_queue, in Vm's checkpoint chain, in Hexec.encode's
+# field checks, in Tiled.Service's request ring or in Spec's per-address
+# entries. For each patch this applies it to a copy of the checkout,
+# builds the test runner, and runs the desim, host-isa, ir-passes,
+# translator-units, translator-golden, snapshot, tiled-substrate and
+# core-units groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
 # out), or "missed" when every test passes, and exits 1 if any mutant is
 # missed or does not apply or build.
@@ -47,7 +48,7 @@ for patch in "$root"/test/mutants/*.patch; do
   else
     by=""
     for group in desim host-isa ir-passes translator-units translator-golden \
-      snapshot tiled-substrate; do
+      snapshot tiled-substrate core-units; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||

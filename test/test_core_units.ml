@@ -311,11 +311,15 @@ let test_spec_forget_done () =
   Alcotest.(check (option int)) "after forget it requeues" (Some 0x1000)
     (Spec.pop s)
 
-(* Random sequences of every operation that moves an address in or out
-   of [Queued], against a model that keeps only each address's status.
-   [pop] must hand out an address the model holds as queued (or [None]
-   when it holds none), and after every step [queue_length] must equal
-   the model's count of queued addresses. *)
+(* Random sequences of every [Spec] operation, against a reference
+   model that keeps a status table (the live priority inside [`Queued])
+   beside a depth table, with its own four FIFO queues. [pop] must hand
+   out an address the model holds as queued (or [None] when it holds
+   none), the one the model pops, and after every step [queue_length]
+   must equal the model's count of queued addresses and [state_digest]
+   the model's digest: a sum over the status table plus a sum over the
+   depth table. An address marked done without ever being queued has a
+   status and no depth, so [note_on_path] gives it none. *)
 type spec_op =
   | Sp_seed of int
   | Sp_demand of int
@@ -324,6 +328,7 @@ type spec_op =
   | Sp_mark_done of int
   | Sp_forget of int
   | Sp_forget_done of int
+  | Sp_note_on_path of int
 
 let spec_addr k = 0x4000 + (k * 0x10)
 
@@ -349,7 +354,8 @@ let spec_op_gen =
       (4, return Sp_pop);
       (2, map (fun a -> Sp_mark_done a) addr);
       (1, map (fun a -> Sp_forget a) addr);
-      (1, map (fun a -> Sp_forget_done a) addr) ]
+      (1, map (fun a -> Sp_forget_done a) addr);
+      (1, map (fun a -> Sp_note_on_path a) addr) ]
 
 let spec_op_print = function
   | Sp_seed a -> Printf.sprintf "seed 0x%x" a
@@ -370,15 +376,81 @@ let spec_op_print = function
   | Sp_mark_done a -> Printf.sprintf "mark_done 0x%x" a
   | Sp_forget a -> Printf.sprintf "forget 0x%x" a
   | Sp_forget_done a -> Printf.sprintf "forget_done 0x%x" a
+  | Sp_note_on_path a -> Printf.sprintf "note_on_path 0x%x" a
 
-(* Under [Config.default]: speculation and the return predictor on. *)
-let predicted_successors : Block.term -> int list = function
-  | T_jmp { target } -> [ target ]
-  | T_jcc { taken; fall } -> [ taken; fall ]
-  | T_call { target; ret } -> [ target; ret ]
-  | T_jind { kind = K_call ret } -> [ ret ]
-  | T_syscall { next } -> [ next ]
-  | T_jind { kind = K_jump | K_ret } | T_fault _ -> []
+type spec_model = {
+  m_status : (int, [ `Queued of int | `In_flight | `Done ]) Hashtbl.t;
+  m_depth : (int, int) Hashtbl.t;
+  m_queues : int Queue.t array;
+  mutable m_entries : int;  (* queue entries, stale ones included *)
+}
+
+let model_enqueue m a ~depth =
+  let prio =
+    if depth <= 0 then 0
+    else if depth <= 2 then 1
+    else if depth <= 5 then 2
+    else 3
+  in
+  let push () =
+    Queue.push a m.m_queues.(prio);
+    m.m_entries <- m.m_entries + 1;
+    Hashtbl.replace m.m_status a (`Queued prio)
+  in
+  match Hashtbl.find_opt m.m_status a with
+  | Some (`Done | `In_flight) -> ()
+  | Some (`Queued old) ->
+    if prio < old then begin
+      Hashtbl.replace m.m_depth a depth;
+      push ()
+    end
+  | None ->
+    Hashtbl.replace m.m_depth a depth;
+    push ()
+
+(* Under [Config.default]: speculation, the return predictor and the
+   priority queues on; a return address goes in at depth 10. *)
+let model_translated m a (term : Block.term) =
+  let d = Option.value ~default:0 (Hashtbl.find_opt m.m_depth a) in
+  let enq x k = model_enqueue m x ~depth:(d + k) in
+  match term with
+  | T_jmp { target } -> enq target 1
+  | T_jcc { taken; fall } ->
+    if taken < a then (enq taken 1; enq fall 2) else (enq fall 1; enq taken 2)
+  | T_call { target; ret } ->
+    enq target 1;
+    model_enqueue m ret ~depth:10
+  | T_jind { kind = K_call ret } -> model_enqueue m ret ~depth:10
+  | T_syscall { next } -> enq next 1
+  | T_jind { kind = K_jump | K_ret } | T_fault _ -> ()
+
+let rec model_pop m prio =
+  if prio >= Array.length m.m_queues then None
+  else
+    match Queue.take_opt m.m_queues.(prio) with
+    | None -> model_pop m (prio + 1)
+    | Some a ->
+      m.m_entries <- m.m_entries - 1;
+      if Hashtbl.find_opt m.m_status a = Some (`Queued prio) then begin
+        Hashtbl.replace m.m_status a `In_flight;
+        Some a
+      end
+      else model_pop m prio
+
+let model_digest m =
+  let mix2 a b = (((a * 0x100000001b3) + b + 1) * 0x100000001b3) land max_int in
+  let sum table term =
+    Hashtbl.fold (fun a v acc -> (acc + mix2 a (term v)) land max_int) table 0
+  in
+  let statuses =
+    sum m.m_status (function `Queued p -> 16 + p | `In_flight -> 1 | `Done -> 2)
+  in
+  let queues =
+    Array.fold_left
+      (fun acc q -> Queue.fold (fun acc a -> mix2 acc a) (mix2 acc 7) q)
+      0 m.m_queues
+  in
+  mix2 (mix2 statuses (sum m.m_depth Fun.id)) (mix2 queues m.m_entries)
 
 let prop_spec_queue_length =
   QCheck.Test.make ~name:"spec: queue_length = queued addresses in a model"
@@ -389,35 +461,62 @@ let prop_spec_queue_length =
         Gen.(list_size (int_range 1 150) spec_op_gen))
     (fun ops ->
       let s = mk_spec () in
-      let model : (int, [ `Queued | `In_flight | `Done ]) Hashtbl.t =
-        Hashtbl.create 16
+      let m =
+        { m_status = Hashtbl.create 16;
+          m_depth = Hashtbl.create 16;
+          m_queues = Array.init 4 (fun _ -> Queue.create ());
+          m_entries = 0 }
       in
-      let enqueue a = if not (Hashtbl.mem model a) then Hashtbl.replace model a `Queued in
       let queued () =
-        Hashtbl.fold (fun _ st n -> if st = `Queued then n + 1 else n) model 0
+        Hashtbl.fold
+          (fun _ st n -> match st with `Queued _ -> n + 1 | _ -> n)
+          m.m_status 0
       in
       let step op =
         (match op with
-         | Sp_seed a -> Spec.seed s a; enqueue a; true
-         | Sp_demand a -> Spec.request_demand s a; enqueue a; true
+         | Sp_seed a ->
+           Spec.seed s a;
+           model_enqueue m a ~depth:0;
+           true
+         | Sp_demand a ->
+           Spec.request_demand s a;
+           model_enqueue m a ~depth:0;
+           true
          | Sp_translated (a, term) ->
            Spec.note_block_translated s (dummy_block ~addr:a ~term ());
-           List.iter enqueue (predicted_successors term);
+           model_translated m a term;
            true
-         | Sp_pop -> (
-           match Spec.pop s with
-           | Some a when Hashtbl.find_opt model a = Some `Queued ->
-             Hashtbl.replace model a `In_flight;
-             true
-           | Some _ -> false
-           | None -> queued () = 0)
-         | Sp_mark_done a -> Spec.mark_done s a; Hashtbl.replace model a `Done; true
-         | Sp_forget a -> Spec.forget s a; Hashtbl.remove model a; true
+         | Sp_pop ->
+           let popped = Spec.pop s in
+           (match popped with
+            | Some a -> (
+              match Hashtbl.find_opt m.m_status a with
+              | Some (`Queued _) -> true
+              | _ -> false)
+            | None -> queued () = 0)
+           && popped = model_pop m 0
+         | Sp_mark_done a ->
+           Spec.mark_done s a;
+           Hashtbl.replace m.m_status a `Done;
+           true
+         | Sp_forget a ->
+           Spec.forget s a;
+           Hashtbl.remove m.m_status a;
+           Hashtbl.remove m.m_depth a;
+           true
          | Sp_forget_done a ->
            Spec.forget_done s a;
-           if Hashtbl.find_opt model a = Some `Done then Hashtbl.remove model a;
+           if Hashtbl.find_opt m.m_status a = Some `Done then begin
+             Hashtbl.remove m.m_status a;
+             Hashtbl.remove m.m_depth a
+           end;
+           true
+         | Sp_note_on_path a ->
+           Spec.note_on_path s a;
+           if Hashtbl.mem m.m_depth a then Hashtbl.replace m.m_depth a 0;
            true)
         && Spec.queue_length s = queued ()
+        && Spec.state_digest s = model_digest m
       in
       List.for_all step ops)
 

@@ -106,19 +106,19 @@ let test_stats_pinned run md5 () =
    builds and runs the tests; another compiler version or build profile
    allocates differently and needs its own pins. *)
 let engine_words =
-  [ ("164.gzip", 257558);
-    ("175.vpr", 631475);
-    ("176.gcc", 1764709);
-    ("181.mcf", 1198898);
-    ("186.crafty", 400200);
-    ("197.parser", 596837);
-    ("253.perlbmk", 23796);
-    ("254.gap", 302408);
-    ("255.vortex", 145017);
-    ("256.bzip2", 336663);
-    ("300.twolf", 315037) ]
+  [ ("164.gzip", 234019);
+    ("175.vpr", 595880);
+    ("176.gcc", 1654741);
+    ("181.mcf", 906394);
+    ("186.crafty", 378480);
+    ("197.parser", 476447);
+    ("253.perlbmk", 22056);
+    ("254.gap", 285514);
+    ("255.vortex", 135817);
+    ("256.bzip2", 294167);
+    ("300.twolf", 296661) ]
 
-let checkpointed_words = [ ("164.gzip", 258417); ("181.mcf", 1201564) ]
+let checkpointed_words = [ ("164.gzip", 234878); ("181.mcf", 909060) ]
 
 let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let _, memo = primed b in
