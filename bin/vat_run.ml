@@ -43,11 +43,12 @@ let fault_plan cfg ~faults ~seed ~classes ~unrecoverable =
    snapshot to persist before exiting with code 3. *)
 exception Halted_at_checkpoint of Vat_snapshot.Snapshot.t
 
-(* [load] is called once per simulation: guest memory is mutated by a run,
-   so the reference model and the translator each get a fresh program. *)
+(* Guest memory is mutated by a run, so the reference model runs on a
+   clone; [Vm.run] clones the program it is given. *)
 let compute_one ?(trace = Vat_trace.Trace.disabled) ?checkpoint_every
     ?restore_from ?halt_at cfg plan load =
-  let piii = Vat_refmodel.Piii.run (load ()) in
+  let prog = load () in
+  let piii = Vat_refmodel.Piii.run (Vat_guest.Program.clone prog) in
   let on_checkpoint =
     match halt_at with
     | None -> None
@@ -59,7 +60,7 @@ let compute_one ?(trace = Vat_trace.Trace.disabled) ?checkpoint_every
   in
   let rv =
     Vm.run ~fuel:100_000_000 ~faults:plan ~trace ?checkpoint_every
-      ?on_checkpoint ?restore_from cfg (load ())
+      ?on_checkpoint ?restore_from cfg prog
   in
   (piii, rv)
 

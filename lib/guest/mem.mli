@@ -1,10 +1,15 @@
-(** Flat byte-addressable guest physical memory.
+(** Byte-addressable guest physical memory, held as 4 KiB pages.
 
     Little-endian, fixed size, bounds-checked. Page-granularity store
     generations support self-modifying-code detection: every store bumps the
     generation of the page it touches, and consumers (the interpreter's
     decode cache, the DBT's translated-page registry) compare generations to
-    notice that cached code may be stale. *)
+    notice that cached code may be stale.
+
+    Pages are copy-on-write. {!create} points every page at one shared
+    zero page, {!copy} shares every page with its source, and the first
+    store a memory makes to a page it shares copies that page alone. No
+    store to one memory is ever visible in another. *)
 
 exception Fault of { addr : int; access : string }
 
@@ -17,8 +22,16 @@ val create : size:int -> t
 val size : t -> int
 
 val copy : t -> t
-(** Deep copy: fresh backing store and page generations. Writes to either
-    copy never alias the other. *)
+(** A copy that shares every page with [t] until one of them writes it.
+    It costs O(pages), not O(bytes): three arrays of one entry per page
+    (4 MiB of memory has 1,024 pages). Afterwards [t] owns none of its
+    pages either, so a later store to [t] copies its page too, and
+    stores to either side never show through the other.
+
+    Several domains may copy the same [t] at once, as long as none of
+    them writes [t] meanwhile (a pristine [Program.t] cloned by parallel
+    runs): each copy and [t] take fresh owner ids from an atomic
+    counter. *)
 
 val page_size : int
 (** 4096 bytes. *)

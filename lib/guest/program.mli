@@ -30,8 +30,11 @@ val clone : t -> t
 (** A pristine copy whose memory image and page table do not alias [t]:
     running one clone never dirties another. Rollback-recovery replays
     each attempt against a fresh clone so stores from an abandoned
-    attempt cannot leak into the next. The symbol table is shared
-    (read-only after assembly). *)
+    attempt cannot leak into the next. It costs O(pages): the memory is
+    a {!Mem.copy}, whose pages stay shared until written, and the page
+    table is copied. Parallel runs may clone one [t] from several
+    domains at once. The symbol table is shared (read-only after
+    assembly). *)
 
 val symbol : t -> string -> int
 (** Raises [Asm.Error] for unknown symbols. *)

@@ -33,10 +33,20 @@ let opcodes =
   Array.init (opcode_mask + 1) (fun i ->
       if i < Array.length used then used.(i) else Nop)
 
-let rec index_from i (op : opcode) =
-  if opcodes.(i) == op then i else index_from (i + 1) op
+(* [opcode] has only constant constructors, so each value is an
+   immediate int: the constructor's place in the type. That int keys
+   [numbers], which inverts [opcodes] (the first place each opcode
+   appears, so the padding [Nop]s share [Nop]'s number). *)
+let tag (op : opcode) : int = Obj.magic op
 
-let number op = index_from 0 op
+let numbers =
+  let a = Array.make (Array.length opcodes) (-1) in
+  for i = Array.length opcodes - 1 downto 0 do
+    a.(tag opcodes.(i)) <- i
+  done;
+  a
+
+let number op = numbers.(tag op)
 
 type kind =
   | Alu

@@ -60,6 +60,15 @@ val encode : Hinsn.t -> int
 
 (** {2 Fields} *)
 
+type opcode
+
+val opcodes : opcode array
+(** The numbering: an opcode's number is its first index here. 64
+    entries, padded with [Nop]. Do not mutate. *)
+
+val number : opcode -> int
+(** The opcode field {!encode} writes for an opcode, in constant time. *)
+
 val kinds : kind array
 (** Indexed by the opcode field: 64 entries, so any opcode field is in
     bounds. Opcodes {!encode} never produces read as [Alu] words that

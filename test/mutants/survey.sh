@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Mutation survey of lib/ir, the event queue, restore verification, the
-# H-ISA word format, the tile service queue and the speculation state.
-# Each test/mutants/*.patch plants one known fault in an IR pass, in
-# lib/desim's Event_queue, in Vm's checkpoint chain, in Hexec.encode's
-# field checks, in Tiled.Service's request ring or in Spec's per-address
-# entries. For each patch this applies it to a copy of the checkout,
-# builds the test runner, and runs the desim, host-isa, ir-passes,
+# H-ISA word format, the tile service queue, the speculation state and
+# copy-on-write guest memory. Each test/mutants/*.patch plants one known
+# fault in an IR pass, in lib/desim's Event_queue, in Vm's checkpoint
+# chain, in Hexec.encode's field checks, in Tiled.Service's request
+# ring, in Spec's per-address entries or in Mem.copy's page ownership.
+# For each patch this applies it to a copy of the checkout, builds the
+# test runner, and runs the desim, guest-units, host-isa, ir-passes,
 # translator-units, translator-golden, snapshot, tiled-substrate and
 # core-units groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
@@ -47,8 +48,8 @@ for patch in "$root"/test/mutants/*.patch; do
     status=1
   else
     by=""
-    for group in desim host-isa ir-passes translator-units translator-golden \
-      snapshot tiled-substrate core-units; do
+    for group in desim guest-units host-isa ir-passes translator-units \
+      translator-golden snapshot tiled-substrate core-units; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||

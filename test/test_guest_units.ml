@@ -43,13 +43,15 @@ let test_mem_page_generations () =
     [ 0; 10; Mem.page_size; (2 * Mem.page_size) + 7; Mem.size m ];
   Alcotest.(check (list int)) "empty load bumps nothing" before (gens ())
 
-(* The oracle for [Mem.checksum]: FNV over every byte, one at a time. *)
-let checksum_bytewise m =
+(* FNV over every byte, one at a time: the oracle for [Mem.checksum]. *)
+let fnv s =
   let h = ref 0xcbf29ce4 in
   String.iter
     (fun c -> h := ((!h lxor Char.code c) * 0x100000001b3) land max_int)
-    (Mem.read_string m ~at:0 ~len:(Mem.size m));
+    s;
   !h
+
+let checksum_bytewise m = fnv (Mem.read_string m ~at:0 ~len:(Mem.size m))
 
 type mem_op =
   | Write_u8 of int * int
@@ -63,12 +65,11 @@ let pp_mem_op = function
   | Load_string (a, s) -> Printf.sprintf "load_string 0x%x %S" a s
   | Copy -> "copy"
 
-(* A memory of 1 page, 3 pages or 4 MiB, then stores aimed anywhere, at
-   the last page, or across a page boundary, many of them zero. *)
-let gen_mem_case =
+(* Stores to a memory of [pages] pages aimed anywhere, at the last page,
+   or across a page boundary, many of them zero; and copies. *)
+let gen_mem_op pages =
   let open QCheck.Gen in
   let ps = Mem.page_size in
-  let* pages = oneofl [ 1; 3; 1024 ] in
   let size = pages * ps in
   let addr =
     frequency
@@ -83,18 +84,21 @@ let gen_mem_case =
     frequency [ (2, return 0); (1, int_bound 0xFF); (2, map Int32.to_int ui32) ]
   in
   let byte = frequency [ (1, return '\000'); (2, char) ] in
-  let op =
-    frequency
-      [ (4, map2 (fun a v -> Write_u8 (a, v)) addr value);
-        (4, map2 (fun a v -> Write_u32 (a, v)) addr value);
-        (2,
-         map2 (fun a s -> Load_string (a, s)) addr
-           (string_size ~gen:byte
-              (frequency
-                 [ (1, return 0); (3, int_bound 64); (1, int_bound 9000) ])));
-        (1, return Copy) ]
-  in
-  pair (return pages) (list_size (int_bound 40) op)
+  frequency
+    [ (4, map2 (fun a v -> Write_u8 (a, v)) addr value);
+      (4, map2 (fun a v -> Write_u32 (a, v)) addr value);
+      (2,
+       map2 (fun a s -> Load_string (a, s)) addr
+         (string_size ~gen:byte
+            (frequency
+               [ (1, return 0); (3, int_bound 64); (1, int_bound 9000) ])));
+      (1, return Copy) ]
+
+(* A memory of 1 page, 3 pages or 4 MiB, then stores and copies. *)
+let gen_mem_case =
+  let open QCheck.Gen in
+  let* pages = oneofl [ 1; 3; 1024 ] in
+  pair (return pages) (list_size (int_bound 40) (gen_mem_op pages))
 
 let prop_mem_checksum =
   QCheck.Test.make ~name:"mem: checksum = byte-wise FNV" ~count:100
@@ -127,6 +131,82 @@ let prop_mem_checksum =
                ok)
            ops
       && agree !m)
+
+(* A family of memories, each with a flat model of its own: [Copy]
+   adds a copy of the member it names (so copies of copies), and every
+   store goes to one member, the source of a copy included. A page still
+   shared after a copy shows one member's store in another's bytes. *)
+type member = { mem : Mem.t; bytes : Bytes.t; gens : int array }
+
+let prop_mem_copies_never_alias =
+  QCheck.Test.make ~name:"mem: copies never alias" ~count:100
+    (QCheck.make
+       ~print:(fun (pages, ops) ->
+         Printf.sprintf "%d pages: %s" pages
+           (String.concat "; "
+              (List.map
+                 (fun (k, op) -> Printf.sprintf "#%d %s" k (pp_mem_op op))
+                 ops)))
+       QCheck.Gen.(
+         let* pages = frequencyl [ (3, 1); (3, 3); (3, 8); (1, 1024) ] in
+         pair (return pages)
+           (list_size (int_range 1 60) (pair nat (gen_mem_op pages)))))
+    (fun (pages, ops) ->
+      let ps = Mem.page_size in
+      let size = pages * ps in
+      let family =
+        ref
+          [| { mem = Mem.create ~size; bytes = Bytes.make size '\000';
+               gens = Array.make pages 0 } |]
+      in
+      let touch m a = m.gens.(a / ps) <- m.gens.(a / ps) + 1 in
+      List.iter
+        (fun (k, op) ->
+          let m = !family.(k mod Array.length !family) in
+          match op with
+          | Write_u8 (a, v) ->
+            Mem.write_u8 m.mem a v;
+            Bytes.set_uint8 m.bytes a (v land 0xFF);
+            touch m a
+          | Write_u32 (a, v) ->
+            let a = min a (size - 4) in
+            Mem.write_u32 m.mem a v;
+            Bytes.set_int32_le m.bytes a (Int32.of_int v);
+            touch m a;
+            if a / ps <> (a + 3) / ps then touch m (a + 3)
+          | Load_string (a, s) ->
+            let n = min (String.length s) (size - a) in
+            Mem.load_string m.mem ~at:a (String.sub s 0 n);
+            Bytes.blit_string s 0 m.bytes a n;
+            if n > 0 then
+              for p = a / ps to (a + n - 1) / ps do
+                touch m (p * ps)
+              done
+          | Copy ->
+            let c =
+              { mem = Mem.copy m.mem; bytes = Bytes.copy m.bytes;
+                gens = Array.copy m.gens }
+            in
+            family := Array.append !family [| c |])
+        ops;
+      let straddles =
+        List.concat_map
+          (fun p -> [ (p * ps) - 3; (p * ps) - 2; (p * ps) - 1 ])
+          (List.init (pages - 1) succ)
+      in
+      Array.for_all
+        (fun m ->
+          let image = Bytes.to_string m.bytes in
+          Mem.read_string m.mem ~at:0 ~len:size = image
+          && List.for_all
+               (fun a ->
+                 Mem.read_u32 m.mem a
+                 = Int32.to_int (Bytes.get_int32_le m.bytes a) land 0xFFFFFFFF)
+               straddles
+          && List.init pages (fun page -> Mem.page_generation m.mem ~page)
+             = Array.to_list m.gens
+          && Mem.checksum m.mem = fnv image)
+        !family)
 
 let prop_mem_roundtrip =
   QCheck.Test.make ~name:"mem: u32 write/read round trip" ~count:500
@@ -350,4 +430,5 @@ let suite =
     Alcotest.test_case "syscall brk" `Quick test_syscall_brk;
     Alcotest.test_case "unknown syscall -ENOSYS" `Quick
       test_syscall_unknown_enosys ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_mem_roundtrip; prop_mem_checksum ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_mem_roundtrip; prop_mem_checksum; prop_mem_copies_never_alias ]

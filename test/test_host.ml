@@ -233,6 +233,23 @@ let prop_shift_masks_count =
     (fun (op, v, count) ->
       Hexec.eval_shift op v count = Hexec.eval_shift op v (count land 31))
 
+(* Every used opcode's number is its place in [opcodes]; the padding
+   [Nop]s map back to the first [Nop]. *)
+let test_opcode_numbers () =
+  let ops = Hexec.opcodes in
+  let first op =
+    let rec go j = if ops.(j) = op then j else go (j + 1) in
+    go 0
+  in
+  let used = ref 0 in
+  Array.iteri
+    (fun i op ->
+      if first op = i then incr used;
+      Alcotest.(check int) (Printf.sprintf "number opcodes.(%d)" i) (first op)
+        (Hexec.number op))
+    ops;
+  Alcotest.(check int) "used opcodes" 44 !used
+
 let test_run_block () =
   (* Sum 1..5 with a backward... no: forward-only blocks; unrolled. *)
   let code =
@@ -257,6 +274,7 @@ let suite =
     Alcotest.test_case "mulh/mulhu" `Quick test_mulh;
     Alcotest.test_case "div64 semantics and traps" `Quick test_div64;
     Alcotest.test_case "block runner" `Quick test_run_block;
+    Alcotest.test_case "op words: opcode numbers" `Quick test_opcode_numbers;
     Alcotest.test_case "op words: what encode refuses" `Quick
       test_encode_refuses;
     Alcotest.test_case "op words: every field's edges" `Quick

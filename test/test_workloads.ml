@@ -190,6 +190,28 @@ let test_events_pinned (b : Suite.benchmark) () =
     (Exec.digest (Vm.exec_of vm));
   Alcotest.(check int) "events" (List.assoc b.name pinned_events) !events
 
+(* [Program.clone] shares guest pages until they are written, so a
+   clone costs a few words per page (the page, owner and generation
+   arrays and the page table), not the 524,288 words of a copied 4 MiB
+   image. Words are counted wherever they are allocated: arrays this
+   large go straight to the major heap. *)
+let clone_words_per_page = 8
+
+let test_clone_alloc (b : Suite.benchmark) () =
+  let prog = Suite.load b in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  let c = Program.clone prog in
+  let words = int_of_float (allocated () -. w0) in
+  let pages = Mem.size c.mem / Mem.page_size in
+  if words > clone_words_per_page * pages then
+    Alcotest.failf "%s: a clone of %d pages allocated %d words, more than %d \
+                    a page"
+      b.name pages words clone_words_per_page
+
 let test_deterministic (b : Suite.benchmark) () =
   (* Program construction is deterministic: same digest twice. *)
   let _, i1 = interp_run b in
@@ -249,6 +271,8 @@ let suite =
           (test_digest_pinned b);
         Alcotest.test_case (b.name ^ " deterministic") `Quick
           (test_deterministic b);
+        Alcotest.test_case (b.name ^ " clone allocates per page") `Quick
+          (test_clone_alloc b);
         Alcotest.test_case (b.name ^ " engine allocation pinned") `Slow
           (test_engine_alloc b);
         Alcotest.test_case (b.name ^ " event count pinned") `Slow
