@@ -26,6 +26,20 @@ let memos =
   List.map (fun (b : Suite.benchmark) -> (b.name, Translate.Memo.create ()))
     benchmarks
 
+(* Each workload assembled once per process, on the main domain while
+   cells are built; a cell runs on a [Program.clone] of it, which copies
+   page pointers only. Several workers may clone one pristine program at
+   once. [Vm.run] clones the program it is given. *)
+let programs : (string, Vat_guest.Program.t) Hashtbl.t = Hashtbl.create 16
+
+let program (b : Suite.benchmark) =
+  match Hashtbl.find_opt programs b.name with
+  | Some p -> p
+  | None ->
+    let p = Suite.load b in
+    Hashtbl.replace programs b.name p;
+    p
+
 (* ------------------------------------------------------------------ *)
 (* Cells: every simulation a figure reads, run once, kept by key       *)
 (* ------------------------------------------------------------------ *)
@@ -56,12 +70,10 @@ type cell = { key : key; task : unit -> result * int }
 (* A [traced] run records a trace, whose recorder lives inside the task. *)
 let run ?(faults = Fault.empty) ?checkpoint_every ?(traced = false)
     (b : Suite.benchmark) cfg =
-  let memo = List.assoc b.name memos in
+  let memo = List.assoc b.name memos and prog = program b in
   let task () =
     let trace = if traced then Trace.create () else Trace.disabled in
-    let r =
-      Vm.run ~fuel ~faults ~memo ~trace ?checkpoint_every cfg (Suite.load b)
-    in
+    let r = Vm.run ~fuel ~faults ~memo ~trace ?checkpoint_every cfg prog in
     (Vm_result (r, trace), r.guest_insns)
   in
   let events = Fault.events faults in
@@ -69,8 +81,9 @@ let run ?(faults = Fault.empty) ?checkpoint_every ?(traced = false)
     task }
 
 let piii (b : Suite.benchmark) =
+  let prog = program b in
   let task () =
-    let r = Vat_refmodel.Piii.run (Suite.load b) in
+    let r = Vat_refmodel.Piii.run (Vat_guest.Program.clone prog) in
     (match r.outcome with
      | Vat_guest.Interp.Exited _ -> ()
      | _ -> failwith (b.name ^ ": reference run did not exit"));
@@ -82,11 +95,12 @@ let fabric_policies =
   [ ("static", Fabric.Static (3, 3)); ("shared", Fabric.Shared { dwell = 20000 }) ]
 
 let fabric_cell (na, nb) policy =
+  let pa = program (Suite.find na) and pb = program (Suite.find nb) in
   let task () =
-    let load n = Suite.load (Suite.find n) in
+    let clone = Vat_guest.Program.clone in
     let r =
-      Fabric.run ~policy:(List.assoc policy fabric_policies) (load na, na)
-        (load nb, nb)
+      Fabric.run ~policy:(List.assoc policy fabric_policies) (clone pa, na)
+        (clone pb, nb)
     in
     (Fabric_result r, r.a.guest_insns + r.b.guest_insns)
   in

@@ -25,7 +25,7 @@ type syscall_req = {
 }
 
 (* Why the engine is not currently running. A suspended engine resumes
-   at [t.pc]: after a blocking load, or at the instruction (a load to
+   at [t.cur.pc]: after a blocking load, or at the instruction (a load to
    retry, or the terminator at pc = length) that found its register
    pending or no miss slot free. *)
 type wait_state =
@@ -104,10 +104,11 @@ type t = {
   mutable fill_target : int;
   mutable fill_link : link;
   mutable fill_request : unit -> unit;
-  mutable t_local : int;
+  cur : Hexec.cursor;
+      (* the local cycle, the next word's index in [entry], and the stall
+         cycles [Hexec.run_straight] has not yet added to the counter *)
   mutable outstanding : int;
   mutable entry : Code_cache.L1.entry option;
-  mutable pc : int;
   mutable wait : wait_state;
   mutable wait_reg : int;      (* the register [Wait_reg] waits on *)
   mutable fuel : int;
@@ -116,7 +117,7 @@ type t = {
   mutable on_finish : outcome -> unit;
 }
 
-let local_time t = t.t_local
+let local_time t = t.cur.time
 let guest_instructions t = t.guest_insns
 let output t = Syscall.output t.world
 
@@ -130,10 +131,10 @@ let finish t outcome =
   if t.outcome = None then begin
     t.outcome <- Some outcome;
     t.wait <- Finished;
-    Stats.add t.stats "exec.cycles" t.t_local;
+    Stats.add t.stats "exec.cycles" t.cur.time;
     let cb = t.on_finish in
     Event_queue.schedule t.q
-      ~at:(max (Event_queue.now t.q) t.t_local)
+      ~at:(max (Event_queue.now t.q) t.cur.time)
       (fun () -> cb outcome)
   end
 
@@ -143,7 +144,7 @@ let finished t = t.outcome <> None
 (* Schedule an interaction with another tile at the engine's local time
    (the queue may be lagging behind the engine). *)
 let at_local t f =
-  Event_queue.schedule t.q ~at:(max (Event_queue.now t.q) t.t_local) f
+  Event_queue.schedule t.q ~at:(max (Event_queue.now t.q) t.cur.time) f
 
 (* ------------------------------------------------------------------ *)
 (* Functional memory (values) — timing handled separately.             *)
@@ -188,87 +189,56 @@ let edx = Translate.guest_pin EDX
 
 (* A register field of an op word (layout in [Hexec]), extracted here
    rather than through [Hexec.rs] and friends: under dune's dev profile
-   ([-opaque]) each of those is a real call. A field is 5 bits, so every
-   index it yields is inside the 32-entry [regs] and [ready_at], which the
-   loop below therefore reads unchecked. *)
+   ([-opaque]) each of those is a real call. *)
 let[@inline] field w shift = (w lsr shift) land 31
 
 let[@inline] pending t r = t.pending_mask land (1 lsl r) <> 0
-
-let[@inline] max3 (a : int) b c =
-  let m = if a > b then a else b in
-  if m > c then m else c
 
 let suspend_on t r =
   t.wait <- Wait_reg;
   t.wait_reg <- r
 
+(* [Hexec.run_straight] runs the stretch of ALU and branch words from
+   [t.cur.pc], scoreboard and stalls included; this loop runs the word
+   it stops at. *)
 let rec step t =
   match t.entry with
   | None -> ()
   | Some entry ->
     let ops = entry.block.ops in
-    let pc = t.pc in
-    if pc >= Array.length ops then terminator t entry
-    else begin
-      let w = ops.(pc) in
-      let rs = field w Hexec.rs_shift
-      and rt = field w Hexec.rt_shift
-      and ru = field w Hexec.ru_shift in
-      (* Scoreboard: the source fields name every register the word
-         reads, r0 (which never waits) masked out. *)
-      if ((1 lsl rs) lor (1 lsl rt) lor (1 lsl ru)) land -2 land t.pending_mask
-         <> 0
-      then begin
-        suspend_on t (first_pending t rs rt ru);
-        Stats.bump t.k.c_scoreboard_suspends
-      end
-      else begin
-        let ready_at = t.ready_at in
-        (* Stall until every source is ready. Nothing writes r0's
-           [ready_at]: [Alu] skips rd = r0, [Block.make] refuses a load
-           into r0, and [Mul64]/[Div64] write EAX and EDX. *)
-        let ready =
-          max3 (Array.unsafe_get ready_at rs) (Array.unsafe_get ready_at rt)
-            (Array.unsafe_get ready_at ru)
-        in
-        if ready > t.t_local then begin
-          Stats.bump_by t.k.c_stall_cycles (ready - t.t_local);
-          t.t_local <- ready
-        end;
-        let regs = t.regs in
-        let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-        match Hexec.kinds.(w land Hexec.opcode_mask) with
-        | Hexec.Alu ->
-          let v = Hexec.eval w a b in
-          let rd = field w Hexec.rd_shift in
-          t.t_local <- t.t_local + 1;
-          if rd <> 0 then begin
-            Array.unsafe_set regs rd v;
-            Array.unsafe_set ready_at rd t.t_local
-          end;
-          t.pc <- pc + 1;
+    let c = t.cur in
+    let stop = Hexec.run_straight c ops t.regs t.ready_at t.pending_mask in
+    if c.stall <> 0 then begin
+      Stats.bump_by t.k.c_stall_cycles c.stall;
+      c.stall <- 0
+    end;
+    match stop with
+    | Hexec.Ended -> terminator t entry
+    | Hexec.Pending ->
+      let w = ops.(c.pc) in
+      suspend_on t
+        (first_pending t (field w Hexec.rs_shift) (field w Hexec.rt_shift)
+           (field w Hexec.ru_shift));
+      Stats.bump t.k.c_scoreboard_suspends
+    | Hexec.Other -> (
+      let w = ops.(c.pc) in
+      let rs = field w Hexec.rs_shift in
+      match Hexec.kinds.(w land Hexec.opcode_mask) with
+      | Hexec.Trap ->
+        if Hexec.eval w t.regs.(rs) t.regs.(field w Hexec.rt_shift) <> 0 then
+          finish t (Fault (trap_message (Hexec.trap w)))
+        else begin
+          c.time <- c.time + 1;
+          c.pc <- c.pc + 1;
           step t
-        | Hexec.Branch ->
-          t.t_local <- t.t_local + 1;
-          t.pc <-
-            (if Hexec.eval w a b <> 0 then w asr Hexec.imm_shift else pc + 1);
-          step t
-        | Hexec.Trap ->
-          if Hexec.eval w a b <> 0 then
-            finish t (Fault (trap_message (Hexec.trap w)))
-          else begin
-            t.t_local <- t.t_local + 1;
-            t.pc <- pc + 1;
-            step t
-          end
-        | Hexec.Mul64 -> exec_wide t w ~cycles:(1 + 5) (* widening multiply helper *)
-        | Hexec.Div64 -> exec_wide t w ~cycles:(1 + 40) (* soft-divide helper *)
-        | Hexec.Load width ->
-          exec_load t width (field w Hexec.rd_shift) rs (w asr Hexec.imm_shift)
-        | Hexec.Store width -> exec_store t width rs rt (w asr Hexec.imm_shift)
-      end
-    end
+        end
+      | Hexec.Mul64 -> exec_wide t w ~cycles:(1 + 5) (* widening multiply helper *)
+      | Hexec.Div64 -> exec_wide t w ~cycles:(1 + 40) (* soft-divide helper *)
+      | Hexec.Load width ->
+        exec_load t width (field w Hexec.rd_shift) rs (w asr Hexec.imm_shift)
+      | Hexec.Store width ->
+        exec_store t width rs (field w Hexec.rt_shift) (w asr Hexec.imm_shift)
+      | Hexec.Alu | Hexec.Branch -> assert false (* run_straight ran it *))
 
 (* The first pending source in [Hinsn.uses] order, which is the order of
    the word's source fields. *)
@@ -281,10 +251,10 @@ and exec_wide t w ~cycles =
   match Hexec.wide t.regs w with
   | Some trap -> finish t (Fault (trap_message trap))
   | None ->
-    t.t_local <- t.t_local + cycles;
-    t.ready_at.(eax) <- t.t_local;
-    t.ready_at.(edx) <- t.t_local;
-    t.pc <- t.pc + 1;
+    t.cur.time <- t.cur.time + cycles;
+    t.ready_at.(eax) <- t.cur.time;
+    t.ready_at.(edx) <- t.cur.time;
+    t.cur.pc <- t.cur.pc + 1;
     step t
 
 and exec_load t w rd base off =
@@ -292,9 +262,9 @@ and exec_load t w rd base off =
   if base = Regalloc.scratch_base_reg then begin
     (* Tile-local spill area: fixed cost, no cache. *)
     t.regs.(rd) <- t.scratch.(scratch_slot addr);
-    t.t_local <- t.t_local + 2;
-    t.ready_at.(rd) <- t.t_local + 1;
-    t.pc <- t.pc + 1;
+    t.cur.time <- t.cur.time + 2;
+    t.ready_at.(rd) <- t.cur.time + 1;
+    t.cur.pc <- t.cur.pc + 1;
     step t
   end
   else begin
@@ -302,15 +272,15 @@ and exec_load t w rd base off =
     | exception Guest_mem_fault msg -> finish t (Fault msg)
     | v ->
       Stats.bump t.k.c_l1d_loads;
-      let issue = t.t_local in
-      t.t_local <- t.t_local + Config.l1d_occupancy;
+      let issue = t.cur.time in
+      t.cur.time <- t.cur.time + Config.l1d_occupancy;
       t.regs.(rd) <- v;
       let { Cache.hit; writeback; parity = _ } =
         Cache.access t.l1d ~addr ~write:false
       in
       if hit then begin
         t.ready_at.(rd) <- issue + Config.l1d_hit_latency;
-        t.pc <- t.pc + 1;
+        t.cur.pc <- t.cur.pc + 1;
         step t
       end
       else begin
@@ -332,7 +302,7 @@ and exec_load t w rd base off =
         end
         else begin
           issue_miss t rd addr ~blocking:false;
-          t.pc <- t.pc + 1;
+          t.cur.pc <- t.cur.pc + 1;
           step t
         end
       end
@@ -346,7 +316,7 @@ and issue_miss t rd addr ~blocking =
   if blocking then begin
     suspend_on t rd;
     (* The load itself completed functionally; resume after it. *)
-    t.pc <- t.pc + 1
+    t.cur.pc <- t.cur.pc + 1
   end
 
 and miss_reply t rd =
@@ -365,8 +335,8 @@ and exec_store t w rv base off =
   in
   if base = Regalloc.scratch_base_reg then begin
     t.scratch.(scratch_slot addr) <- v;
-    t.t_local <- t.t_local + 2;
-    t.pc <- t.pc + 1;
+    t.cur.time <- t.cur.time + 2;
+    t.cur.pc <- t.cur.pc + 1;
     step t
   end
   else begin
@@ -374,7 +344,7 @@ and exec_store t w rv base off =
     | exception Guest_mem_fault msg -> finish t (Fault msg)
     | () ->
       Stats.bump t.k.c_l1d_stores;
-      t.t_local <- t.t_local + Config.l1d_occupancy;
+      t.cur.time <- t.cur.time + Config.l1d_occupancy;
       (* Self-modifying-code detection: a store into a page holding
          translated code invalidates that page's blocks everywhere. *)
       let page = Mem.page_of addr in
@@ -382,7 +352,7 @@ and exec_store t w rv base off =
         Stats.bump t.k.c_smc_invalidations;
         Manager.invalidate_page t.manager ~page;
         Code_cache.L1.flush t.l1;
-        t.t_local <- t.t_local + 400
+        t.cur.time <- t.cur.time + 400
       end;
       let { Cache.hit; writeback; parity = _ } =
         Cache.access t.l1d ~addr ~write:true
@@ -400,7 +370,7 @@ and exec_store t w rv base off =
         at_local t (fun () ->
             Memsys.access t.memsys ~addr ~write:true ~on_done:(fun () -> ()))
       end;
-      t.pc <- t.pc + 1;
+      t.cur.pc <- t.cur.pc + 1;
       step t
   end
 
@@ -419,7 +389,7 @@ and terminator t entry =
     let r = Block.term_reg in
     if pending t r then suspend_on t r
     else begin
-      if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
+      if t.ready_at.(r) > t.cur.time then t.cur.time <- t.ready_at.(r);
       if t.regs.(r) <> 0 then leave_direct t entry Link_taken taken
       else leave_direct t entry Link_fall fall
     end
@@ -427,7 +397,7 @@ and terminator t entry =
     let r = Block.term_reg in
     if pending t r then suspend_on t r
     else begin
-      if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
+      if t.ready_at.(r) > t.cur.time then t.cur.time <- t.ready_at.(r);
       Stats.bump t.k.c_indirect_transfers;
       dispatch t Unlinked t.regs.(r)
     end
@@ -444,8 +414,8 @@ and leave_direct t entry link target =
   match chained with
   | Some next_entry as held ->
     Stats.bump t.k.c_chained_transfers;
-    t.t_local <- t.t_local + Config.chain_cycles;
-    Tr.emit t.pb.p_chain ~cycle:t.t_local
+    t.cur.time <- t.cur.time + Config.chain_cycles;
+    Tr.emit t.pb.p_chain ~cycle:t.cur.time
       ~arg:next_entry.Code_cache.L1.block.Block.guest_addr;
     enter t next_entry held
   | None -> dispatch t link target
@@ -454,18 +424,18 @@ and leave_direct t entry link target =
    [t.entry], that the dispatched block may fill. *)
 and dispatch t link target =
   Stats.bump t.k.c_dispatches;
-  t.t_local <- t.t_local + Config.dispatch_cycles;
+  t.cur.time <- t.cur.time + Config.dispatch_cycles;
   match Code_cache.L1.find t.l1 target with
   | Some next_entry as held ->
     Stats.bump t.k.c_l1code_hits;
-    Tr.emit t.pb.p_l1_hit ~cycle:t.t_local ~arg:target;
-    Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
+    Tr.emit t.pb.p_l1_hit ~cycle:t.cur.time ~arg:target;
+    Tr.emit t.pb.p_dispatch ~cycle:t.cur.time ~arg:target;
     set_chain t link held;
     enter t next_entry held
   | None ->
     Stats.bump t.k.c_l1code_misses;
-    Tr.emit t.pb.p_l1_miss ~cycle:t.t_local ~arg:target;
-    Tr.emit t.pb.p_fill_begin ~cycle:t.t_local ~arg:target;
+    Tr.emit t.pb.p_l1_miss ~cycle:t.cur.time ~arg:target;
+    Tr.emit t.pb.p_fill_begin ~cycle:t.cur.time ~arg:target;
     t.wait <- Wait_fill;
     t.fill_target <- target;
     t.fill_link <- link;
@@ -475,20 +445,20 @@ and dispatch t link target =
    tile. *)
 and fill_ready t block _sum =
   let now = Event_queue.now t.q in
-  if now > t.t_local then t.t_local <- now;
+  if now > t.cur.time then t.cur.time <- now;
   let install_cost =
     (Block.size_bytes block / Config.l1_install_bytes_per_cycle)
     + (if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles
        else 0)
   in
-  t.t_local <- t.t_local + max 1 install_cost;
+  t.cur.time <- t.cur.time + max 1 install_cost;
   let next_entry = Code_cache.L1.install t.l1 block in
   let held = Some next_entry in
   let target = t.fill_target in
   Stats.bump t.k.c_l1code_installs;
-  Tr.emit t.pb.p_fill_end ~cycle:t.t_local ~arg:target;
-  Tr.emit t.pb.p_l1_install ~cycle:t.t_local ~arg:target;
-  Tr.emit t.pb.p_dispatch ~cycle:t.t_local ~arg:target;
+  Tr.emit t.pb.p_fill_end ~cycle:t.cur.time ~arg:target;
+  Tr.emit t.pb.p_l1_install ~cycle:t.cur.time ~arg:target;
+  Tr.emit t.pb.p_dispatch ~cycle:t.cur.time ~arg:target;
   set_chain t t.fill_link held;
   t.wait <- Running;
   enter t next_entry held
@@ -517,7 +487,7 @@ and enter t next_entry held =
          may point at the corrupt entry) and refetch from the hierarchy —
          the L2 master copy re-verifies on the way back. *)
       Stats.bump t.k.c_l1code_corrupt;
-      t.t_local <- t.t_local + t.cfg.Config.checksum_cycles;
+      t.cur.time <- t.cur.time + t.cfg.Config.checksum_cycles;
       let target = next_entry.Code_cache.L1.block.Block.guest_addr in
       Code_cache.L1.flush t.l1;
       t.entry <- None;
@@ -534,7 +504,7 @@ and enter t next_entry held =
 
 and enter_unchecked t next_entry held =
   t.entry <- held;
-  t.pc <- 0;
+  t.cur.pc <- 0;
   t.guest_insns <- t.guest_insns + next_entry.block.guest_insns;
   Stats.bump t.k.c_blocks;
   if t.guest_insns > t.fuel then finish t Out_of_fuel
@@ -560,13 +530,13 @@ and do_syscall t next =
                 ~delay:(Layout.lat_exec_syscall t.layout)
                 (fun () ->
                   let now = Event_queue.now t.q in
-                  if now > t.t_local then t.t_local <- now;
+                  if now > t.cur.time then t.cur.time <- now;
                   Stats.bump t.k.c_syscalls;
                   match result with
                   | Syscall.Exit status -> finish t (Exited status)
                   | Syscall.Continue v ->
                     t.regs.(Translate.guest_pin EAX) <- v land 0xFFFFFFFF;
-                    t.ready_at.(Translate.guest_pin EAX) <- t.t_local;
+                    t.ready_at.(Translate.guest_pin EAX) <- t.cur.time;
                     t.wait <- Running;
                     dispatch t Unlinked next)) })
 
@@ -574,14 +544,14 @@ and wake t =
   match t.wait with
   | Wait_reg when not (pending t t.wait_reg) ->
     let now = Event_queue.now t.q in
-    if now > t.t_local then t.t_local <- now;
+    if now > t.cur.time then t.cur.time <- now;
     let r = t.wait_reg in
-    if t.ready_at.(r) > t.t_local then t.t_local <- t.ready_at.(r);
+    if t.ready_at.(r) > t.cur.time then t.cur.time <- t.ready_at.(r);
     t.wait <- Running;
     step t
   | Wait_capacity when t.outstanding < Config.max_outstanding ->
     let now = Event_queue.now t.q in
-    if now > t.t_local then t.t_local <- now;
+    if now > t.cur.time then t.cur.time <- now;
     t.wait <- Running;
     step t
   | Running | Wait_reg | Wait_capacity | Wait_fill | Wait_syscall | Finished ->
@@ -659,10 +629,9 @@ let create q stats cfg layout prog ~manager ~memsys ?input
       fill_target = 0;
       fill_link = Unlinked;
       fill_request = ignore;
-      t_local = 0;
+      cur = { pc = 0; time = 0; stall = 0 };
       outstanding = 0;
       entry = None;
-      pc = 0;
       wait = Running;
       wait_reg = 0;
       fuel = max_int;
@@ -712,17 +681,17 @@ let capture t =
        0x1505 t.scratch);
   Wr.int_array w t.ready_at;
   Wr.int w t.pending_mask;
-  Wr.int w t.t_local;
+  Wr.int w t.cur.time;
   Wr.int w t.outstanding;
   Wr.int w
     (match t.entry with
      | Some e -> e.Code_cache.L1.block.Block.guest_addr
      | None -> -1);
-  Wr.int w t.pc;
+  Wr.int w t.cur.pc;
   (match t.wait with
    | Running -> Wr.int_list w [ 0; 0; 0 ]
-   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg; t.pc ]
-   | Wait_capacity -> Wr.int_list w [ 2; t.pc; 0 ]
+   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg; t.cur.pc ]
+   | Wait_capacity -> Wr.int_list w [ 2; t.cur.pc; 0 ]
    | Wait_fill -> Wr.int_list w [ 3; 0; 0 ]
    | Wait_syscall -> Wr.int_list w [ 4; 0; 0 ]
    | Finished -> Wr.int_list w [ 5; 0; 0 ]);
@@ -753,11 +722,11 @@ let start t ~fuel ~on_finish =
       Manager.request_fill t.manager ~addr:t.prog.Program.entry
         ~on_ready:(fun block _sum ->
           let now = Event_queue.now t.q in
-          if now > t.t_local then t.t_local <- now;
+          if now > t.cur.time then t.cur.time <- now;
           let entry = Code_cache.L1.install t.l1 block in
-          Tr.emit t.pb.p_fill_end ~cycle:t.t_local
+          Tr.emit t.pb.p_fill_end ~cycle:t.cur.time
             ~arg:t.prog.Program.entry;
-          Tr.emit t.pb.p_dispatch ~cycle:t.t_local
+          Tr.emit t.pb.p_dispatch ~cycle:t.cur.time
             ~arg:t.prog.Program.entry;
           t.wait <- Running;
           enter t entry (Some entry)))

@@ -772,39 +772,81 @@ let translate cfg ~fetch ~guest_addr : Block.t =
    cached block, so timing is byte-identical with and without a memo.
 
    A memo may be shared across domains (the experiment pool runs one
-   benchmark's config sweep on several workers): the table is
+   benchmark's config sweep on several workers): its tables are
    mutex-guarded, and since every entry is an immutable deterministic
    function of its key, losing a publish race only costs a redundant
    translation, never a divergent result. *)
 
 module Memo = struct
-  type key = {
-    addr : int;
+  module Tbl = Hashtbl.Make (struct
+      type t = int
+
+      let equal = Int.equal
+      let hash a = a land max_int
+    end)
+
+  (* The block at an address and the generations of the pages it read:
+     the pair [translate_memo] returns, kept whole so a hit returns it
+     without building a new one. *)
+  type entry = Block.t * (int * int) list
+
+  (* One address-keyed table per triple of translator knobs. *)
+  type knobs = {
     optimize : bool;
     superblocks : bool;
     max_block_insns : int;
+    tbl : entry Tbl.t;
   }
 
-  type entry = { block : Block.t; gens : (int * int) list }
-
   type t = {
-    tbl : (key, entry) Hashtbl.t;
+    mutable tables : knobs list;  (* written under [lock] *)
     lock : Mutex.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
 
   let create () =
-    { tbl = Hashtbl.create 1024;
+    { tables = [];
       lock = Mutex.create ();
       hits = Atomic.make 0;
       misses = Atomic.make 0 }
 
-  let key_of (cfg : Config.t) ~guest_addr =
-    { addr = guest_addr;
-      optimize = cfg.optimize;
-      superblocks = cfg.superblocks;
-      max_block_insns = cfg.max_block_insns }
+  (* The table of [cfg]'s knobs, added if new. Call it under [lock]. *)
+  let rec table t (cfg : Config.t) = function
+    | k :: rest ->
+      if k.optimize = cfg.optimize && k.superblocks = cfg.superblocks
+         && k.max_block_insns = cfg.max_block_insns
+      then k.tbl
+      else table t cfg rest
+    | [] ->
+      let tbl = Tbl.create 1024 in
+      t.tables <-
+        { optimize = cfg.optimize;
+          superblocks = cfg.superblocks;
+          max_block_insns = cfg.max_block_insns;
+          tbl }
+        :: t.tables;
+      tbl
+
+  (* Lock and unlock by hand: [Mutex.protect] would take a closure. *)
+  let find t cfg addr =
+    Mutex.lock t.lock;
+    match Tbl.find (table t cfg t.tables) addr with
+    | e ->
+      Mutex.unlock t.lock;
+      e
+    | exception Not_found ->
+      Mutex.unlock t.lock;
+      raise Not_found
+
+  let add t cfg addr e =
+    Mutex.lock t.lock;
+    Tbl.replace (table t cfg t.tables) addr e;
+    Mutex.unlock t.lock
+
+  let rec fresh page_gen = function
+    | [] -> true
+    | (p, g) :: rest -> page_gen ~page:p = g && fresh page_gen rest
 
   let hits t = Atomic.get t.hits
   let misses t = Atomic.get t.misses
@@ -823,18 +865,14 @@ let translate_memo ?memo cfg ~fetch ~page_gen ~guest_addr :
   | None ->
     let block = translate cfg ~fetch ~guest_addr in
     (block, page_gens ~page_gen block)
-  | Some (m : Memo.t) ->
-    let key = Memo.key_of cfg ~guest_addr in
-    let cached = Mutex.protect m.lock (fun () -> Hashtbl.find_opt m.tbl key) in
-    (match cached with
-     | Some { Memo.block; gens }
-       when List.for_all (fun (p, g) -> page_gen ~page:p = g) gens ->
-       Atomic.incr m.hits;
-       (block, gens)
-     | Some _ | None ->
-       Atomic.incr m.misses;
-       let block = translate cfg ~fetch ~guest_addr in
-       let gens = page_gens ~page_gen block in
-       Mutex.protect m.lock (fun () ->
-           Hashtbl.replace m.tbl key { Memo.block; gens });
-       (block, gens))
+  | Some (m : Memo.t) -> (
+    match Memo.find m cfg guest_addr with
+    | (_, gens) as hit when Memo.fresh page_gen gens ->
+      Atomic.incr m.hits;
+      hit
+    | _ | (exception Not_found) ->
+      Atomic.incr m.misses;
+      let block = translate cfg ~fetch ~guest_addr in
+      let e = (block, page_gens ~page_gen block) in
+      Memo.add m cfg guest_addr e;
+      e)

@@ -24,8 +24,9 @@ val translate :
     translation would have produced, including its modelled
     [translation_cycles]. A memo must only be shared between runs of the
     {e same} guest program (bench keys memos per benchmark); it may be
-    shared across domains — the table is mutex-guarded and entries are
-    immutable. *)
+    shared across domains — the tables are mutex-guarded and entries are
+    immutable. It holds one address-keyed table per triple of those
+    knobs, and a hit returns the stored pair without allocating. *)
 module Memo : sig
   type t
 

@@ -3,7 +3,18 @@ type outcome =
   | Out_of_fuel
   | Fault of string
 
-type cached = { insn : int Insn.t; len : int; gen : int }
+(* The decoded-instruction cache: direct-mapped, 2^[dcache_bits] slots
+   indexed by a multiplicative hash of the address (instructions are a
+   few bytes apart, so the address's low bits alone would leave most
+   slots unused), held flat, one array per field, so a hit allocates
+   nothing. A slot keeps the sum of the generations of the pages of its
+   instruction's first and last byte, which differ when the instruction
+   straddles a page boundary: generations only grow, so the sum is
+   unchanged only if both are. *)
+let dcache_bits = 13
+
+let dcache_slot addr =
+  ((addr * 0x9E3779B1) land 0xFFFFFFFF) lsr (32 - dcache_bits)
 
 type t = {
   prog : Program.t;
@@ -12,12 +23,15 @@ type t = {
   mutable fl : int;
   world : Syscall.world;
   mutable icount : int;
-  dcache : (int, cached) Hashtbl.t;
+  dc_addr : int array;  (* -1: empty *)
+  dc_insn : int Insn.t array;
+  dc_len : int array;
+  dc_gens : int array;
   mutable hook : (int Insn.t -> unit) option;
 }
 
 let create ?input prog =
-  let regs = Array.make 8 0 in
+  let regs = Array.make 8 0 and slots = 1 lsl dcache_bits in
   regs.(Insn.reg_index ESP) <- prog.Program.initial_esp;
   { prog;
     regs;
@@ -25,7 +39,10 @@ let create ?input prog =
     fl = 0;
     world = Syscall.create_world ?input ~brk0:prog.Program.brk0 ();
     icount = 0;
-    dcache = Hashtbl.create 1024;
+    dc_addr = Array.make slots (-1);
+    dc_insn = Array.make slots Insn.Nop;
+    dc_len = Array.make slots 0;
+    dc_gens = Array.make slots 0;
     hook = None }
 
 let reg t r = t.regs.(Insn.reg_index r)
@@ -38,14 +55,28 @@ let observe t f = t.hook <- Some f
 
 let mask32 = Flags.mask32
 
-let fetch_insn t addr =
-  let gen = Mem.page_generation t.prog.Program.mem ~page:(Mem.page_of addr) in
-  match Hashtbl.find_opt t.dcache addr with
-  | Some c when c.gen = gen -> (c.insn, c.len)
-  | Some _ | None ->
+(* The generations of the pages an instruction of [len] bytes at [addr]
+   covers, summed. *)
+let gens t addr len =
+  let mem = t.prog.Program.mem in
+  let first = Mem.page_of addr and last = Mem.page_of (addr + len - 1) in
+  Mem.page_generation mem ~page:first
+  + if last = first then 0 else Mem.page_generation mem ~page:last
+
+(* The cache slot holding the instruction at [addr]: decoded afresh
+   unless the slot holds [addr] and no store has touched any page the
+   instruction covers since it was decoded. *)
+let fetch_slot t addr =
+  let i = dcache_slot addr in
+  if t.dc_addr.(i) = addr && t.dc_gens.(i) = gens t addr t.dc_len.(i) then i
+  else begin
     let insn, len = Decode.decode (Mem.read_u8 t.prog.Program.mem) ~at:addr in
-    Hashtbl.replace t.dcache addr { insn; len; gen };
-    (insn, len)
+    t.dc_addr.(i) <- addr;
+    t.dc_insn.(i) <- insn;
+    t.dc_len.(i) <- len;
+    t.dc_gens.(i) <- gens t addr len;
+    i
+  end
 
 let effective_address t ({ base; index; disp } : int Insn.mem_operand) =
   let b = match base with Some r -> reg t r | None -> 0 in
@@ -160,12 +191,13 @@ let exec_div t src =
 
 (* Executes one instruction. Returns the outcome if execution ends. *)
 let step t : outcome option =
-  match fetch_insn t t.eip with
+  match fetch_slot t t.eip with
   | exception Decode.Bad_instruction { addr; reason } ->
     Some (Fault (Printf.sprintf "bad instruction at 0x%x: %s" addr reason))
   | exception Mem.Fault { addr; access } ->
     Some (Fault (Printf.sprintf "memory fault (%s) at 0x%x" access addr))
-  | insn, len ->
+  | slot ->
+    let insn = t.dc_insn.(slot) and len = t.dc_len.(slot) in
     (match t.hook with Some f -> f insn | None -> ());
     let next = mask32 (t.eip + len) in
     let fall_through = ref true in

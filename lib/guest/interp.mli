@@ -2,9 +2,12 @@
 
     Executes guest programs directly; this is the semantic oracle the
     translated code is checked against, and the execution substrate of the
-    Pentium III reference timing model. A decoded-instruction cache keyed
-    by page generation keeps it fast while staying correct under
-    self-modifying code. *)
+    Pentium III reference timing model. A decoded-instruction cache keeps
+    it fast: direct-mapped on a hash of the address, held flat so that a
+    hit allocates nothing, and checked against the generation of every
+    page the instruction covers, so it stays correct under
+    self-modifying code, including a store to the second page of an
+    instruction that straddles a page boundary. *)
 
 type outcome =
   | Exited of int       (** guest called exit *)

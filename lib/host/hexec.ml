@@ -170,16 +170,16 @@ let encode (insn : Hinsn.t) =
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let mask32 v = v land 0xFFFFFFFF
+let[@inline] mask32 v = v land 0xFFFFFFFF
 
-let sign32 v =
+let[@inline] sign32 v =
   let v = mask32 v in
   if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let bit b = if b then 1 else 0
-let field_mask size = (1 lsl size) - 1
+let[@inline] bit b = if b then 1 else 0
+let[@inline] field_mask size = (1 lsl size) - 1
 
-let eval w a b =
+let[@inline] eval w a b =
   let imm = w asr imm_shift in
   match Array.unsafe_get opcodes (w land opcode_mask) with
   | Add -> mask32 (a + b)
@@ -229,6 +229,76 @@ let eval w a b =
   | Trap_de | Trap_ov -> bit (a <> 0)
   | Mul64 | Div64u | Div64s | Lb | Lbs | Lw | Sb | Sw ->
     invalid_arg "Hexec.eval: not an ALU, branch or trap word"
+
+(* ------------------------------------------------------------------ *)
+(* The straight-line loop                                              *)
+(* ------------------------------------------------------------------ *)
+
+type cursor = { mutable pc : int; mutable time : int; mutable stall : int }
+
+type stop = Ended | Pending | Other
+
+(* One pass over the [Alu] and [Branch] words from [c.pc], with [eval]
+   inlined: no call and no allocation per word. No closure captures the
+   refs, so the compiler keeps them as plain locals, not heap cells. *)
+let run_straight c ops regs ready_at pending =
+  if Array.length regs < 32 || Array.length ready_at < 32 then
+    invalid_arg "Hexec.run_straight: register file below 32 entries";
+  let n = Array.length ops in
+  let pc = ref c.pc and time = ref c.time and stall = ref c.stall in
+  let stop = ref Ended and go = ref true in
+  while !go do
+    if !pc >= n then go := false
+    else begin
+      let w = ops.(!pc) in
+      let rs = (w lsr rs_shift) land 31
+      and rt = (w lsr rt_shift) land 31
+      and ru = (w lsr ru_shift) land 31 in
+      if ((1 lsl rs) lor (1 lsl rt) lor (1 lsl ru)) land -2 land pending <> 0
+      then begin
+        stop := Pending;
+        go := false
+      end
+      else begin
+        (* r0 never stalls: this loop skips rd = r0, and the engine
+           writes no other [ready_at.(0)]. *)
+        let ready = Array.unsafe_get ready_at rs in
+        let ready =
+          let r = Array.unsafe_get ready_at rt in
+          if r > ready then r else ready
+        in
+        let ready =
+          let r = Array.unsafe_get ready_at ru in
+          if r > ready then r else ready
+        in
+        if ready > !time then begin
+          stall := !stall + (ready - !time);
+          time := ready
+        end;
+        let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
+        match Array.unsafe_get kinds (w land opcode_mask) with
+        | Alu ->
+          let v = eval w a b in
+          let rd = (w lsr rd_shift) land 31 in
+          time := !time + 1;
+          if rd <> 0 then begin
+            Array.unsafe_set regs rd v;
+            Array.unsafe_set ready_at rd !time
+          end;
+          pc := !pc + 1
+        | Branch ->
+          time := !time + 1;
+          pc := if eval w a b <> 0 then w asr imm_shift else !pc + 1
+        | Trap | Mul64 | Div64 | Load _ | Store _ ->
+          stop := Other;
+          go := false
+      end
+    end
+  done;
+  c.pc <- !pc;
+  c.time <- !time;
+  c.stall <- !stall;
+  !stop
 
 let trap w : Hinsn.trap =
   match opcodes.(w land opcode_mask) with

@@ -3,9 +3,10 @@
     The single definition of what each host instruction computes. A
     translated block is compiled once ({!encode}) into one int per
     instruction, and everything that runs host code runs that form: the
-    DBT runtime-execution engine (which adds timing and the memory
-    system), the plain block runner {!run_block} used in translator unit
-    tests, and the optimizer's constant folding. All register values are
+    DBT runtime-execution engine (which runs stretches of ALU and branch
+    words through {!run_straight} and adds the memory system), the plain
+    block runner {!run_block} used in translator unit tests, and the
+    optimizer's constant folding. All register values are
     unsigned 32-bit ints in [0, 2^32).
 
     {1 The op word}
@@ -98,6 +99,43 @@ val eval : int -> int -> int -> int
     taken or a [Trap] word traps (else 0). Raises [Invalid_argument] on
     other kinds. *)
 
+(** {2 The straight-line loop} *)
+
+type cursor = {
+  mutable pc : int;     (** the next word's index in its block *)
+  mutable time : int;   (** the local cycle *)
+  mutable stall : int;  (** stall cycles summed since the owner last reset it *)
+}
+
+type stop =
+  | Ended    (** [pc] reached the end of the block *)
+  | Pending  (** a source of the word at [pc] is pending *)
+  | Other    (** the word at [pc] is a load, store, [Mul64], [Div64] or
+                 trap; its sources are ready and its stall is charged *)
+
+val run_straight :
+  cursor -> int array -> int array -> int array -> int -> stop
+(** [run_straight c ops regs ready_at pending] runs the [Alu] and
+    [Branch] words of [ops] from [c.pc] under the timed engine's rules,
+    and says why it stopped. [regs] and [ready_at] are register files (at
+    least 32 entries, else [Invalid_argument]); bit [r] of [pending] marks
+    register [r] as waiting on a reply. For each word:
+    - Scoreboard: if a source field other than r0 names a pending
+      register, stop with [Pending], charging nothing.
+    - Stall: [time] rises to the latest [ready_at] of the three source
+      fields, and [stall] grows by the rise. r0 never stalls as long as
+      nothing writes [ready_at.(0)].
+    - A load, store, [Mul64], [Div64] or trap word then stops the loop
+      with [Other], its stall charged and [pc] on it.
+    - An [Alu] word takes one cycle: [time + 1], and if [rd] is not r0,
+      [regs.(rd)] gets {!eval}'s value and [ready_at.(rd)] the new time.
+    - A [Branch] word takes one cycle and moves [pc] to its immediate if
+      taken, else to the next word.
+
+    The loop makes no call and allocates nothing per word. It writes
+    [c] back once, when it stops; a stretch with nothing to run returns
+    at once. *)
+
 val trap : int -> Hinsn.trap
 (** Which trap a [Trap] word raises. *)
 
@@ -136,5 +174,5 @@ val run_block :
 (** Encode a linearized block and execute it from index 0 until control
     falls off the end, against a 32-entry register file whose [regs.(0)]
     is zero (it stays zero: writes to r0 are dropped). Used by translator
-    tests; the timed engine in [vat.core] has its own loop over the same
-    words. Raises [Invalid_argument] as {!encode} does. *)
+    tests; the timed engine in [vat.core] runs the same words through
+    {!run_straight}. Raises [Invalid_argument] as {!encode} does. *)

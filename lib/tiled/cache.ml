@@ -1,6 +1,8 @@
+(* Line size and set count are powers of two, so an address splits into
+   tag, set and offset bits by shifts and a mask. *)
 type t = {
-  line_bytes : int;
-  sets : int;
+  line_bits : int;           (* log2 line bytes *)
+  set_bits : int;            (* log2 sets *)
   ways : int;
   tags : int array;          (* sets * ways; -1 = invalid *)
   lru : int array;           (* sets * ways; higher = more recent *)
@@ -12,12 +14,19 @@ type t = {
   mutable parity_events : int;
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create ~size_bytes ~ways ~line_bytes =
-  if size_bytes mod (ways * line_bytes) <> 0 then
-    invalid_arg "Cache.create: size not a multiple of ways * line";
+  if ways <= 0 || line_bytes <= 0 || size_bytes mod (ways * line_bytes) <> 0
+  then invalid_arg "Cache.create: size not a multiple of ways * line";
   let sets = size_bytes / (ways * line_bytes) in
-  { line_bytes;
-    sets;
+  if not (is_pow2 line_bytes) then
+    invalid_arg "Cache.create: line size not a power of two";
+  if not (is_pow2 sets) then
+    invalid_arg "Cache.create: set count not a power of two";
+  { line_bits = log2 line_bytes;
+    set_bits = log2 sets;
     ways;
     tags = Array.make (sets * ways) (-1);
     lru = Array.make (sets * ways) 0;
@@ -39,8 +48,9 @@ let hit_corrected = { hit = true; writeback = None; parity = Corrected }
 let hit_uncorrectable = { hit = true; writeback = None; parity = Uncorrectable }
 let miss_clean = { hit = false; writeback = None; parity = Parity_ok }
 
-let set_of t addr = addr / t.line_bytes mod t.sets [@@inline]
-let tag_of t addr = addr / t.line_bytes / t.sets [@@inline]
+let set_of t addr =
+  (addr lsr t.line_bits) land ((1 lsl t.set_bits) - 1) [@@inline]
+let tag_of t addr = addr lsr (t.line_bits + t.set_bits) [@@inline]
 
 let slot t set way = (set * t.ways) + way
 
@@ -50,7 +60,7 @@ let rec find_way t set tag way =
   else if t.tags.(slot t set way) = tag then way
   else find_way t set tag (way + 1)
 
-let line_addr t set tag = ((tag * t.sets) + set) * t.line_bytes
+let line_addr t set tag = ((tag lsl t.set_bits) lor set) lsl t.line_bits
 
 let access t ~addr ~write =
   let set = set_of t addr and tag = tag_of t addr in

@@ -9,7 +9,15 @@
 type t
 
 val create : size_bytes:int -> ways:int -> line_bytes:int -> t
-(** [size_bytes] must be a multiple of [ways * line_bytes]. *)
+(** [size_bytes] must be a multiple of [ways * line_bytes], and both
+    [line_bytes] and the set count [size_bytes / (ways * line_bytes)]
+    must be powers of two; otherwise [Invalid_argument]. *)
+
+val set_of : t -> int -> int
+val tag_of : t -> int -> int
+(** The set and tag of a (non-negative) address: [addr / line_bytes mod
+    sets] and [addr / line_bytes / sets], computed with shifts and a
+    mask. *)
 
 (** Outcome of the per-access parity check (see {!corrupt_line}):
     [Corrected] means a corrupt {e clean} line was detected and scrubbed —

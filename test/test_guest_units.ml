@@ -411,6 +411,50 @@ let test_syscall_unknown_enosys () =
   | Interp.Exited n, _ -> Alcotest.failf "expected 38, got %d" n
   | _ -> Alcotest.fail "no exit"
 
+(* A [mov eax, imm32] (8 bytes: op, desc, reg, kind, imm32) placed at
+   0x1ffe straddles a page boundary: its last immediate byte is on page
+   0x2000. The program runs it, rewrites that byte, and runs it again.
+   A decode cache that checks only the page of an instruction's first
+   byte re-runs the stale immediate. The exit status is the immediate's
+   top byte: 0x22 once rewritten, 0 if stale. *)
+let test_straddling_rewrite () =
+  let items pad =
+    [ label "start";
+      mov (r esi) (i 0);
+      jmp "site";
+      Asm.Space pad;
+      label "site";
+      mov (r eax) (i 0x11);
+      cmp (r esi) (i 0);
+      jcc Insn.NE "done";
+      mov (r esi) (i 1);
+      mov (r edi) (isym "site");
+      movb (m ~base:edi ~disp:7 ()) (i 0x22);
+      jmp "site";
+      label "done";
+      mov (r ebx) (r eax);
+      shr (r ebx) 24;
+      mov (r eax) (i Syscall.sys_exit);
+      int_ Syscall.vector ]
+  in
+  let site pad =
+    Asm.lookup (Asm.assemble ~origin:Program.default_origin (items pad)) "site"
+  in
+  let pad = 0x1ffe - site 0 in
+  Alcotest.(check int) "mov placed at 0x1ffe" 0x1ffe (site pad);
+  let t = Interp.create (Program.of_asm (items pad)) in
+  let oi = Interp.run ~fuel:1000 t in
+  let vm =
+    Vat_core.Vm.run ~fuel:1000 Vat_core.Config.default
+      (Program.of_asm (items pad))
+  in
+  (match (oi, vm.outcome) with
+   | Interp.Exited a, Vat_core.Exec.Exited b ->
+     Alcotest.(check int) "interp and vm agree" b a;
+     Alcotest.(check int) "rewritten immediate" 0x22 a
+   | _ -> Alcotest.fail "both runs should exit");
+  Alcotest.(check int) "digests agree" vm.digest (Interp.digest t)
+
 let suite =
   [ Alcotest.test_case "memory endianness" `Quick test_mem_endianness;
     Alcotest.test_case "memory bounds" `Quick test_mem_bounds;
@@ -429,6 +473,8 @@ let suite =
     Alcotest.test_case "syscall read at EOF" `Quick test_syscall_read_eof;
     Alcotest.test_case "syscall brk" `Quick test_syscall_brk;
     Alcotest.test_case "unknown syscall -ENOSYS" `Quick
-      test_syscall_unknown_enosys ]
+      test_syscall_unknown_enosys;
+    Alcotest.test_case "rewrite of a page-straddling instruction" `Quick
+      test_straddling_rewrite ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_mem_roundtrip; prop_mem_checksum; prop_mem_copies_never_alias ]

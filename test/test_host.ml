@@ -94,6 +94,128 @@ let prop_op_word_oracle =
       | None -> true
       | Some why -> QCheck.Test.fail_report why)
 
+(* [Hexec.run_straight] against a per-word model of the timed engine's
+   rules, written here with the field accessors: a word waits while a
+   source other than r0 is pending; otherwise time rises to the latest
+   [ready_at] of its three source fields (the rise summed as stall), and
+   an ALU word then takes a cycle and stamps [ready_at.(rd)], a branch
+   takes a cycle, and any other word stops the run. Blocks use registers
+   r0-r7, so sources collide with pending registers and recent writes,
+   and branch forward only, as translated code does. *)
+type straight_case = {
+  code : Hinsn.t array;
+  s_regs : int array;
+  s_ready : int array;
+  s_pending : int;
+  s_pc : int;
+  s_time : int;
+  s_stall : int;
+}
+
+let gen_straight =
+  let open QCheck.Gen in
+  let reg = int_range 0 7 in
+  let straight = G.insn_over reg in
+  let* n = int_range 0 24 in
+  let* code =
+    array_repeat n
+      (frequency [ (6, straight); (1, G.insn_over reg) ])
+  in
+  (* Branch and jump targets: forward, at most two past the end. *)
+  let* offs = array_repeat n (int_range 1 6) in
+  let code =
+    Array.mapi
+      (fun i (insn : Hinsn.t) ->
+        let tgt = min (i + offs.(i)) (n + 2) in
+        match insn with
+        | Branch (c, rs, rt, _) -> Hinsn.Branch (c, rs, rt, tgt)
+        | Jump _ -> Hinsn.Jump tgt
+        | insn -> insn)
+      code
+  in
+  let* s_regs = seeded_regs in
+  let* ready = array_repeat 31 (int_range 0 40) in
+  (* r0 may be marked too: it never waits all the same. *)
+  let* pend = array_repeat 8 (frequencyl [ (7, false); (1, true) ]) in
+  let* s_pc = int_range 0 (max 0 (n - 1)) in
+  let* s_time = int_range 0 30 in
+  let* s_stall = int_range 0 5 in
+  let s_pending =
+    Array.fold_left ( lor ) 0
+      (Array.mapi (fun i p -> if p then 1 lsl i else 0) pend)
+  in
+  return
+    { code; s_regs; s_ready = Array.append [| 0 |] ready; s_pending;
+      s_pc; s_time; s_stall }
+
+let straight_model ops regs ready_at pending pc time stall =
+  let n = Array.length ops in
+  let rec go pc time stall =
+    if pc >= n then (Hexec.Ended, pc, time, stall)
+    else begin
+      let w = ops.(pc) in
+      let srcs = [ Hexec.rs w; Hexec.rt w; Hexec.ru w ] in
+      if List.exists (fun r -> r <> 0 && pending land (1 lsl r) <> 0) srcs
+      then (Hexec.Pending, pc, time, stall)
+      else begin
+        let ready = List.fold_left (fun m r -> max m ready_at.(r)) 0 srcs in
+        let stall = if ready > time then stall + (ready - time) else stall in
+        let time = max time ready in
+        let a = regs.(Hexec.rs w) and b = regs.(Hexec.rt w) in
+        match Hexec.kind w with
+        | Alu ->
+          let rd = Hexec.rd w in
+          if rd <> 0 then begin
+            regs.(rd) <- Hexec.eval w a b;
+            ready_at.(rd) <- time + 1
+          end;
+          go (pc + 1) (time + 1) stall
+        | Branch ->
+          go (if Hexec.eval w a b <> 0 then Hexec.imm w else pc + 1)
+            (time + 1) stall
+        | Trap | Mul64 | Div64 | Load _ | Store _ ->
+          (Hexec.Other, pc, time, stall)
+      end
+    end
+  in
+  go pc time stall
+
+let stop_name : Hexec.stop -> string = function
+  | Ended -> "ended"
+  | Pending -> "pending"
+  | Other -> "other"
+
+let prop_straight_loop =
+  QCheck.Test.make ~name:"straight-line loop = per-word engine model"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "pc %d time %d pending 0x%x\n%s" c.s_pc c.s_time
+           c.s_pending
+           (String.concat "\n"
+              (Array.to_list (Array.map Hinsn.to_string c.code))))
+       gen_straight)
+    (fun c ->
+      let ops = Array.map Hexec.encode c.code in
+      let regs = Array.copy c.s_regs and ready = Array.copy c.s_ready in
+      let cur = { Hexec.pc = c.s_pc; time = c.s_time; stall = c.s_stall } in
+      let stop = Hexec.run_straight cur ops regs ready c.s_pending in
+      let m_regs = Array.copy c.s_regs and m_ready = Array.copy c.s_ready in
+      let m_stop, m_pc, m_time, m_stall =
+        straight_model ops m_regs m_ready c.s_pending c.s_pc c.s_time
+          c.s_stall
+      in
+      let differ what = QCheck.Test.fail_reportf "%s differ" what in
+      if stop <> m_stop then
+        QCheck.Test.fail_reportf "stop: %s, model %s" (stop_name stop)
+          (stop_name m_stop)
+      else if cur.pc <> m_pc then differ "stop pcs"
+      else if cur.time <> m_time then differ "times"
+      else if cur.stall <> m_stall then differ "stall sums"
+      else if regs <> m_regs then differ "registers"
+      else if ready <> m_ready then differ "ready_at vectors"
+      else true)
+
 let test_encode_refuses () =
   let refused insn =
     match Hexec.encode insn with
@@ -281,4 +403,4 @@ let suite =
       test_field_edges ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_vreg_rejected; prop_shift_masks_count;
-        prop_op_word_oracle ]
+        prop_op_word_oracle; prop_straight_loop ]

@@ -43,6 +43,33 @@ let test_cache_flush_counts_dirty () =
   Alcotest.(check int) "flush returns dirty count" 2 (Cache.flush c);
   Alcotest.(check bool) "empty after flush" false (Cache.probe c ~addr:0)
 
+(* Geometries with power-of-two line sizes and set counts, any way
+   count, and 32-bit addresses. *)
+let prop_cache_index_formulas =
+  QCheck.Test.make ~name:"cache: set and tag are the division formulas"
+    ~count:500
+    QCheck.(
+      quad (int_range 0 7) (int_range 0 12) (int_range 1 8)
+        (map (fun a -> a land 0xFFFFFFFF) int))
+    (fun (lb, sb, ways, addr) ->
+      let line = 1 lsl lb and sets = 1 lsl sb in
+      let c = mk_cache ~size:(sets * ways * line) ~ways ~line () in
+      Cache.set_of c addr = addr / line mod sets
+      && Cache.tag_of c addr = addr / line / sets)
+
+let test_cache_refuses_non_pow2 () =
+  let refuses what ~size ~ways ~line =
+    match mk_cache ~size ~ways ~line () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  refuses "24-byte lines" ~size:(24 * 2 * 16) ~ways:2 ~line:24;
+  refuses "3 sets" ~size:(32 * 2 * 3) ~ways:2 ~line:32;
+  refuses "12 sets" ~size:(32 * 4 * 12) ~ways:4 ~line:32;
+  refuses "size not a multiple" ~size:1000 ~ways:2 ~line:32;
+  (* Any way count is fine, powers of two or not. *)
+  ignore (mk_cache ~size:(32 * 3 * 16) ~ways:3 ~line:32 ())
+
 let prop_cache_capacity =
   QCheck.Test.make ~name:"cache: working set within capacity always hits"
     ~count:100
@@ -236,6 +263,8 @@ let suite =
     Alcotest.test_case "cache writeback victim" `Quick test_cache_writeback;
     Alcotest.test_case "cache flush counts dirty" `Quick
       test_cache_flush_counts_dirty;
+    Alcotest.test_case "cache refuses non-power-of-two geometry" `Quick
+      test_cache_refuses_non_pow2;
     Alcotest.test_case "grid latencies" `Quick test_grid_latency;
     Alcotest.test_case "grid indexing" `Quick test_grid_indexing;
     Alcotest.test_case "service serializes" `Quick test_service_serializes;
@@ -248,4 +277,5 @@ let suite =
       test_service_duplicate_same_request;
     Alcotest.test_case "service complete gets the served request" `Quick
       test_service_complete_gets_served_request ]
-  @ [ QCheck_alcotest.to_alcotest prop_cache_capacity ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_cache_capacity; prop_cache_index_formulas ]

@@ -106,19 +106,19 @@ let test_stats_pinned run md5 () =
    builds and runs the tests; another compiler version or build profile
    allocates differently and needs its own pins. *)
 let engine_words =
-  [ ("164.gzip", 234019);
-    ("175.vpr", 595880);
-    ("176.gcc", 1654741);
-    ("181.mcf", 906394);
-    ("186.crafty", 378480);
-    ("197.parser", 476447);
-    ("253.perlbmk", 22056);
-    ("254.gap", 285514);
-    ("255.vortex", 135817);
-    ("256.bzip2", 294167);
-    ("300.twolf", 296661) ]
+  [ ("164.gzip", 196703);
+    ("175.vpr", 535864);
+    ("176.gcc", 1457125);
+    ("181.mcf", 869138);
+    ("186.crafty", 341964);
+    ("197.parser", 439091);
+    ("253.perlbmk", 21000);
+    ("254.gap", 258258);
+    ("255.vortex", 126761);
+    ("256.bzip2", 256751);
+    ("300.twolf", 268605) ]
 
-let checkpointed_words = [ ("164.gzip", 234878); ("181.mcf", 909060) ]
+let checkpointed_words = [ ("164.gzip", 197562); ("181.mcf", 871804) ]
 
 let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let _, memo = primed b in
