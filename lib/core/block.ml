@@ -30,16 +30,12 @@ type t = {
    translation time and carried in the block; every store/transfer of the
    block keeps its own copy of the sum, so a bit flip in storage or in
    flight shows up as a sum that no longer matches a recomputation. *)
-let checksum_of ~guest_addr ~code ~term =
-  let h = ref 0x811C9DC5 in
-  let mix v = h := (!h lxor (v land max_int)) * 0x01000193 land max_int in
-  mix guest_addr;
-  Array.iter (fun insn -> mix (Hashtbl.hash insn)) code;
-  mix (Hashtbl.hash term);
-  !h
+let mix h v = (h lxor (v land max_int)) * 0x01000193 land max_int
 
 let recompute_checksum t =
-  checksum_of ~guest_addr:t.guest_addr ~code:t.code ~term:t.term
+  let h = ref (mix 0x811C9DC5 t.guest_addr) in
+  Array.iter (fun insn -> h := mix !h (Hashtbl.hash insn)) t.code;
+  mix !h (Hashtbl.hash t.term)
 
 (* The engine reads and writes its register file without an r0 guard, so
    a load into r0 (which would make r0 nonzero) is refused here. *)
@@ -48,8 +44,15 @@ let op_of (insn : Hinsn.t) =
   | Load (_, 0, _, _) -> invalid_arg "Block.make: load into r0"
   | _ -> Hexec.encode insn
 
+(* One loop encodes each instruction and folds it into the sum. *)
 let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     ~translation_cycles ~page_lo ~page_hi =
+  let ops = Array.make (Array.length code) 0 in
+  let h = ref (mix 0x811C9DC5 guest_addr) in
+  for i = 0 to Array.length code - 1 do
+    ops.(i) <- op_of code.(i);
+    h := mix !h (Hashtbl.hash code.(i))
+  done;
   { guest_addr;
     guest_len;
     guest_insns;
@@ -59,8 +62,8 @@ let make ~guest_addr ~guest_len ~guest_insns ~code ~term ~optimized
     translation_cycles;
     page_lo;
     page_hi;
-    checksum = checksum_of ~guest_addr ~code ~term;
-    ops = Array.map op_of code }
+    checksum = mix !h (Hashtbl.hash term);
+    ops }
 
 (* Every instruction is one 32-bit word: [make] encodes each, and
    [Hexec.encode] refuses any that does not fit. *)

@@ -214,58 +214,37 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
   let b = read_operand env src in
   let res = vreg env in
   (match op with
-   | Add ->
-     ins env (Alu3 (Add, res, a, b));
+   | Add | Sub | Cmp ->
+     let add = op = Add in
+     ins env (Alu3 ((if add then Add else Sub), res, a, b));
      if mask land Flags.cf_bit <> 0 then begin
        let t = vreg env in
-       ins env (Alu3 (Sltu, t, res, a));
+       ins env (if add then Alu3 (Sltu, t, res, a) else Alu3 (Sltu, t, a, b));
        set_flag env Flags.cf_pos t
      end;
-     if mask land Flags.of_bit <> 0 then emit_of_add env a b res
-   | Adc ->
+     if mask land Flags.of_bit <> 0 then
+       (if add then emit_of_add else emit_of_sub) env a b res
+   | Adc | Sbb ->
+     let add = op = Adc in
+     let op3 : Hinsn.alu3 = if add then Add else Sub in
      let c = read_cf env in
      let t_ab = vreg env in
-     ins env (Alu3 (Add, t_ab, a, b));
-     ins env (Alu3 (Add, res, t_ab, c));
+     ins env (Alu3 (op3, t_ab, a, b));
+     ins env (Alu3 (op3, res, t_ab, c));
      if mask land Flags.cf_bit <> 0 then begin
        let c1 = vreg env and c2 = vreg env in
-       ins env (Alu3 (Sltu, c1, t_ab, a));
-       ins env (Alu3 (Sltu, c2, res, t_ab));
+       ins env
+         (if add then Alu3 (Sltu, c1, t_ab, a) else Alu3 (Sltu, c1, a, b));
+       ins env
+         (if add then Alu3 (Sltu, c2, res, t_ab) else Alu3 (Sltu, c2, t_ab, c));
        ins env (Alu3 (Or, c1, c1, c2));
        set_flag env Flags.cf_pos c1
      end;
-     if mask land Flags.of_bit <> 0 then emit_of_add env a b res
-   | Sub | Cmp ->
-     ins env (Alu3 (Sub, res, a, b));
-     if mask land Flags.cf_bit <> 0 then begin
-       let t = vreg env in
-       ins env (Alu3 (Sltu, t, a, b));
-       set_flag env Flags.cf_pos t
-     end;
-     if mask land Flags.of_bit <> 0 then emit_of_sub env a b res
-   | Sbb ->
-     let c = read_cf env in
-     let t_ab = vreg env in
-     ins env (Alu3 (Sub, t_ab, a, b));
-     ins env (Alu3 (Sub, res, t_ab, c));
-     if mask land Flags.cf_bit <> 0 then begin
-       let c1 = vreg env and c2 = vreg env in
-       ins env (Alu3 (Sltu, c1, a, b));
-       ins env (Alu3 (Sltu, c2, t_ab, c));
-       ins env (Alu3 (Or, c1, c1, c2));
-       set_flag env Flags.cf_pos c1
-     end;
-     if mask land Flags.of_bit <> 0 then emit_of_sub env a b res
-   | And | Test ->
-     ins env (Alu3 (And, res, a, b));
-     if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
-     if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos
-   | Or ->
-     ins env (Alu3 (Or, res, a, b));
-     if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
-     if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos
-   | Xor ->
-     ins env (Alu3 (Xor, res, a, b));
+     if mask land Flags.of_bit <> 0 then
+       (if add then emit_of_add else emit_of_sub) env a b res
+   | And | Test | Or | Xor ->
+     let op3 : Hinsn.alu3 = match op with Or -> Or | Xor -> Xor | _ -> And in
+     ins env (Alu3 (op3, res, a, b));
      if mask land Flags.cf_bit <> 0 then clear_flag env Flags.cf_pos;
      if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos);
   emit_szp env mask res;
@@ -274,21 +253,12 @@ let lower_alu env (op : Insn.alu) dst src ~mask =
 let lower_unop env (op : Insn.unop) dst ~mask =
   let a, addr = read_loc env dst in
   match op with
-  | Inc ->
+  | Inc | Dec ->
     let res = vreg env in
-    ins env (Alui (Addi, res, a, 1));
+    ins env (Alui (Addi, res, a, if op = Inc then 1 else -1));
     if mask land Flags.of_bit <> 0 then begin
       let one = Emit.li_reg env.e 1 in
-      emit_of_add env a one res
-    end;
-    emit_szp env mask res;
-    write_loc env dst ~addr res
-  | Dec ->
-    let res = vreg env in
-    ins env (Alui (Addi, res, a, -1));
-    if mask land Flags.of_bit <> 0 then begin
-      let one = Emit.li_reg env.e 1 in
-      emit_of_sub env a one res
+      (if op = Inc then emit_of_add else emit_of_sub) env a one res
     end;
     emit_szp env mask res;
     write_loc env dst ~addr res
@@ -406,17 +376,12 @@ let lower_shift env (sh : Insn.shift) dst amount ~mask =
     let a, addr = read_loc env dst in
     let res =
       match sh with
-      | Shl ->
+      | Shl | Shr | Sar ->
         let r = vreg env in
-        ins env (Shifti (Sll, r, a, n));
-        r
-      | Shr ->
-        let r = vreg env in
-        ins env (Shifti (Srl, r, a, n));
-        r
-      | Sar ->
-        let r = vreg env in
-        ins env (Shifti (Sra, r, a, n));
+        let op : Hinsn.shift =
+          match sh with Shl -> Sll | Shr -> Srl | _ -> Sra
+        in
+        ins env (Shifti (op, r, a, n));
         r
       | Rol | Ror -> rotate_imm env sh a n
     in
@@ -474,25 +439,19 @@ let lower_shift env (sh : Insn.shift) dst amount ~mask =
          end
        end;
        emit_szp env mask res
-     | Shr ->
+     | Shr | Sar ->
        if mask land Flags.cf_bit <> 0 then begin
          let cm1 = vreg env in
          ins env (Alui (Addi, cm1, count, -1));
-         set_flag env Flags.cf_pos (bitv a Srl cm1)
+         set_flag env Flags.cf_pos (bitv a (if sh = Shr then Srl else Sra) cm1)
        end;
-       if mask land Flags.of_bit <> 0 then begin
+       if mask land Flags.of_bit <> 0 && sh = Sar then
+         clear_flag env Flags.of_pos
+       else if mask land Flags.of_bit <> 0 then begin
          let t = vreg env in
          ins env (Shifti (Srl, t, a, 31));
          set_flag env Flags.of_pos t
        end;
-       emit_szp env mask res
-     | Sar ->
-       if mask land Flags.cf_bit <> 0 then begin
-         let cm1 = vreg env in
-         ins env (Alui (Addi, cm1, count, -1));
-         set_flag env Flags.cf_pos (bitv a Sra cm1)
-       end;
-       if mask land Flags.of_bit <> 0 then clear_flag env Flags.of_pos;
        emit_szp env mask res
      | Rol | Ror -> shift_flags_imm env sh ~mask ~orig:a ~res 1);
     Emit.place env.e skip;
@@ -514,6 +473,12 @@ let pop_value env =
   ins env (Load (W32, t, sp, 0));
   ins env (Alui (Addi, sp, sp, 4));
   t
+
+(* ZF/SF/PF are pinned to zero after imul and mul (see Vat_guest.Flags). *)
+let clear_szp env mask =
+  if mask land Flags.zf_bit <> 0 then clear_flag env Flags.zf_pos;
+  if mask land Flags.sf_bit <> 0 then clear_flag env Flags.sf_pos;
+  if mask land Flags.pf_bit <> 0 then clear_flag env Flags.pf_pos
 
 let lower_body_insn env (insn : int Insn.t) ~mask =
   match insn with
@@ -559,10 +524,7 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
       if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos bit;
       if mask land Flags.of_bit <> 0 then set_flag env Flags.of_pos bit
     end;
-    (* ZF/SF/PF are pinned to zero after imul (see Vat_guest.Flags). *)
-    if mask land Flags.zf_bit <> 0 then clear_flag env Flags.zf_pos;
-    if mask land Flags.sf_bit <> 0 then clear_flag env Flags.sf_pos;
-    if mask land Flags.pf_bit <> 0 then clear_flag env Flags.pf_pos;
+    clear_szp env mask;
     Emit.mov env.e ~dst:(guest_pin rd) ~src:res
   | Mul s ->
     let b = read_operand env s in
@@ -573,15 +535,11 @@ let lower_body_insn env (insn : int Insn.t) ~mask =
       if mask land Flags.cf_bit <> 0 then set_flag env Flags.cf_pos bit;
       if mask land Flags.of_bit <> 0 then set_flag env Flags.of_pos bit
     end;
-    if mask land Flags.zf_bit <> 0 then clear_flag env Flags.zf_pos;
-    if mask land Flags.sf_bit <> 0 then clear_flag env Flags.sf_pos;
-    if mask land Flags.pf_bit <> 0 then clear_flag env Flags.pf_pos
-  | Div s ->
-    let b = read_operand env s in
-    ins env (Div64 { divisor = b; signed = false })
-  | Idiv s ->
-    let b = read_operand env s in
-    ins env (Div64 { divisor = b; signed = true })
+    clear_szp env mask
+  | Div s | Idiv s ->
+    let divisor = read_operand env s in
+    let signed = match insn with Idiv _ -> true | _ -> false in
+    ins env (Div64 { divisor; signed })
   | Cdq -> ins env (Shifti (Sra, guest_pin EDX, guest_pin EAX, 31))
   | Push s -> push_value env (read_operand env s)
   | Pop d -> write_loc env d ~addr:None (pop_value env)
@@ -640,26 +598,16 @@ let lower_terminator env (insn : int Insn.t) ~self ~next : Block.term =
     if v = Syscall.vector then T_syscall { next }
     else T_fault (Printf.sprintf "unhandled interrupt 0x%x" v)
   | Hlt -> T_fault "hlt in user code"
-  | Rep_movsb ->
+  | Rep_movsb | Rep_stosb ->
     let ecx = guest_pin ECX and esi_ = guest_pin ESI and edi_ = guest_pin EDI in
     let skip = Emit.lab env.e in
     ins env (Branch (Beq, ecx, Hinsn.r0, skip));
     let t = vreg env in
-    ins env (Load (W8, t, esi_, 0));
+    let movs = insn = Rep_movsb in
+    ins env
+      (if movs then Load (W8, t, esi_, 0) else Ext (t, guest_pin EAX, 0, 8));
     ins env (Store (W8, t, edi_, 0));
-    ins env (Alui (Addi, esi_, esi_, 1));
-    ins env (Alui (Addi, edi_, edi_, 1));
-    ins env (Alui (Addi, ecx, ecx, -1));
-    Emit.place env.e skip;
-    ins env (Alu3 (Sltu, Block.term_reg, Hinsn.r0, ecx));
-    T_jcc { taken = self; fall = next }
-  | Rep_stosb ->
-    let ecx = guest_pin ECX and edi_ = guest_pin EDI in
-    let skip = Emit.lab env.e in
-    ins env (Branch (Beq, ecx, Hinsn.r0, skip));
-    let al = vreg env in
-    ins env (Ext (al, guest_pin EAX, 0, 8));
-    ins env (Store (W8, al, edi_, 0));
+    if movs then ins env (Alui (Addi, esi_, esi_, 1));
     ins env (Alui (Addi, edi_, edi_, 1));
     ins env (Alui (Addi, ecx, ecx, -1));
     Emit.place env.e skip;
@@ -732,16 +680,14 @@ let translate cfg ~fetch ~guest_addr : Block.t =
           term := lower_terminator env insn ~self:last_addr ~next:end_addr
         else lower_body_insn env insn ~mask:masks.(i))
       arr;
-    let items = Emit.items env.e in
-    let pre_opt_count = Lblock.insn_count items in
-    let items =
-      if cfg.Config.optimize then
-        items
-        |> Opt.run_all ~live_out:live_out_regs
-        |> Sched.hoist_loads
-      else items
-    in
-    let code = Lblock.linearize (Regalloc.allocate items) in
+    let body = Emit.items env.e in
+    let pre_opt_count = body.ninsns in
+    if cfg.Config.optimize then begin
+      Opt.run_all ~live_out:live_out_regs body;
+      Sched.hoist_loads body
+    end;
+    Regalloc.allocate body;
+    let code = Lblock.linearize body in
     let translation_cycles =
       Config.translate_base_cycles
       + (Config.translate_per_guest_insn * n)

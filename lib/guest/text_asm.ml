@@ -233,10 +233,12 @@ let reg_comma_operand toks =
   end
   | _ -> fail "expected a register"
 
-let label_name toks =
-  match toks with
-  | [ Ident name ] when register name = None -> name
-  | _ -> fail "expected a label"
+(* A direct transfer's target: a label (plus or minus a number), or an
+   absolute address as [Image.disassemble] prints it. *)
+let direct_target toks =
+  let v, rest = parse_value toks in
+  done_ rest;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Instruction table                                                   *)
@@ -312,7 +314,7 @@ let parse_insn mnemonic toks : Asm.item =
       let op, rest = parse_operand rest in
       done_ rest;
       i (Jmp (Indirect op))
-    | _ -> i (Jmp (Direct (Asm.Sym (label_name toks))))
+    | _ -> i (Jmp (Direct (direct_target toks)))
   end
   | "call" -> begin
     match toks with
@@ -320,7 +322,7 @@ let parse_insn mnemonic toks : Asm.item =
       let op, rest = parse_operand rest in
       done_ rest;
       i (Call (Indirect op))
-    | _ -> i (Call (Direct (Asm.Sym (label_name toks))))
+    | _ -> i (Call (Direct (direct_target toks)))
   end
   | "rep" -> begin
     match toks with
@@ -367,7 +369,7 @@ let parse_insn mnemonic toks : Asm.item =
               match prefixed mnemonic "j" with
               | Some cc -> begin
                 match condition cc with
-                | Some c -> i (Jcc (c, Asm.Sym (label_name toks)))
+                | Some c -> i (Jcc (c, direct_target toks))
                 | None -> fail "unknown mnemonic %s" mnemonic
               end
               | None -> fail "unknown mnemonic %s" mnemonic

@@ -39,54 +39,36 @@ let guest_edx = guest_reg_base + 2
 
 (* The one definition of what each instruction writes and reads, in
    order; [defs] and [uses] list the same registers. *)
-let iter_regs ~def ~use = function
-  | Alu3 (_, rd, rs, rt) | Shiftv (_, rd, rs, rt) ->
-    def rd;
-    use rs;
-    use rt
+let[@inline] put (a : int array) d0 d1 u0 u1 u2 =
+  a.(0) <- d0;
+  a.(1) <- d1;
+  a.(2) <- u0;
+  a.(3) <- u1;
+  a.(4) <- u2
+
+let operands insn a =
+  match insn with
+  | Alu3 (_, rd, rs, rt) | Shiftv (_, rd, rs, rt) -> put a rd (-1) rs rt (-1)
   | Alui (_, rd, rs, _) | Shifti (_, rd, rs, _) | Ext (rd, rs, _, _)
-  | Load (_, rd, rs, _) ->
-    def rd;
-    use rs
-  | Lui (rd, _) -> def rd
-  | Ins (rd, rs, _, _) ->
-    def rd;
-    use rd;
-    use rs
+  | Load (_, rd, rs, _) -> put a rd (-1) rs (-1) (-1)
+  | Lui (rd, _) -> put a rd (-1) (-1) (-1) (-1)
+  | Ins (rd, rs, _, _) -> put a rd (-1) rd rs (-1)
   | Store (_, rs, rt, _) | Branch ((Beq | Bne), rs, rt, _) ->
-    use rs;
-    use rt
-  | Branch ((Blez | Bgtz | Bltz | Bgez), rs, _, _) | Trap (_, rs) -> use rs
-  | Mul64 rs ->
-    def guest_eax;
-    def guest_edx;
-    use guest_eax;
-    use rs
+    put a (-1) (-1) rs rt (-1)
+  | Branch ((Blez | Bgtz | Bltz | Bgez), rs, _, _) | Trap (_, rs) ->
+    put a (-1) (-1) rs (-1) (-1)
+  | Mul64 rs -> put a guest_eax guest_edx guest_eax rs (-1)
   | Div64 { divisor; _ } ->
-    def guest_eax;
-    def guest_edx;
-    use guest_eax;
-    use guest_edx;
-    use divisor
-  | Jump _ | Nop -> ()
+    put a guest_eax guest_edx guest_eax guest_edx divisor
+  | Jump _ | Nop -> put a (-1) (-1) (-1) (-1) (-1)
 
-let defs insn =
-  let acc = ref [] in
-  iter_regs ~def:(fun r -> acc := r :: !acc) ~use:ignore insn;
-  List.rev !acc
+let operand_list insn lo hi =
+  let a = Array.make 5 (-1) in
+  operands insn a;
+  List.filter (fun r -> r >= 0) (Array.to_list (Array.sub a lo (hi - lo)))
 
-let uses insn =
-  let acc = ref [] in
-  iter_regs ~def:ignore ~use:(fun r -> acc := r :: !acc) insn;
-  List.rev !acc
-
-let max_reg = function
-  | Alu3 (_, a, b, c) | Shiftv (_, a, b, c) -> Int.max a (Int.max b c)
-  | Alui (_, a, b, _) | Shifti (_, a, b, _) | Ext (a, b, _, _)
-  | Ins (a, b, _, _) | Load (_, a, b, _) | Store (_, a, b, _)
-  | Branch (_, a, b, _) -> Int.max a b
-  | Lui (a, _) | Trap (_, a) | Mul64 a | Div64 { divisor = a; _ } -> a
-  | Jump _ | Nop -> 0
+let defs insn = operand_list insn 0 2
+let uses insn = operand_list insn 2 5
 
 let map_regs f = function
   | Alu3 (op, rd, rs, rt) -> Alu3 (op, f rd, f rs, f rt)

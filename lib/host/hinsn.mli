@@ -71,22 +71,20 @@ type t =
 
 and trap = Divide_error | Divide_overflow
 
-val iter_regs : def:(reg -> unit) -> use:(reg -> unit) -> t -> unit
-(** Apply [def] to each register written, then [use] to each register
-    read, each in order, without allocating. [Mul64]/[Div64] write the
-    pinned guest EAX then EDX. Reads are in the order of an op word's
-    source fields ({!Hexec}): [Ins] reads its destination first, and a
-    unary branch reads only its first register. *)
+val operands : t -> int array -> unit
+(** [operands insn a] stores the registers [insn] writes in [a.(0)] and
+    [a.(1)] and those it reads in [a.(2)] to [a.(4)], each in order and
+    padded with -1, without allocating ([a] has at least five slots).
+    [Mul64]/[Div64] write the pinned guest EAX then EDX. Reads are in
+    the order of an op word's source fields ({!Hexec}): [Ins] reads its
+    destination first, and a unary branch reads only its first
+    register. *)
 
 val defs : t -> reg list
-(** The registers {!iter_regs} passes to [def]. *)
+(** The registers {!operands} stores as written. *)
 
 val uses : t -> reg list
-(** The registers {!iter_regs} passes to [use]. *)
-
-val max_reg : t -> reg
-(** The largest register field (0 if none): the fields {!map_regs}
-    renames. [Mul64]/[Div64]'s implicit EAX/EDX are not fields. *)
+(** The registers {!operands} stores as read. *)
 
 val map_regs : (reg -> reg) -> t -> t
 (** Rename every register field (used by register allocation). *)

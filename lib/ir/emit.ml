@@ -1,13 +1,13 @@
 open Vat_host
 
 type t = {
-  mutable rev_items : Lblock.item list;
+  body : Lblock.t;
   mutable next_vreg : int;
   mutable next_label : int;
 }
 
 let create () =
-  { rev_items = []; next_vreg = Hinsn.first_vreg; next_label = 0 }
+  { body = Lblock.create (); next_vreg = Hinsn.first_vreg; next_label = 0 }
 
 let vreg t =
   let v = t.next_vreg in
@@ -19,10 +19,8 @@ let lab t =
   t.next_label <- l + 1;
   l
 
-let ins t insn =
-  t.rev_items <- Lblock.I insn :: t.rev_items
-
-let place t id = t.rev_items <- Lblock.L id :: t.rev_items
+let ins t insn = Lblock.push t.body (I insn)
+let place t id = Lblock.push t.body (L id)
 
 let li t rd v =
   match Hinsn.const_insn rd v with
@@ -56,4 +54,7 @@ let addi_big t ~dst ~src v =
 let mov t ~dst ~src =
   if dst <> src then ins t (Hinsn.Alu3 (Or, dst, src, Hinsn.r0))
 
-let items t = List.rev t.rev_items
+let items t =
+  t.body.nregs <- t.next_vreg;
+  t.body.nlabels <- t.next_label;
+  t.body

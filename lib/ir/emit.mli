@@ -27,4 +27,8 @@ val addi_big : t -> dst:Hinsn.reg -> src:Hinsn.reg -> int -> unit
 val mov : t -> dst:Hinsn.reg -> src:Hinsn.reg -> unit
 
 val items : t -> Lblock.t
-(** Everything emitted so far, in order. *)
+(** Everything emitted so far, in order, in the emitter's own body (not
+    a copy), its [nregs] and [nlabels] set from the registers and labels
+    handed out: the passes size their tables from these counts. Emit
+    only the registers and labels this emitter handed out, and hardware
+    registers. *)

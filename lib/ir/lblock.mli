@@ -1,49 +1,49 @@
 open Vat_host
 
-(** Low-level IR container: a translated block body as a sequence of H-ISA
-    instructions interleaved with label markers.
+(** Low-level IR container: a translated block body as one flat array of
+    H-ISA instructions interleaved with label markers, which every pass
+    rewrites in place.
 
     Before linearization, branch/jump target fields hold {e label ids};
     {!linearize} resolves them to instruction indexes and drops the
     markers. All internal control flow is forward-only (the translator only
     emits skip-style branches), which every analysis in this library relies
-    on; {!linearize} enforces it. *)
+    on; {!linearize} enforces it.
+
+    The block carries the sizes its passes need, so no pass walks it to
+    count them: {!Emit} sets [nregs] and [nlabels] from what it handed
+    out, and a pass that adds or drops instructions keeps [ninsns]
+    right. Per-block scratch tables come from {!Workspace}. *)
 
 type item =
   | L of int          (** label marker *)
   | I of Hinsn.t
 
-type t = item list
+type t = {
+  mutable items : item array;  (** the body is [items.(0 .. len - 1)] *)
+  mutable len : int;
+  mutable ninsns : int;        (** instructions (not markers) in the body *)
+  mutable nregs : int;  (** above every operand register; >= first_vreg *)
+  mutable nlabels : int;       (** more than every label id placed *)
+}
 
 exception Malformed of string
 
+val create : unit -> t
+(** An empty body, with [nregs = first_vreg] and no labels. *)
+
+val push : t -> item -> unit
+(** Append an item, growing the array by doubling. Does not touch
+    [nregs] or [nlabels]. *)
+
+val of_list : item list -> t
+(** A body holding the items, with its sizes counted from them. Raises
+    {!Malformed} on a negative label. *)
+
+val to_list : t -> item list
+
 val linearize : t -> Hinsn.t array
 (** Resolve label ids to instruction indexes. Raises {!Malformed} for an
-    undefined, duplicated or negative label, or a backward branch. *)
-
-val map : (item -> item) -> t -> t
-(** [List.map f], applied front to back, except that the result shares
-    the input's longest suffix that [f] returned unchanged (physically
-    equal), so a rewrite that changes nothing allocates no list. *)
-
-val share : t -> item -> t -> t
-(** [share l item' rest'] is [item' :: rest'], or [l] itself when [l] is
-    physically that list: for a pass that rebuilds a body on the way
-    back out of a recursion over it, so an unchanged suffix is not
-    copied. *)
-
-val insns : t -> Hinsn.t list
-(** The instructions without markers (targets still label ids). *)
-
-val insn_count : t -> int
-(** [List.length (insns t)], without building the list. *)
-
-val reg_count : t -> int
-(** Size for a table indexed by register: one past the largest register
-    id named, and at least {!Vat_host.Hinsn.first_vreg}. *)
-
-val label_count : t -> int
-(** Size for a table indexed by label: one past the largest label id
-    placed, or 0. Raises {!Malformed} on a negative label. *)
+    undefined, duplicated or out-of-range label, or a backward branch. *)
 
 val pp : Format.formatter -> t -> unit

@@ -17,7 +17,8 @@ val scratch_base_reg : Hinsn.reg
 
 exception Alloc_error of string
 
-val allocate : Lblock.t -> Lblock.t
-(** Returns a body free of virtual registers. Raises {!Alloc_error} only if
-    an instruction needs more than two spilled sources (impossible for this
-    ISA). *)
+val allocate : Lblock.t -> unit
+(** Rewrites the body in place to one free of virtual registers, sizing
+    its tables from the body's [nregs]; spill code, when needed, goes
+    into a new item array. Raises {!Alloc_error} only if an instruction
+    needs more than two spilled sources (impossible for this ISA). *)

@@ -60,24 +60,34 @@ let pop h =
 (* Scheduling can only move a segment of more than two instructions that
    holds a load: without one, every instruction ranks alike, and the
    earliest unscheduled is always ready, so the order stays. [run] counts
-   the current segment's instructions, [load] whether one is a load. *)
-let rec has_movable_segment run load = function
-  | [] -> false
-  | Lblock.I i :: rest when not (is_barrier i) ->
+   the current segment's instructions before item [k], [load] whether
+   one is a load. *)
+let rec has_movable_segment (b : Lblock.t) k run load =
+  k < b.len
+  &&
+  match b.items.(k) with
+  | I i when not (is_barrier i) ->
     let load = load || (match i with Load _ -> true | _ -> false) in
-    (load && run >= 2) || has_movable_segment (run + 1) load rest
-  | _ :: rest -> has_movable_segment 0 false rest
+    (load && run >= 2) || has_movable_segment b (k + 1) (run + 1) load
+  | _ -> has_movable_segment b (k + 1) 0 false
 
-let schedule items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let is_load p = match arr.(p) with Lblock.I (Load _) -> true | _ -> false in
+(* Workspace slots; the three ready lists take [heap_slot] and the two
+   after it. *)
+let ops_slot, use_slot, def_slot, last_def_slot, readers_slot = (0, 1, 2, 3, 4)
+let reader_pos_slot, reader_next_slot, edge_dst_slot, edge_next_slot =
+  (5, 6, 7, 8)
+let succs_slot, npreds_slot, feeds_load_slot, order_slot, heap_slot =
+  (9, 10, 11, 12, 13)
+
+let schedule (b : Lblock.t) =
+  let items = b.items and n = b.len in
+  let is_load p = match items.(p) with Lblock.I (Load _) -> true | _ -> false in
   (* [f lo hi] for each segment [lo, hi), which a label or barrier at [hi]
      (if [hi < n]) ends. *)
   let each_segment f =
     let lo = ref 0 in
     for p = 0 to n - 1 do
-      match arr.(p) with
+      match items.(p) with
       | Lblock.I i when not (is_barrier i) -> ()
       | _ ->
         f !lo p;
@@ -96,28 +106,23 @@ let schedule items =
     if hi - lo > 2 then !e else lo
   in
   (* Operands of each position in a movable part: its uses at
-     [3p, 3p + 3) and its defs at [2p, 2p + 2), padded with -1. r0 is left
-     out: it never conflicts. *)
-  let use_at = Array.make (3 * n) (-1) and def_at = Array.make (2 * n) (-1) in
-  let uslot = ref 0 and dslot = ref 0 in
-  let nuses = ref 0 and ndefs = ref 0 and top = ref 0 in
-  let put a slot count r =
-    if r <> Hinsn.r0 then begin
-      a.(!slot) <- r;
-      incr slot;
-      incr count;
-      top := Int.max !top r
-    end
-  in
-  let put_use r = put use_at uslot nuses r
-  and put_def r = put def_at dslot ndefs r in
+     [3p, 3p + 3) and its defs at [2p, 2p + 2), as {!Hinsn.operands}
+     places them, with r0 as -1: it never conflicts. *)
+  let ops = Workspace.ints ops_slot 5 in
+  let use_at = Workspace.ints use_slot (3 * n) in
+  let def_at = Workspace.ints def_slot (2 * n) in
+  let nuses = ref 0 and ndefs = ref 0 in
   each_segment (fun lo hi ->
       for p = lo to movable_end lo hi - 1 do
-        match arr.(p) with
+        match items.(p) with
         | Lblock.I i ->
-          uslot := 3 * p;
-          dslot := 2 * p;
-          Hinsn.iter_regs ~def:put_def ~use:put_use i
+          Hinsn.operands i ops;
+          for j = 0 to 4 do
+            let r = if ops.(j) > Hinsn.r0 then ops.(j) else -1 in
+            if j < 2 then def_at.((2 * p) + j) <- r
+            else use_at.((3 * p) + j - 2) <- r;
+            if r > 0 then if j < 2 then incr ndefs else incr nuses
+          done
         | L _ -> ()
       done);
   (* Per-register tables, by item position; entries from an earlier
@@ -126,19 +131,21 @@ let schedule items =
      position through the edges: RAW and WAR edges are at most one per
      use, WAW at most one per def. An edge may be recorded twice;
      [npreds] counts it twice too. *)
-  let last_def = Array.make (!top + 1) (-1) in
-  let readers = Array.make (!top + 1) (-1) in
-  let reader_pos = Array.make !nuses 0 and reader_next = Array.make !nuses 0 in
+  let last_def = Workspace.cleared last_def_slot b.nregs (-1) in
+  let readers = Workspace.cleared readers_slot b.nregs (-1) in
+  let reader_pos = Workspace.ints reader_pos_slot !nuses in
+  let reader_next = Workspace.ints reader_next_slot !nuses in
   let nreaders = ref 0 in
   let max_edges = (2 * !nuses) + !ndefs in
-  let edge_dst = Array.make max_edges 0 in
-  let edge_next = Array.make max_edges 0 in
+  let edge_dst = Workspace.ints edge_dst_slot max_edges in
+  let edge_next = Workspace.ints edge_next_slot max_edges in
   let nedges = ref 0 in
-  let succs = Array.make n (-1) in
-  let npreds = Array.make n 0 in
-  let feeds_load = Array.make n false in
-  let ready = Array.init 3 (fun _ -> { data = Array.make n 0; size = 0 }) in
-  let order = Array.make n 0 and emitted = ref 0 in
+  let succs = Workspace.ints succs_slot n in
+  let npreds = Workspace.ints npreds_slot n in
+  let feeds_load = Workspace.ints feeds_load_slot n in
+  let heap i = { data = Workspace.ints (heap_slot + i) n; size = 0 } in
+  let ready = [| heap 0; heap 1; heap 2 |] in
+  let order = Workspace.ints order_slot n and emitted = ref 0 in
   let emit p =
     order.(!emitted) <- p;
     incr emitted
@@ -150,8 +157,13 @@ let schedule items =
     incr nedges;
     npreds.(j) <- npreds.(j) + 1
   in
-  let rank p = if is_load p then 0 else if feeds_load.(p) then 1 else 2 in
+  let rank p = if is_load p then 0 else if feeds_load.(p) = 1 then 1 else 2 in
   let schedule_segment lo hi =
+    for p = lo to hi - 1 do
+      succs.(p) <- -1;
+      npreds.(p) <- 0;
+      feeds_load.(p) <- 0
+    done;
     for j = lo to hi - 1 do
       (* RAW, then WAW and WAR, then record this position's reads and
          writes. *)
@@ -190,9 +202,9 @@ let schedule items =
     (* feeds_load.(i): some load transitively depends on i. *)
     for i = hi - 1 downto lo do
       let e = ref succs.(i) in
-      while !e >= 0 && not feeds_load.(i) do
+      while !e >= 0 && feeds_load.(i) = 0 do
         let s = edge_dst.(!e) in
-        if is_load s || feeds_load.(s) then feeds_load.(i) <- true;
+        if is_load s || feeds_load.(s) = 1 then feeds_load.(i) <- 1;
         e := edge_next.(!e)
       done
     done;
@@ -222,14 +234,12 @@ let schedule items =
       if e > lo then schedule_segment lo e;
       for p = e to hi - 1 do emit p done;
       if hi < n then emit hi);
-  (* The output shares the input from the last position that moved. *)
+  (* Only the positions before the last one that moved change. *)
   let k0 = ref n in
   while !k0 > 0 && order.(!k0 - 1) = !k0 - 1 do decr k0 done;
-  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
-  let rec build k acc =
-    if k < 0 then acc else build (k - 1) (arr.(order.(k)) :: acc)
-  in
-  build (!k0 - 1) (drop !k0 items)
+  let old = Array.sub items 0 !k0 in
+  for k = 0 to !k0 - 1 do
+    items.(k) <- old.(order.(k))
+  done
 
-let hoist_loads items =
-  if has_movable_segment 0 false items then schedule items else items
+let hoist_loads b = if has_movable_segment b 0 0 false then schedule b

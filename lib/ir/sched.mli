@@ -14,4 +14,6 @@
     of instructions for RAW/WAR/WAW conflicts ([r0] never conflicts), in
     time near-linear in the segment length. *)
 
-val hoist_loads : Lblock.t -> Lblock.t
+val hoist_loads : Lblock.t -> unit
+(** Reorders the body in place. Its dependence tables come from
+    {!Workspace}, sized by the body's [len] and [nregs]. *)

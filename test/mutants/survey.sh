@@ -2,11 +2,12 @@
 # Mutation survey of lib/ir, the event queue, restore verification, the
 # H-ISA word format and straight-line loop, the tile service queue, the
 # speculation state and copy-on-write guest memory. Each
-# test/mutants/*.patch plants one known fault in an IR pass, in
-# lib/desim's Event_queue, in Vm's checkpoint chain, in Hexec.encode's
-# field checks, in Hexec.run_straight's scoreboard, in Tiled.Service's
-# request ring, in Spec's per-address entries or in Mem.copy's page
-# ownership.
+# test/mutants/*.patch plants one known fault in an IR pass (the fused
+# dead-code sweeps and the reset of the per-domain pass workspace
+# included), in lib/desim's Event_queue, in Vm's checkpoint chain, in
+# Hexec.encode's field checks, in Hexec.run_straight's scoreboard, in
+# Tiled.Service's request ring, in Spec's per-address entries or in
+# Mem.copy's page ownership.
 # For each patch this applies it to a copy of the checkout, builds the
 # test runner, and runs the desim, guest-units, host-isa, ir-passes,
 # translator-units, translator-golden, snapshot, tiled-substrate and

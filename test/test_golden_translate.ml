@@ -37,71 +37,71 @@ let configs =
    words allocated translating them). *)
 let golden =
   [ (("164.gzip", "default"),
-     (1867, "4f77092c2d63a17a63142a594b26c937", 5966122));
+     (1867, "4f77092c2d63a17a63142a594b26c937", 2473651));
     (("164.gzip", "superblocks"),
-     (1867, "3175b4551de93cc1d495ea55813c9dd4", 6658225));
+     (1867, "3175b4551de93cc1d495ea55813c9dd4", 2768561));
     (("164.gzip", "noopt"),
-     (1867, "1c4c058209fab8ad35d4cff37aabbb7f", 3054639));
+     (1867, "1c4c058209fab8ad35d4cff37aabbb7f", 2058845));
     (("175.vpr", "default"),
-     (3002, "d6c15455314581be10d09f9fe4101b49", 6847357));
+     (3002, "d6c15455314581be10d09f9fe4101b49", 2832936));
     (("175.vpr", "superblocks"),
-     (3002, "dd68657a01003e76af0c23cba326e122", 7719243));
+     (3002, "dd68657a01003e76af0c23cba326e122", 3210949));
     (("175.vpr", "noopt"),
-     (3002, "7c3b0e3aebc05e52953e9ebf0717c855", 3510254));
+     (3002, "7c3b0e3aebc05e52953e9ebf0717c855", 2370150));
     (("176.gcc", "default"),
-     (10002, "a887fcdb38f91d2196c118f5510c1f3e", 29160732));
+     (10002, "a887fcdb38f91d2196c118f5510c1f3e", 12211039));
     (("176.gcc", "superblocks"),
-     (10002, "d0be44df9d599ea23624b207e7ba0e7b", 31211997));
+     (10002, "d0be44df9d599ea23624b207e7ba0e7b", 13125026));
     (("176.gcc", "noopt"),
-     (10002, "bf7e69f9f04d12911950fabab545f020", 14879076));
+     (10002, "bf7e69f9f04d12911950fabab545f020", 10242223));
     (("181.mcf", "default"),
-     (1864, "8a8cfe0f70136272b7c8432362b03472", 5985792));
+     (1864, "8a8cfe0f70136272b7c8432362b03472", 2473867));
     (("181.mcf", "superblocks"),
-     (1864, "23c17a0c7d83689ddae323dccf701ca4", 6698701));
+     (1864, "23c17a0c7d83689ddae323dccf701ca4", 2777487));
     (("181.mcf", "noopt"),
-     (1864, "ed5c0d07de732b4ad3c35a531ca9d3b7", 3058835));
+     (1864, "ed5c0d07de732b4ad3c35a531ca9d3b7", 2059970));
     (("186.crafty", "default"),
-     (1842, "ad7d6d78d301f99eaad9591e09a20d8c", 5424892));
+     (1842, "ad7d6d78d301f99eaad9591e09a20d8c", 2255702));
     (("186.crafty", "superblocks"),
-     (1842, "597675bd767784bd0ad44d9d0b1cf3a6", 6192536));
+     (1842, "597675bd767784bd0ad44d9d0b1cf3a6", 2585497));
     (("186.crafty", "noopt"),
-     (1842, "ac9ae462017693a611afbe57e217a8c5", 2792492));
+     (1842, "ac9ae462017693a611afbe57e217a8c5", 1878500));
     (("197.parser", "default"),
-     (1869, "c5899c5501d682e51485f396bdd446e5", 5934378));
+     (1869, "c5899c5501d682e51485f396bdd446e5", 2461677));
     (("197.parser", "superblocks"),
-     (1869, "f48b02464a0d8e96bd8193c368bc36f6", 6644111));
+     (1869, "f48b02464a0d8e96bd8193c368bc36f6", 2766602));
     (("197.parser", "noopt"),
-     (1869, "a2a6769fe5912db2c8a4a2e332055e31", 3045277));
+     (1869, "a2a6769fe5912db2c8a4a2e332055e31", 2051402));
     (("253.perlbmk", "default"),
-     (55, "1913a1dceaf21853e06f193fe6bca725", 239901));
+     (55, "1913a1dceaf21853e06f193fe6bca725", 105825));
     (("253.perlbmk", "superblocks"),
-     (55, "1913a1dceaf21853e06f193fe6bca725", 239901));
+     (55, "1913a1dceaf21853e06f193fe6bca725", 105825));
     (("253.perlbmk", "noopt"),
-     (55, "21e3d6f554dbd0b45bee597565993287", 127140));
+     (55, "21e3d6f554dbd0b45bee597565993287", 90290));
     (("254.gap", "default"),
-     (1364, "79ec18634d249ee2b5c6b66e8d84cb80", 4120274));
+     (1364, "79ec18634d249ee2b5c6b66e8d84cb80", 1717890));
     (("254.gap", "superblocks"),
-     (1364, "0bb6db9ce16b798a0d48c58650330c03", 4612356));
+     (1364, "0bb6db9ce16b798a0d48c58650330c03", 1930799));
     (("254.gap", "noopt"),
-     (1364, "d0414077a59487507255364f1a0648da", 2131594));
+     (1364, "d0414077a59487507255364f1a0648da", 1432986));
     (("255.vortex", "default"),
-     (1080, "4139a4ed5b72368968d57e30ebe4e8e0", 3368325));
+     (1080, "4139a4ed5b72368968d57e30ebe4e8e0", 1401815));
     (("255.vortex", "superblocks"),
-     (1064, "fe20cf9b5e468f261037933ced20d3f7", 3808919));
+     (1064, "fe20cf9b5e468f261037933ced20d3f7", 1594218));
     (("255.vortex", "noopt"),
-     (1080, "a3af50ee14564875e1534c0bc4f06a4c", 1730189));
+     (1080, "a3af50ee14564875e1534c0bc4f06a4c", 1166367));
     (("256.bzip2", "default"),
-     (1872, "a5ef9e33d43e9185da84be0f79655db9", 6031450));
+     (1872, "a5ef9e33d43e9185da84be0f79655db9", 2496724));
     (("256.bzip2", "superblocks"),
-     (1872, "ded59a6c00de90dcde6b7b4f877fd573", 6741240));
+     (1872, "ded59a6c00de90dcde6b7b4f877fd573", 2798732));
     (("256.bzip2", "noopt"),
-     (1872, "c46e31708cfa98c781e21dcc3c75112e", 3090715));
+     (1872, "c46e31708cfa98c781e21dcc3c75112e", 2083124));
     (("300.twolf", "default"),
-     (1404, "4099ddaa488a5170c11f36edbe808dee", 4096522));
+     (1404, "4099ddaa488a5170c11f36edbe808dee", 1702475));
     (("300.twolf", "superblocks"),
-     (1404, "1dc3935529267a7431c4d072a121d707", 4674897));
+     (1404, "1dc3935529267a7431c4d072a121d707", 1951796));
     (("300.twolf", "noopt"),
-     (1404, "2227cc9939dbd4f17e7a758762c359e1", 2112836)) ]
+     (1404, "2227cc9939dbd4f17e7a758762c359e1", 1421109)) ]
 
 (* The blocks in address order, and the minor words their translation
    allocated. *)

@@ -156,6 +156,24 @@ module G = struct
     return (List.rev_append rev (List.map (fun i -> Lblock.I i) writes))
 end
 
+(* Bodies are generated as item lists; a pass runs in place on an array
+   body built from one, and [through] hands back its list form. *)
+let through pass items =
+  let b = Lblock.of_list items in
+  pass b;
+  Lblock.to_list b
+
+let insns items =
+  List.filter_map (function Lblock.I i -> Some i | L _ -> None) items
+
+let insn_count items = List.length (insns items)
+
+(* A body after register allocation and linearization. *)
+let code_of items =
+  let b = Lblock.of_list items in
+  Regalloc.allocate b;
+  Lblock.linearize b
+
 let arb_body =
   QCheck.make
     ~print:(fun items ->
@@ -176,7 +194,7 @@ let live_out = List.init 9 (fun i -> 8 + i)
    addresses through [Regalloc.scratch_base_reg], so a spill cannot alias
    a guest location. *)
 let run_body items =
-  let code = Lblock.linearize (Regalloc.allocate items) in
+  let code = code_of items in
   let regs = Array.make 32 0 in
   for i = 8 to 16 do
     regs.(i) <- (i * 0x01010101) land 0xFFFFFFFF
@@ -211,24 +229,25 @@ let run_body items =
 let prop_opt_preserves =
   QCheck.Test.make ~name:"optimizer preserves semantics" ~count:1000 arb_body
     (fun items ->
-      run_body items = run_body (Opt.run_all ~live_out items))
+      run_body items = run_body (through (Opt.run_all ~live_out) items))
 
 let prop_sched_preserves =
   QCheck.Test.make ~name:"scheduler preserves semantics" ~count:1000 arb_body
-    (fun items -> run_body items = run_body (Sched.hoist_loads items))
+    (fun items -> run_body items = run_body (through Sched.hoist_loads items))
 
 let prop_opt_then_sched_preserves =
   QCheck.Test.make ~name:"full pipeline preserves semantics" ~count:500
     arb_body
     (fun items ->
       run_body items
-      = run_body (Sched.hoist_loads (Opt.run_all ~live_out items)))
+      = run_body
+          (through Sched.hoist_loads (through (Opt.run_all ~live_out) items)))
 
 let prop_alloc_removes_vregs =
   QCheck.Test.make ~name:"allocation leaves only hardware registers"
     ~count:500 arb_body
     (fun items ->
-      Lblock.linearize (Regalloc.allocate items)
+      code_of items
       |> Array.for_all (fun insn ->
              List.for_all
                (fun r -> r < Hinsn.first_vreg)
@@ -240,14 +259,30 @@ let prop_alloc_removes_vregs =
 let prop_copy_propagate_idempotent =
   QCheck.Test.make ~name:"copy propagation is idempotent" ~count:1000 arb_body
     (fun items ->
-      let once = Opt.copy_propagate (Opt.constant_fold items) in
-      Opt.copy_propagate once = once)
+      let once =
+        through Opt.copy_propagate (through Opt.constant_fold items)
+      in
+      through Opt.copy_propagate once = once)
+
+(* [Opt.run_all] fuses its four passes into two sweeps; item for item it
+   must equal the passes run one after another, each on the previous
+   one's output. *)
+let prop_run_all_is_the_passes_in_order =
+  QCheck.Test.make ~name:"run_all = the four passes in order" ~count:1000
+    arb_body
+    (fun items ->
+      through (Opt.run_all ~live_out) items
+      = (items
+         |> through Opt.constant_fold
+         |> through Opt.copy_propagate
+         |> through (Opt.eliminate_dead ~live_out)
+         |> through (Opt.eliminate_dead ~live_out)))
 
 let prop_opt_never_grows =
   QCheck.Test.make ~name:"optimizer never grows the body" ~count:500 arb_body
     (fun items ->
-      Lblock.insn_count (Opt.run_all ~live_out items)
-      <= Lblock.insn_count items)
+      insn_count (through (Opt.run_all ~live_out) items)
+      <= insn_count items)
 
 (* --- Scheduler order against the pairwise oracle ---------------------- *)
 
@@ -350,9 +385,11 @@ let gen_sched_items =
 
 let prop_sched_order =
   QCheck.Test.make ~name:"scheduler order = pairwise scheduler" ~count:2000
-    (QCheck.make ~print:(fun items -> Format.asprintf "%a" Lblock.pp items)
+    (QCheck.make
+       ~print:(fun items ->
+         Format.asprintf "%a" Lblock.pp (Lblock.of_list items))
        gen_sched_items)
-    (fun items -> Sched.hoist_loads items = Pairwise.hoist_loads items)
+    (fun items -> through Sched.hoist_loads items = Pairwise.hoist_loads items)
 
 (* --- Targeted optimizer behaviour ------------------------------------ *)
 
@@ -363,12 +400,12 @@ let test_constant_folding () =
       Lblock.I (Hinsn.Alu3 (Add, 34, 32, 33));
       Lblock.I (Hinsn.Alu3 (Add, 8, 34, 0)) ]
   in
-  let out = Opt.run_all ~live_out items in
+  let out = through (Opt.run_all ~live_out) items in
   (* The adds fold to a constant; dead intermediate loads disappear. *)
-  let n = Lblock.insn_count out in
+  let n = insn_count out in
   if n > 2 then
     Alcotest.failf "expected <= 2 insns after folding, got %d:\n%s" n
-      (String.concat "\n" (List.map Hinsn.to_string (Lblock.insns out)));
+      (String.concat "\n" (List.map Hinsn.to_string (insns out)));
   Alcotest.(check (array int)) "value" (fst (run_body items))
     (fst (run_body out))
 
@@ -377,8 +414,8 @@ let test_dead_code_removed () =
     [ Lblock.I (Hinsn.Alui (Ori, 32, 0, 1)); (* dead: never used *)
       Lblock.I (Hinsn.Alui (Ori, 8, 0, 2)) ]
   in
-  let out = Opt.run_all ~live_out items in
-  Alcotest.(check int) "dead def removed" 1 (Lblock.insn_count out)
+  let out = through (Opt.run_all ~live_out) items in
+  Alcotest.(check int) "dead def removed" 1 (insn_count out)
 
 let test_load_forwarding () =
   let items =
@@ -386,12 +423,12 @@ let test_load_forwarding () =
       Lblock.I (Hinsn.Load (W32, 33, 9, 4)); (* same address *)
       Lblock.I (Hinsn.Alu3 (Add, 8, 32, 33)) ]
   in
-  let out = Opt.run_all ~live_out items in
+  let out = through (Opt.run_all ~live_out) items in
   let loads =
     List.length
       (List.filter
          (function Hinsn.Load _ -> true | _ -> false)
-         (Lblock.insns out))
+         (insns out))
   in
   Alcotest.(check int) "second load forwarded" 1 loads
 
@@ -409,12 +446,12 @@ let test_forward_through_forwarded_copy () =
           Load (W32, 34, 32, 4);
           Alu3 (Add, 8, 33, 34) ]
   in
-  let out = Opt.run_all ~live_out items in
+  let out = through (Opt.run_all ~live_out) items in
   let loads =
     List.length
       (List.filter
          (function Hinsn.Load _ -> true | _ -> false)
-         (Lblock.insns out))
+         (insns out))
   in
   Alcotest.(check int) "one load left" 1 loads;
   Alcotest.(check (pair (array int) (array int)))
@@ -423,8 +460,8 @@ let test_forward_through_forwarded_copy () =
 let test_loads_never_deleted () =
   (* A dead load must survive (it can fault). *)
   let items = [ Lblock.I (Hinsn.Load (W32, 32, 9, 0)) ] in
-  let out = Opt.run_all ~live_out items in
-  Alcotest.(check int) "dead load kept" 1 (Lblock.insn_count out)
+  let out = through (Opt.run_all ~live_out) items in
+  Alcotest.(check int) "dead load kept" 1 (insn_count out)
 
 let test_linearize_rejects_backward () =
   let items =
@@ -432,7 +469,7 @@ let test_linearize_rejects_backward () =
       Lblock.I Hinsn.Nop;
       Lblock.I (Hinsn.Jump 0) ]
   in
-  match Lblock.linearize items with
+  match Lblock.linearize (Lblock.of_list items) with
   | _ -> Alcotest.fail "backward branch accepted"
   | exception Lblock.Malformed _ -> ()
 
@@ -449,7 +486,7 @@ let test_linearize_forward_targets () =
       Lblock.I (Hinsn.Jump 2);
       Lblock.L 2 ]
   in
-  let code = Lblock.linearize items in
+  let code = Lblock.linearize (Lblock.of_list items) in
   Alcotest.(check int) "length" 5 (Array.length code);
   (match code.(1) with
    | Hinsn.Branch (Beq, 0, 0, t) -> Alcotest.(check int) "branch target" 3 t
@@ -490,4 +527,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_opt_preserves; prop_sched_preserves; prop_sched_order;
         prop_opt_then_sched_preserves; prop_alloc_removes_vregs;
-        prop_copy_propagate_idempotent; prop_opt_never_grows ]
+        prop_copy_propagate_idempotent; prop_opt_never_grows;
+        prop_run_all_is_the_passes_in_order ]

@@ -165,6 +165,54 @@ let test_code_is_hardware_only () =
      is still virtual, so translating is the check. *)
   Alcotest.(check bool) "some code" true (Array.length b.code > 0)
 
+(* The IR passes take their tables from a per-domain workspace that
+   outlives each block. A block must translate the same whatever its
+   domain translated before: a larger block, another domain's blocks at
+   the same time, or a pipeline that raised mid-block. *)
+let test_workspace_isolation () =
+  let prog = Vat_workloads.Suite.(load (find "gcc")) in
+  let fetch = Mem.read_u8 prog.Program.mem in
+  let translate guest_addr =
+    Translate.translate Config.default ~fetch ~guest_addr
+  in
+  let blocks, _ = Test_golden_translate.reachable_blocks Config.default prog in
+  let largest =
+    List.fold_left
+      (fun (a : Block.t) (b : Block.t) ->
+        if Array.length b.code > Array.length a.code then b else a)
+      (List.hd blocks) blocks
+  in
+  let small = prog.Program.entry and large = largest.guest_addr in
+  let fresh addr = Domain.join (Domain.spawn (fun () -> translate addr)) in
+  let expected = [ fresh small; fresh large; fresh small ] in
+  let sequence () = List.map translate [ small; large; small ] in
+  let check what actual =
+    List.iter2
+      (fun (e : Block.t) (a : Block.t) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: block 0x%x = a fresh domain's" what
+             e.guest_addr)
+          true (a = e))
+      expected actual
+  in
+  Alcotest.(check bool) "the largest block is larger" true
+    (Array.length largest.code > Array.length (List.hd expected).code);
+  check "one domain" (sequence ());
+  let d1 = Domain.spawn sequence and d2 = Domain.spawn sequence in
+  check "first of two domains" (Domain.join d1);
+  check "second of two domains" (Domain.join d2);
+  (* Copies into the pinned registers fill the copy-propagation tables,
+     then dead-code elimination raises on the backward jump. *)
+  let open Vat_ir in
+  let copies =
+    List.init 9 (fun i -> Lblock.I (Vat_host.Hinsn.Alu3 (Or, 8 + i, 40 + i, 0)))
+  in
+  let malformed = Lblock.of_list (copies @ [ L 0; I (Jump 0) ]) in
+  (match Opt.run_all ~live_out:[ 8 ] malformed with
+   | () -> Alcotest.fail "a backward jump was accepted"
+   | exception Lblock.Malformed _ -> ());
+  check "after a pass raised" (sequence ())
+
 let suite =
   [ Alcotest.test_case "terminator shapes" `Quick test_terminator_shapes;
     Alcotest.test_case "decode-fault block" `Quick test_decode_fault_block;
@@ -178,4 +226,6 @@ let suite =
     Alcotest.test_case "store forwarded to a load" `Quick
       test_store_forwarded_to_load;
     Alcotest.test_case "generated code encodes (hardware regs)" `Quick
-      test_code_is_hardware_only ]
+      test_code_is_hardware_only;
+    Alcotest.test_case "workspace leaves no trace between blocks" `Quick
+      test_workspace_isolation ]
