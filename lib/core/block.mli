@@ -3,8 +3,9 @@ open Vat_host
 (** A translated code block: the unit of the code caches.
 
     A block covers one guest basic block (up to a configured instruction
-    budget). Its body is linearized, register-allocated H-ISA code; control
-    leaves through the typed terminator. Conditions and indirect targets
+    budget). Its body is linearized, register-allocated H-ISA code, kept
+    only as the op words the engine runs; control leaves through the
+    typed terminator. Conditions and indirect targets
     are communicated from body code to terminator through the dedicated
     link register {!term_reg}, which register allocation never touches. *)
 
@@ -29,7 +30,6 @@ type t = private {
   guest_addr : int;
   guest_len : int;            (** guest bytes covered *)
   guest_insns : int;
-  code : Hinsn.t array;       (** hardware registers only *)
   term : term;
   optimized : bool;
   translation_cycles : int;   (** slave occupancy to produce this block *)
@@ -39,28 +39,33 @@ type t = private {
       (** Content checksum computed at translation time; caches and
           messages carry their own copy of the sum, and every consumer
           verifies it before the block may execute (end-to-end
-          integrity). *)
+          integrity). An FNV-1a fold of [guest_addr], then each op word
+          of [ops] in order, then [Hashtbl.hash term]. *)
   ops : int array;
-      (** [code] compiled for the execution engine, one
-          {!Vat_host.Hexec} op word per instruction (layout in
-          [hexec.mli]). Computed once, with the checksum, by {!make}, so
-          every cache level and every run that shares the block through
-          {!Translate.Memo} shares them too. *)
+      (** The block's code: one {!Vat_host.Hexec} op word per
+          instruction (layout in [hexec.mli]), hardware registers only,
+          and the only form of it the block keeps. Computed once, with
+          the checksum, by {!make}, so every cache level and every run
+          that shares the block through {!Translate.Memo} shares them
+          too. *)
 }
 
 val make :
   guest_addr:int -> guest_len:int -> guest_insns:int -> code:Hinsn.t array ->
   term:term -> optimized:bool -> translation_cycles:int -> page_lo:int ->
   page_hi:int -> t
-(** The only way to build a block: computes [checksum] and [ops] from
-    the content, so neither can disagree with it. Raises
-    [Invalid_argument] on an instruction {!Vat_host.Hexec.encode}
-    refuses (one that does not fit a 32-bit word, or a [W8s] store) and
-    on a load into r0: the engine writes its register file unguarded. *)
+(** The only way to build a block: encodes [code] (linearized H-ISA
+    instructions) into [ops] and computes [checksum] from them, so
+    neither can disagree with the content; [code] itself is not kept.
+    Raises [Invalid_argument] on an instruction
+    {!Vat_host.Hexec.encode} refuses (one that does not fit a 32-bit
+    word, or a [W8s] store) and on a load into r0: the engine writes its
+    register file unguarded. *)
 
 val recompute_checksum : t -> int
-(** Recompute the sum from the block's content (what a verifier compares
-    a stored/transmitted sum against). *)
+(** Recompute the sum from the block's address, op words and
+    terminator (what a verifier compares a stored/transmitted sum
+    against). *)
 
 val size_bytes : t -> int
 (** Instruction-memory footprint: 4 bytes per instruction plus an 8-byte
@@ -70,4 +75,3 @@ val direct_successors : t -> (int * [ `Taken | `Fall | `Target | `Ret ]) list
 (** Statically known successor guest addresses, labelled for the
     speculation engine's prediction heuristics. *)
 
-val pp : Format.formatter -> t -> unit

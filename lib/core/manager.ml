@@ -130,7 +130,7 @@ let rec kick_slaves t =
       in
       Stats.incr_lazy t.c.translations;
       Stats.add_lazy t.c.tr_guest_insns block.guest_insns;
-      Stats.add_lazy t.c.tr_host_insns (Array.length block.code);
+      Stats.add_lazy t.c.tr_host_insns (Array.length block.ops);
       Stats.add_lazy t.c.tr_cycles block.translation_cycles;
       let occupancy =
         if s.slow_factor > 1 && Event_queue.now t.q < s.slow_until then

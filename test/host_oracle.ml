@@ -232,3 +232,61 @@ let mismatch ~regs insn w =
   else if got_regs <> expect_regs then Some "register file differs"
   else if !log1 <> !log2 then Some "stores differ"
   else None
+
+(* The inverse of [Hexec.encode]: the instruction an op word encodes.
+   Each opcode field is read off [Hexec.encode] of one template
+   instruction, so the table follows [Hexec]'s numbering, and an encode
+   that gives two instructions one opcode leaves one of them decoding as
+   the other. A source field the instruction does not name (a unary
+   branch's second) decodes as r0, as [Hexec.encode] writes it. *)
+let decoders =
+  let table = Array.make (Hexec.opcode_mask + 1) None in
+  let add template build =
+    table.(Hexec.encode template land Hexec.opcode_mask) <- Some build
+  in
+  let rd = Hexec.rd and rs = Hexec.rs and rt = Hexec.rt and ru = Hexec.ru in
+  let imm = Hexec.imm in
+  let open Hinsn in
+  List.iter
+    (fun op -> add (Alu3 (op, 0, 0, 0)) (fun w -> Alu3 (op, rd w, rs w, rt w)))
+    [ Add; Sub; And; Or; Xor; Nor; Slt; Sltu; Mul; Mulh; Mulhu ];
+  List.iter
+    (fun op -> add (Alui (op, 0, 0, 0)) (fun w -> Alui (op, rd w, rs w, imm w)))
+    [ Addi; Andi; Ori; Xori; Slti; Sltiu ];
+  add (Lui (0, 0)) (fun w -> Lui (rd w, imm w));
+  List.iter
+    (fun op ->
+      add (Shifti (op, 0, 0, 0)) (fun w -> Shifti (op, rd w, rs w, imm w));
+      add (Shiftv (op, 0, 0, 0)) (fun w -> Shiftv (op, rd w, rs w, rt w)))
+    [ Sll; Srl; Sra ];
+  add (Ext (0, 0, 0, 0)) (fun w -> Ext (rd w, rs w, imm w land 63, imm w lsr 6));
+  add (Ins (0, 0, 0, 0)) (fun w -> Ins (rd w, rt w, imm w land 63, imm w lsr 6));
+  add Nop (fun _ -> Nop);
+  List.iter
+    (fun c -> add (Branch (c, 0, 0, 0)) (fun w -> Branch (c, rs w, rt w, imm w)))
+    [ Beq; Bne; Blez; Bgtz; Bltz; Bgez ];
+  add (Jump 0) (fun w -> Jump (imm w));
+  List.iter
+    (fun t -> add (Trap (t, 0)) (fun w -> Trap (t, rs w)))
+    [ Divide_error; Divide_overflow ];
+  add (Mul64 0) (fun w -> Mul64 (rt w));
+  List.iter
+    (fun signed ->
+      add (Div64 { divisor = 0; signed }) (fun w ->
+          Div64 { divisor = ru w; signed }))
+    [ false; true ];
+  List.iter
+    (fun width ->
+      add (Load (width, 0, 0, 0)) (fun w -> Load (width, rd w, rs w, imm w)))
+    [ W8; W8s; W32 ];
+  List.iter
+    (fun width ->
+      add (Store (width, 0, 0, 0)) (fun w -> Store (width, rs w, rt w, imm w)))
+    [ W8; W32 ];
+  table
+
+let decode w =
+  let op = w land Hexec.opcode_mask in
+  match decoders.(op) with
+  | Some build -> build w
+  | None -> invalid_arg (Printf.sprintf "Host_oracle.decode: opcode %d" op)

@@ -162,6 +162,39 @@ let test_exit_code_corrupt_snapshot () =
   Alcotest.(check int) "corrupt snapshot is a usage error" 124 (fst r);
   check_clean_failure "corrupt snapshot" r
 
+(* A checkpoint from an older snapshot version (one whose blocks were
+   summed another way) is refused at load: a one-line usage error naming
+   the version, not a failed restore or an uncaught exception. The file
+   is a real checkpoint with the version after the magic set to 1 (the
+   zigzag varint byte 2) and its whole-image CRC-32 trailer redone. *)
+let test_exit_code_old_snapshot_version () =
+  let img = "spin.vbin" and snap = "old.snap" in
+  save_image img spin_guest;
+  if Sys.file_exists snap then Sys.remove snap;
+  ignore
+    (check_exit "halted at checkpoint" 3
+       (img ^ " --checkpoint " ^ snap
+        ^ " --checkpoint-every 10000 --halt-at 15000"));
+  let saved = In_channel.with_open_bin snap In_channel.input_all in
+  let body = Bytes.of_string (String.sub saved 0 (String.length saved - 4)) in
+  Bytes.set body (String.length "VATSNAP1") '\002';
+  let body = Bytes.to_string body in
+  let crc = Vat_snapshot.Snapshot.crc32 body in
+  write_file snap
+    (body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff)));
+  let r = run_cli (img ^ " --checkpoint " ^ snap) in
+  Sys.remove img;
+  Sys.remove snap;
+  Alcotest.(check int) "old snapshot version is a usage error" 124 (fst r);
+  check_clean_failure "old snapshot version" r;
+  let text = String.trim (snd r) in
+  Alcotest.(check bool) ("one line: " ^ text) false (String.contains text '\n');
+  Alcotest.(check bool) ("names the version: " ^ text) true
+    (let needle = "unsupported version 1" in
+     let nl = String.length needle and tl = String.length text in
+     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
+     go 0)
+
 (* A --checkpoint path that cannot be read or written is the operator's
    mistake: a usage error whose one-line diagnostic names the file. *)
 let check_bad_checkpoint_path name path args =
@@ -364,6 +397,8 @@ let suite =
     Alcotest.test_case "guest fault exits 2" `Quick test_exit_code_guest_fault;
     Alcotest.test_case "corrupt snapshot exits 124" `Quick
       test_exit_code_corrupt_snapshot;
+    Alcotest.test_case "old snapshot version exits 124" `Quick
+      test_exit_code_old_snapshot_version;
     Alcotest.test_case "directory as snapshot exits 124" `Quick
       test_exit_code_checkpoint_is_directory;
     Alcotest.test_case "unwritable snapshot path exits 124" `Quick

@@ -94,6 +94,23 @@ let prop_op_word_oracle =
       | None -> true
       | Some why -> QCheck.Test.fail_report why)
 
+(* [Host_oracle.decode] inverts [Hexec.encode]: an encode that gave two
+   instructions one word would decode one of them as the other. A unary
+   branch's second source is the one field no word keeps. *)
+let prop_decode_inverts_encode =
+  QCheck.Test.make ~name:"decode (encode i) = i" ~count:5000
+    (QCheck.make ~print:Hinsn.to_string G.insn)
+    (fun insn ->
+      let expect : Hinsn.t =
+        match insn with
+        | Branch (((Blez | Bgtz | Bltz | Bgez) as c), rs, _, tgt) ->
+          Branch (c, rs, 0, tgt)
+        | insn -> insn
+      in
+      let got = Host_oracle.decode (Hexec.encode insn) in
+      got = expect
+      || QCheck.Test.fail_reportf "decodes as %s" (Hinsn.to_string got))
+
 (* [Hexec.run_straight] against a per-word model of the timed engine's
    rules, written here with the field accessors: a word waits while a
    source other than r0 is pending; otherwise time rises to the latest
@@ -403,4 +420,4 @@ let suite =
       test_field_edges ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_vreg_rejected; prop_shift_masks_count;
-        prop_op_word_oracle; prop_straight_loop ]
+        prop_op_word_oracle; prop_decode_inverts_encode; prop_straight_loop ]

@@ -16,10 +16,11 @@ let fuel = 2_000_000
 (* Block checksums                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_block ?term addr =
+let dummy_block ?term ?last addr =
   let term = Option.value term ~default:(Block.T_jmp { target = addr + 4 }) in
+  let last = Option.value last ~default:(Vat_host.Hinsn.Jump (addr + 4)) in
   Block.make ~guest_addr:addr ~guest_len:4 ~guest_insns:1
-    ~code:[| Vat_host.Hinsn.Nop; Vat_host.Hinsn.Jump (addr + 4) |]
+    ~code:[| Vat_host.Hinsn.Nop; last |]
     ~term ~optimized:false ~translation_cycles:10 ~page_lo:(addr lsr 12)
     ~page_hi:(addr lsr 12)
 
@@ -37,7 +38,11 @@ let test_checksum_sensitive () =
     (a.Block.checksum = b.Block.checksum);
   let tampered = dummy_block ~term:(Block.T_jmp { target = 0xdead }) 0x1000 in
   Alcotest.(check bool) "different terminator, different sum" false
-    (a.Block.checksum = Block.recompute_checksum tampered)
+    (a.Block.checksum = Block.recompute_checksum tampered);
+  (* The sum folds every op word, the last one included. *)
+  let last_differs = dummy_block ~last:(Vat_host.Hinsn.Jump 0x1005) 0x1000 in
+  Alcotest.(check bool) "different last op word, different sum" false
+    (a.Block.checksum = last_differs.Block.checksum)
 
 let test_translate_sets_checksum () =
   (* Every block produced by the real translator carries a sum that

@@ -586,9 +586,9 @@ let suite =
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
     Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "gzip" "945bd963dc910c50878d97e0f2c1981b");
+      (test_first_checkpoint_pinned "gzip" "50b35ddb70519e5ca914d7e0d393ca3c");
     Alcotest.test_case "vm: mcf first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "mcf" "873666ca51b0011100a410d5b33bae47");
+      (test_first_checkpoint_pinned "mcf" "ec51b3669dfa4b145feef50beb89013d");
     Alcotest.test_case "vm: manager fail-stop recovered by rollback" `Quick
       test_manager_failstop_recovery;
     Alcotest.test_case "vm: dirty L2D parity loss recovered by rollback" `Quick

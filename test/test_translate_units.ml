@@ -61,7 +61,7 @@ let test_decode_fault_block () =
   (* Garbage at the entry: the block must carry a T_fault terminator. *)
   let items = [ label "start"; Asm.Byte 0xFF; Asm.Byte 0xFF ] in
   let b = block_at items "start" in
-  Alcotest.(check int) "no code" 0 (Array.length b.code);
+  Alcotest.(check int) "no code" 0 (Array.length b.ops);
   Alcotest.(check int) "an empty ops array" 0 (Array.length b.ops);
   match b.term with
   | Block.T_fault _ -> ()
@@ -127,10 +127,10 @@ let test_translation_cost_model () =
   if opt.translation_cycles <= unopt.translation_cycles then
     Alcotest.failf "optimization should cost slave cycles (%d vs %d)"
       opt.translation_cycles unopt.translation_cycles;
-  if Array.length opt.code >= Array.length unopt.code then
+  if Array.length opt.ops >= Array.length unopt.ops then
     Alcotest.failf "optimization should shrink code (%d vs %d)"
-      (Array.length opt.code)
-      (Array.length unopt.code)
+      (Array.length opt.ops)
+      (Array.length unopt.ops)
 
 (* A store and a load of the same guest word: with optimization on, the
    load is forwarded from the stored register. *)
@@ -143,9 +143,9 @@ let test_store_forwarded_to_load () =
   in
   let loads (b : Block.t) =
     Array.fold_left
-      (fun n (insn : Vat_host.Hinsn.t) ->
-        match insn with Load (W32, _, _, _) -> n + 1 | _ -> n)
-      0 b.code
+      (fun n w ->
+        match Vat_host.Hexec.kind w with Load W32 -> n + 1 | _ -> n)
+      0 b.ops
   in
   let opt = block_at items "start" in
   let unopt =
@@ -163,7 +163,7 @@ let test_code_is_hardware_only () =
   in
   (* [Block.make] encodes every instruction and refuses a register that
      is still virtual, so translating is the check. *)
-  Alcotest.(check bool) "some code" true (Array.length b.code > 0)
+  Alcotest.(check bool) "some code" true (Array.length b.ops > 0)
 
 (* The IR passes take their tables from a per-domain workspace that
    outlives each block. A block must translate the same whatever its
@@ -179,7 +179,7 @@ let test_workspace_isolation () =
   let largest =
     List.fold_left
       (fun (a : Block.t) (b : Block.t) ->
-        if Array.length b.code > Array.length a.code then b else a)
+        if Array.length b.ops > Array.length a.ops then b else a)
       (List.hd blocks) blocks
   in
   let small = prog.Program.entry and large = largest.guest_addr in
@@ -196,7 +196,7 @@ let test_workspace_isolation () =
       expected actual
   in
   Alcotest.(check bool) "the largest block is larger" true
-    (Array.length largest.code > Array.length (List.hd expected).code);
+    (Array.length largest.ops > Array.length (List.hd expected).ops);
   check "one domain" (sequence ());
   let d1 = Domain.spawn sequence and d2 = Domain.spawn sequence in
   check "first of two domains" (Domain.join d1);
