@@ -54,7 +54,7 @@ let push t addr e prio =
   t.queued_count <- t.queued_count + 1;
   e.status <- Queued;
   e.prio <- prio;
-  Stats.set_max_lazy t.max_queue_length t.queued_count
+  Stats.set_max_lazy t.max_queue_length t.live_queued
 
 let enqueue t addr ~depth =
   let e = find t addr and prio = priority_of_depth t depth in

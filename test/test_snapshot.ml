@@ -586,7 +586,7 @@ let suite =
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
     Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "gzip" "50b35ddb70519e5ca914d7e0d393ca3c");
+      (test_first_checkpoint_pinned "gzip" "db812690c45d53e2feae91a786fa8889");
     Alcotest.test_case "vm: mcf first checkpoint pinned" `Quick
       (test_first_checkpoint_pinned "mcf" "ec51b3669dfa4b145feef50beb89013d");
     Alcotest.test_case "vm: manager fail-stop recovered by rollback" `Quick
