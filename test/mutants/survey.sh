@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Mutation survey of lib/ir, the event queue, restore verification, the
 # H-ISA word format and straight-line loop, the tile service queue, the
-# speculation state and copy-on-write guest memory. Each
-# test/mutants/*.patch plants one known fault in an IR pass (the fused
-# dead-code sweeps and the reset of the per-domain pass workspace
+# speculation state, copy-on-write guest memory and the block checksum.
+# Each test/mutants/*.patch plants one known fault in an IR pass (the
+# fused dead-code sweeps and the reset of the per-domain pass workspace
 # included), in lib/desim's Event_queue, in Vm's checkpoint chain, in
 # Hexec.encode's field checks, in Hexec.run_straight's scoreboard, in
-# Tiled.Service's request ring, in Spec's per-address entries or in
-# Mem.copy's page ownership.
+# Tiled.Service's request ring, in Spec's per-address entries, in
+# Mem.copy's page ownership or in Block's checksum fold.
 # For each patch this applies it to a copy of the checkout, builds the
 # test runner, and runs the desim, guest-units, host-isa, ir-passes,
-# translator-units, translator-golden, snapshot, tiled-substrate and
-# core-units groups under a timeout. It
+# translator-units, translator-golden, snapshot, tiled-substrate,
+# core-units and integrity groups under a timeout. It
 # prints "caught by" the groups where some test fails (or the run times
 # out), or "missed" when every test passes, and exits 1 if any mutant is
 # missed or does not apply or build.
@@ -52,7 +52,7 @@ for patch in "$root"/test/mutants/*.patch; do
   else
     by=""
     for group in desim guest-units host-isa ir-passes translator-units \
-      translator-golden snapshot tiled-substrate core-units; do
+      translator-golden snapshot tiled-substrate core-units integrity; do
       code=0
       (cd "$copy/_build/default/test" &&
         timeout 600 ./main.exe test "$group" >"$work/$name.$group.log" 2>&1) ||
