@@ -254,7 +254,7 @@ module L2 = struct
       t.used <- t.used - Block.size_bytes cell.block;
       add_pages t cell.block (-1)
 
-  let install ?sum t (block : Block.t) =
+  let install t (block : Block.t) =
     remove t block.guest_addr;
     (* The 105 MB cache never fills in practice; if it somehow does, drop
        arbitrary entries (the hash table has no useful recency order). *)
@@ -271,8 +271,8 @@ module L2 = struct
        with Exit -> ());
       List.iter (remove t) !doomed
     end;
-    let stored_sum = Option.value ~default:block.checksum sum in
-    Hashtbl.replace t.table block.guest_addr { block; stored_sum };
+    Hashtbl.replace t.table block.guest_addr
+      { block; stored_sum = block.checksum };
     t.used <- t.used + Block.size_bytes block;
     add_pages t block 1
 

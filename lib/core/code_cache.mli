@@ -89,7 +89,9 @@ module L2 : sig
   val find : t -> int -> found -> unit
   (** As {!L15.find}, without the recency order. *)
 
-  val install : ?sum:int -> t -> Block.t -> unit
+  val install : t -> Block.t -> unit
+  (** Stores the block under its translation-time checksum. *)
+
   val remove : t -> int -> unit
   val corrupt_one : t -> salt:int -> bool
   val blocks : t -> int

@@ -689,12 +689,12 @@ let capture t =
      | None -> -1);
   Wr.int w t.cur.pc;
   (match t.wait with
-   | Running -> Wr.int_list w [ 0; 0; 0 ]
-   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg; t.cur.pc ]
-   | Wait_capacity -> Wr.int_list w [ 2; t.cur.pc; 0 ]
-   | Wait_fill -> Wr.int_list w [ 3; 0; 0 ]
-   | Wait_syscall -> Wr.int_list w [ 4; 0; 0 ]
-   | Finished -> Wr.int_list w [ 5; 0; 0 ]);
+   | Running -> Wr.int_list w [ 0 ]
+   | Wait_reg -> Wr.int_list w [ 1; t.wait_reg ]
+   | Wait_capacity -> Wr.int_list w [ 2 ]
+   | Wait_fill -> Wr.int_list w [ 3 ]
+   | Wait_syscall -> Wr.int_list w [ 4 ]
+   | Finished -> Wr.int_list w [ 5 ]);
   Wr.int w t.fuel;
   Wr.int w t.guest_insns;
   Wr.int w

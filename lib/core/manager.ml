@@ -54,17 +54,16 @@ type probes = {
   recover : Tr.emitter;
 }
 
-(* Handles for the counters bumped per translation, fill and lookup.
-   Each enters [Stats.t] at its first bump, as a by-name bump would. *)
+(* Handles for the counters bumped per translation, fill and lookup. *)
 type counters = {
-  translations : Stats.lazy_counter;
-  tr_guest_insns : Stats.lazy_counter;
-  tr_host_insns : Stats.lazy_counter;
-  tr_cycles : Stats.lazy_counter;
-  l2code_accesses : Stats.lazy_counter;
-  l2code_misses : Stats.lazy_counter;
-  l15_hits : Stats.lazy_counter;
-  l15_misses : Stats.lazy_counter;
+  translations : Stats.counter;
+  tr_guest_insns : Stats.counter;
+  tr_host_insns : Stats.counter;
+  tr_cycles : Stats.counter;
+  l2code_accesses : Stats.counter;
+  l2code_misses : Stats.counter;
+  l15_hits : Stats.counter;
+  l15_misses : Stats.counter;
 }
 
 type t = {
@@ -128,10 +127,10 @@ let rec kick_slaves t =
         Translate.translate_memo ?memo:t.memo t.cfg ~fetch:t.fetch
           ~page_gen:t.page_gen ~guest_addr:addr
       in
-      Stats.incr_lazy t.c.translations;
-      Stats.add_lazy t.c.tr_guest_insns block.guest_insns;
-      Stats.add_lazy t.c.tr_host_insns (Array.length block.ops);
-      Stats.add_lazy t.c.tr_cycles block.translation_cycles;
+      Stats.bump t.c.translations;
+      Stats.bump_by t.c.tr_guest_insns block.guest_insns;
+      Stats.bump_by t.c.tr_host_insns (Array.length block.ops);
+      Stats.bump_by t.c.tr_cycles block.translation_cycles;
       let occupancy =
         if s.slow_factor > 1 && Event_queue.now t.q < s.slow_until then
           block.translation_cycles * s.slow_factor
@@ -234,7 +233,7 @@ let serve_mgr t req =
   match req with
   | Fill { addr; _ } ->
     let f = t.mgr_found in
-    Stats.incr_lazy t.c.l2code_accesses;
+    Stats.bump t.c.l2code_accesses;
     Code_cache.L2.find t.l2 addr f;
     if f.hit && ((not ft) || f.sum = f.block.Block.checksum) then begin
       (* The L2 code cache lives in off-chip DRAM: the manager fetches
@@ -252,7 +251,7 @@ let serve_mgr t req =
         Stats.incr t.stats "corrupt.l2code_detected";
         Code_cache.L2.remove t.l2 addr
       end;
-      Stats.incr_lazy t.c.l2code_misses;
+      Stats.bump t.c.l2code_misses;
       Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
       Config.mgr_lookup_cycles + verify_cost t
     end
@@ -340,7 +339,7 @@ let serve_l15 t { addr; bank; _ } =
   let f = t.l15_found.(bank) in
   Code_cache.L15.find t.l15_banks.(bank) addr f;
   if f.hit && ((not ft) || f.sum = f.block.Block.checksum) then begin
-    Stats.incr_lazy t.c.l15_hits;
+    Stats.bump t.c.l15_hits;
     Tr.emit t.pr.l15_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
     Config.l15_lookup_cycles + stream_cycles f.block + verify_cost t
   end
@@ -353,7 +352,7 @@ let serve_l15 t { addr; bank; _ } =
       t.l15_corruptions.(bank) <- t.l15_corruptions.(bank) + 1;
       Code_cache.L15.remove t.l15_banks.(bank) addr
     end;
-    Stats.incr_lazy t.c.l15_misses;
+    Stats.bump t.c.l15_misses;
     Tr.emit t.pr.l15_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:addr;
     Config.l15_lookup_cycles + verify_cost t
   end
@@ -456,14 +455,14 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       drain_waiters = [];
       pr;
       c =
-        { translations = Stats.lazy_counter stats "translations";
-          tr_guest_insns = Stats.lazy_counter stats "translations.guest_insns";
-          tr_host_insns = Stats.lazy_counter stats "translations.host_insns";
-          tr_cycles = Stats.lazy_counter stats "translations.cycles";
-          l2code_accesses = Stats.lazy_counter stats "l2code.accesses";
-          l2code_misses = Stats.lazy_counter stats "l2code.misses";
-          l15_hits = Stats.lazy_counter stats "l15.hits";
-          l15_misses = Stats.lazy_counter stats "l15.misses" } }
+        { translations = Stats.counter stats "translations";
+          tr_guest_insns = Stats.counter stats "translations.guest_insns";
+          tr_host_insns = Stats.counter stats "translations.host_insns";
+          tr_cycles = Stats.counter stats "translations.cycles";
+          l2code_accesses = Stats.counter stats "l2code.accesses";
+          l2code_misses = Stats.counter stats "l2code.misses";
+          l15_hits = Stats.counter stats "l15.hits";
+          l15_misses = Stats.counter stats "l15.misses" } }
   in
   t.mgr_service <-
     Some
@@ -725,7 +724,6 @@ let capture t =
   let mix2 a b = (((a * 0x100000001b3) + b + 1) * 0x100000001b3) land max_int in
   Array.iter
     (fun s ->
-      Wr.bool w (s.current >= 0);
       Wr.bool w s.active;
       Wr.bool w s.failed;
       Wr.int w s.current;

@@ -46,11 +46,11 @@ type t = {
   mutable reconfiguring : bool;
   mutable on_fatal : (bank:int -> string -> unit) option;
   pr : probes;
-  (* Per-request counters, entering [stats] at their first bump. *)
-  c_l2d_accesses : Stats.lazy_counter;
-  c_l2d_hits : Stats.lazy_counter;
-  c_l2d_misses : Stats.lazy_counter;
-  c_mmu_requests : Stats.lazy_counter;
+  (* Per-request counters. *)
+  c_l2d_accesses : Stats.counter;
+  c_l2d_hits : Stats.counter;
+  c_l2d_misses : Stats.counter;
+  c_mmu_requests : Stats.counter;
 }
 
 let the_mmu t =
@@ -132,15 +132,15 @@ let make_bank_service t ~trace bank =
       let { Cache.hit; writeback; parity } =
         Cache.access t.banks.(bank) ~addr:(bank_local_addr t paddr) ~write
       in
-      Stats.incr_lazy t.c_l2d_accesses;
+      Stats.bump t.c_l2d_accesses;
       let occupancy =
         if hit then begin
-          Stats.incr_lazy t.c_l2d_hits;
+          Stats.bump t.c_l2d_hits;
           Tr.emit t.pr.bank_hit.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
           Config.l2d_bank_cycles
         end
         else begin
-          Stats.incr_lazy t.c_l2d_misses;
+          Stats.bump t.c_l2d_misses;
           Tr.emit t.pr.bank_miss.(bank) ~cycle:(Event_queue.now t.q) ~arg:paddr;
           Config.l2d_bank_cycles + Config.dram_cycles
           + (match writeback with
@@ -177,7 +177,7 @@ let make_bank_service t ~trace bank =
 let make_mmu t ~trace =
   Service.create ~trace t.q ~track:"mmu"
     ~serve:(fun { vaddr; _ } ->
-      Stats.incr_lazy t.c_mmu_requests;
+      Stats.bump t.c_mmu_requests;
       let vpage = vaddr / Mem.page_size in
       let hit = tlb_lookup t vpage in
       let occupancy =
@@ -245,10 +245,10 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
       reconfiguring = false;
       on_fatal = None;
       pr;
-      c_l2d_accesses = Stats.lazy_counter stats "l2d.accesses";
-      c_l2d_hits = Stats.lazy_counter stats "l2d.hits";
-      c_l2d_misses = Stats.lazy_counter stats "l2d.misses";
-      c_mmu_requests = Stats.lazy_counter stats "mmu.requests" }
+      c_l2d_accesses = Stats.counter stats "l2d.accesses";
+      c_l2d_hits = Stats.counter stats "l2d.hits";
+      c_l2d_misses = Stats.counter stats "l2d.misses";
+      c_mmu_requests = Stats.counter stats "mmu.requests" }
   in
   t.mmu <- Some (make_mmu t ~trace);
   t.bank_services <- Array.init max_banks (make_bank_service t ~trace);
@@ -439,7 +439,8 @@ let tlb_hits t = t.tlb_hits
 let tlb_misses t = t.tlb_misses
 
 (* Checkpoint section: TLB arrays, banking geometry, per-bank cache
-   digests and service scalars. Pure observation. *)
+   digests and service scalars (a bank is alive while its service's
+   [failed] scalar is clear). Pure observation. *)
 let capture t =
   let w = Vat_snapshot.Snapshot.Wr.create () in
   let module Wr = Vat_snapshot.Snapshot.Wr in
@@ -450,7 +451,6 @@ let capture t =
   Wr.int w t.tlb_misses;
   Wr.int w t.n_banks;
   Wr.int_array w t.bank_map;
-  Array.iter (fun s -> Wr.bool w (not (Service.failed s))) t.bank_services;
   Wr.int_array w t.bank_corruptions;
   Array.iter (fun c -> Wr.int w (Cache.state_digest c)) t.banks;
   Wr.bool w t.reconfiguring;

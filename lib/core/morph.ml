@@ -10,7 +10,6 @@ type t = {
   memsys : Memsys.t;
   mutable morphing : bool;
   mutable last_morph : int;
-  mutable count : int;
   (* Trace probes on the "morph" track (dead branches untraced). *)
   p_morph : Tr.emitter;   (* arg = 1 -> trans config, 0 -> mem config *)
   p_qdepth : Tr.emitter;  (* the sampled translate-queue length *)
@@ -39,7 +38,6 @@ let current t =
 
 let morph_to t target =
   t.morphing <- true;
-  t.count <- t.count + 1;
   Stats.incr t.stats "morph.reconfigurations";
   Tr.emit t.p_morph
     ~cycle:(Event_queue.now t.q)
@@ -97,7 +95,6 @@ let create ?(trace = Tr.disabled) q stats cfg manager memsys =
       memsys;
       morphing = false;
       last_morph = 0;
-      count = 0;
       p_morph = Tr.emitter trace ~track:mtrack Tr.Morph_decision;
       p_qdepth = Tr.emitter trace ~track:mtrack Tr.Queue_depth }
   in
@@ -121,6 +118,4 @@ let create ?(trace = Tr.disabled) q stats cfg manager memsys =
   end;
   t
 
-let morphs t = t.count
-
-let capture t = [ (if t.morphing then 1 else 0); t.last_morph; t.count ]
+let capture t = [ (if t.morphing then 1 else 0); t.last_morph ]

@@ -26,8 +26,7 @@ val create :
     using the same machinery as fail-stop eviction (a persistently flaky
     tile is treated as a dead one). *)
 
-val morphs : t -> int
-
 val capture : t -> int list
-(** The monitor's mutable scalars (morphing flag, last-morph cycle, morph
-    count) for checkpointing. *)
+(** The monitor's mutable scalars (morphing flag, last-morph cycle) for
+    checkpointing. The morph count is the [morph.reconfigurations]
+    counter. *)

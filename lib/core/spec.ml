@@ -15,11 +15,10 @@ type t = {
   cfg : Config.t;
   queues : int Queue.t array; (* by priority, 0 = most urgent *)
   entries : (int, entry) Hashtbl.t;
-  mutable queued_count : int; (* queue entries, stale duplicates included *)
   mutable live_queued : int;  (* addresses whose status is [Queued] *)
-  enqueued : Stats.lazy_counter;
-  demand_requests : Stats.lazy_counter;
-  max_queue_length : Stats.lazy_counter;
+  enqueued : Stats.counter;
+  demand_requests : Stats.counter;
+  max_queue_length : Stats.counter;
 }
 
 let priorities = 4
@@ -28,11 +27,10 @@ let create cfg stats =
   { cfg;
     queues = Array.init priorities (fun _ -> Queue.create ());
     entries = Hashtbl.create 1024;
-    queued_count = 0;
     live_queued = 0;
-    enqueued = Stats.lazy_counter stats "spec.enqueued";
-    demand_requests = Stats.lazy_counter stats "spec.demand_requests";
-    max_queue_length = Stats.lazy_counter stats "spec.max_queue_length" }
+    enqueued = Stats.counter stats "spec.enqueued";
+    demand_requests = Stats.counter stats "spec.demand_requests";
+    max_queue_length = Stats.counter stats "spec.max_queue_length" }
 
 let priority_of_depth t d =
   if not t.cfg.Config.priority_queues then 0
@@ -51,10 +49,9 @@ let depth_of t addr = max 0 (find t addr).depth
 
 let push t addr e prio =
   Queue.push addr t.queues.(prio);
-  t.queued_count <- t.queued_count + 1;
   e.status <- Queued;
   e.prio <- prio;
-  Stats.set_max_lazy t.max_queue_length t.live_queued
+  Stats.bump_max t.max_queue_length t.live_queued
 
 let enqueue t addr ~depth =
   let e = find t addr and prio = priority_of_depth t depth in
@@ -63,7 +60,7 @@ let enqueue t addr ~depth =
     Hashtbl.add t.entries addr e;
     t.live_queued <- t.live_queued + 1;
     push t addr e prio;
-    Stats.incr_lazy t.enqueued
+    Stats.bump t.enqueued
   end
   else if e.status = Queued && prio < e.prio then begin
     (* Promote: push at the higher priority; the stale queue entry is
@@ -73,7 +70,7 @@ let enqueue t addr ~depth =
   end
 
 let request_demand t addr =
-  Stats.incr_lazy t.demand_requests;
+  Stats.bump t.demand_requests;
   enqueue t addr ~depth:0
 
 let note_on_path t addr =
@@ -140,7 +137,6 @@ let rec pop_queue t prio =
     match Queue.take_opt t.queues.(prio) with
     | None -> pop_queue t (prio + 1)
     | Some addr -> begin
-      t.queued_count <- t.queued_count - 1;
       let e = find t addr in
       if e.status = Queued && e.prio = prio then begin
         t.live_queued <- t.live_queued - 1;
@@ -184,4 +180,4 @@ let state_digest t =
       (fun acc q -> Queue.fold (fun acc addr -> mix2 acc addr) (mix2 acc 7) q)
       0 t.queues
   in
-  mix2 (mix2 statuses depths) (mix2 queues t.queued_count)
+  mix2 (mix2 statuses depths) queues

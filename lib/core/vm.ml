@@ -490,7 +490,6 @@ let finalize a outcome =
   let cycles = max (Event_queue.now a.q) (Exec.local_time exec) in
   Stats.add stats "total.cycles" cycles;
   Stats.add stats "total.guest_insns" (Exec.guest_instructions exec);
-  Stats.add stats "morph.count" (Morph.morphs a.morph);
   (* Service-queue high-water marks (tracked unconditionally; see
      Service.record_totals) — the congestion signature behind the
      paper's Figure 5 without needing a full trace — and fault totals. *)
@@ -527,15 +526,13 @@ let attempt s ~ledger =
     | Some o -> Done (finalize a o)
     | None -> Terminal (Option.get a.terminal, a))
 
+(* Both read zero without a rollback, and a zero counter is not listed:
+   a fault-free run keeps a stats table identical to a run with
+   checkpointing off. *)
 let add_recovery_stats ledger (res : result) =
-  (* Only after a real rollback: a fault-free (or fully recovered-by-
-     other-means) run keeps a stats table identical to a run with
-     checkpointing off. *)
-  if ledger <> [] then begin
-    Stats.add res.stats "recovery.rollbacks" (List.length ledger);
-    Stats.add res.stats "recovery.replayed_cycles"
-      (List.fold_left (fun acc le -> acc + (le.le_at - le.le_restore)) 0 ledger)
-  end;
+  Stats.add res.stats "recovery.rollbacks" (List.length ledger);
+  Stats.add res.stats "recovery.replayed_cycles"
+    (List.fold_left (fun acc le -> acc + (le.le_at - le.le_restore)) 0 ledger);
   res
 
 (* Attempt after attempt, each under a ledger one terminal longer, until

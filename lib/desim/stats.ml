@@ -29,38 +29,9 @@ let bump (c : counter) = c := !c + 1 [@@inline]
 let bump_by (c : counter) n = c := !c + n [@@inline]
 let counter_value (c : counter) = !c
 
-let set_max t name n =
-  let r = cell t name in
-  if n > !r then r := n
+let bump_max (c : counter) n = if n > !c then c := n
 
-(* Handles that resolve their cell at the first call rather than at
-   construction, so a name enters the registry exactly when the
-   string-keyed call it replaces would have added it ([names] and
-   checkpoints list only names some component touched). [unresolved] is
-   never written: every call swaps it for the real cell first. *)
-
-type lazy_counter = { reg : t; name : string; mutable cell : int ref }
-
-let unresolved = ref 0
-
-let lazy_counter t name = { reg = t; name; cell = unresolved }
-
-let resolve h =
-  if h.cell == unresolved then h.cell <- cell h.reg h.name;
-  h.cell
-[@@inline]
-
-let incr_lazy h =
-  let r = resolve h in
-  r := !r + 1
-
-let add_lazy h n =
-  let r = resolve h in
-  r := !r + n
-
-let set_max_lazy h n =
-  let r = resolve h in
-  if n > !r then r := n
+let set_max t name n = bump_max (cell t name) n
 
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
@@ -68,10 +39,13 @@ let ratio t num den =
   let d = get t den in
   if d = 0 then 0.0 else float_of_int (get t num) /. float_of_int d
 
-let names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
+(* A counter that reads zero is not listed, so a handle resolved at
+   construction but never bumped leaves the listings as they were. *)
+let to_alist t =
+  Hashtbl.fold (fun k r acc -> if !r = 0 then acc else (k, !r) :: acc) t []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let to_alist t = List.map (fun name -> (name, get t name)) (names t)
+let names t = List.map fst (to_alist t)
 
 let pp ppf t =
-  List.iter (fun name -> Format.fprintf ppf "%-40s %d@." name (get t name)) (names t)
+  List.iter (fun (name, v) -> Format.fprintf ppf "%-40s %d@." name v) (to_alist t)

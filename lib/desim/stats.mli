@@ -2,7 +2,10 @@
 
     A [Stats.t] is a flat registry: components bump counters by name and the
     metrics layer reads them out at the end of a run. Counter reads of
-    never-bumped names return zero, so probes can be optional. *)
+    never-bumped names return zero, so probes can be optional, and the
+    listings ({!names}, {!to_alist}, {!pp}) skip every counter that reads
+    zero: a name is listed once a run has made it nonzero, whether it was
+    resolved as a handle at construction or bumped by name. *)
 
 type t
 
@@ -25,20 +28,10 @@ val counter : t -> string -> counter
 
 val bump : counter -> unit
 val bump_by : counter -> int -> unit
+val bump_max : counter -> int -> unit
+(** As {!set_max} on the handle's name. *)
+
 val counter_value : counter -> int
-
-type lazy_counter
-(** A handle to one named counter that resolves its cell at its first
-    use, not at construction. A name therefore appears in {!names} (and
-    in checkpoints, which list names) exactly when {!incr}, {!add} or
-    {!set_max} by name would have added it, while every later use skips
-    the string hashing. For counters that a run may never touch. *)
-
-val lazy_counter : t -> string -> lazy_counter
-val incr_lazy : lazy_counter -> unit
-val add_lazy : lazy_counter -> int -> unit
-val set_max_lazy : lazy_counter -> int -> unit
-(** As {!incr}, {!add} and {!set_max} on the handle's name. *)
 
 val get : t -> string -> int
 val ratio : t -> string -> string -> float
@@ -46,10 +39,11 @@ val ratio : t -> string -> string -> float
     denominator is zero. *)
 
 val names : t -> string list
-(** All counter names seen so far, sorted. *)
+(** The names of the nonzero counters, sorted. *)
 
 val to_alist : t -> (string * int) list
-(** All counters as (name, value) pairs, sorted by name — a deterministic
-    serialization order for checkpoints. *)
+(** The nonzero counters as (name, value) pairs, sorted by name — a
+    deterministic serialization order for checkpoints. *)
 
 val pp : Format.formatter -> t -> unit
+(** One line per nonzero counter, sorted by name. *)

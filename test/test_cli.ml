@@ -163,11 +163,12 @@ let test_exit_code_corrupt_snapshot () =
   check_clean_failure "corrupt snapshot" r
 
 (* A checkpoint from an older snapshot version (one whose blocks were
-   summed another way) is refused at load: a one-line usage error naming
-   the version, not a failed restore or an uncaught exception. The file
-   is a real checkpoint with the version after the magic set to 1 (the
-   zigzag varint byte 2) and its whole-image CRC-32 trailer redone. *)
-let test_exit_code_old_snapshot_version () =
+   summed another way, or whose sections still held derived copies) is
+   refused at load: a one-line usage error naming the version, not a
+   failed restore or an uncaught exception. Each file is a real
+   checkpoint with the version after the magic set back (the zigzag
+   varint byte [2 * version]) and its whole-image CRC-32 trailer redone. *)
+let check_old_snapshot_version version =
   let img = "spin.vbin" and snap = "old.snap" in
   save_image img spin_guest;
   if Sys.file_exists snap then Sys.remove snap;
@@ -177,7 +178,7 @@ let test_exit_code_old_snapshot_version () =
         ^ " --checkpoint-every 10000 --halt-at 15000"));
   let saved = In_channel.with_open_bin snap In_channel.input_all in
   let body = Bytes.of_string (String.sub saved 0 (String.length saved - 4)) in
-  Bytes.set body (String.length "VATSNAP1") '\002';
+  Bytes.set body (String.length "VATSNAP1") (Char.chr (2 * version));
   let body = Bytes.to_string body in
   let crc = Vat_snapshot.Snapshot.crc32 body in
   write_file snap
@@ -185,15 +186,19 @@ let test_exit_code_old_snapshot_version () =
   let r = run_cli (img ^ " --checkpoint " ^ snap) in
   Sys.remove img;
   Sys.remove snap;
-  Alcotest.(check int) "old snapshot version is a usage error" 124 (fst r);
-  check_clean_failure "old snapshot version" r;
+  let name = Printf.sprintf "snapshot version %d" version in
+  Alcotest.(check int) (name ^ " is a usage error") 124 (fst r);
+  check_clean_failure name r;
   let text = String.trim (snd r) in
   Alcotest.(check bool) ("one line: " ^ text) false (String.contains text '\n');
   Alcotest.(check bool) ("names the version: " ^ text) true
-    (let needle = "unsupported version 1" in
+    (let needle = Printf.sprintf "unsupported version %d" version in
      let nl = String.length needle and tl = String.length text in
      let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
      go 0)
+
+let test_exit_code_old_snapshot_version () =
+  List.iter check_old_snapshot_version [ 1; 2 ]
 
 (* A --checkpoint path that cannot be read or written is the operator's
    mistake: a usage error whose one-line diagnostic names the file. *)

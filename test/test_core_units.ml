@@ -382,7 +382,6 @@ type spec_model = {
   m_status : (int, [ `Queued of int | `In_flight | `Done ]) Hashtbl.t;
   m_depth : (int, int) Hashtbl.t;
   m_queues : int Queue.t array;
-  mutable m_entries : int;  (* queue entries, stale ones included *)
 }
 
 let model_enqueue m a ~depth =
@@ -394,7 +393,6 @@ let model_enqueue m a ~depth =
   in
   let push () =
     Queue.push a m.m_queues.(prio);
-    m.m_entries <- m.m_entries + 1;
     Hashtbl.replace m.m_status a (`Queued prio)
   in
   match Hashtbl.find_opt m.m_status a with
@@ -430,7 +428,6 @@ let rec model_pop m prio =
     match Queue.take_opt m.m_queues.(prio) with
     | None -> model_pop m (prio + 1)
     | Some a ->
-      m.m_entries <- m.m_entries - 1;
       if Hashtbl.find_opt m.m_status a = Some (`Queued prio) then begin
         Hashtbl.replace m.m_status a `In_flight;
         Some a
@@ -450,7 +447,7 @@ let model_digest m =
       (fun acc q -> Queue.fold (fun acc a -> mix2 acc a) (mix2 acc 7) q)
       0 m.m_queues
   in
-  mix2 (mix2 statuses (sum m.m_depth Fun.id)) (mix2 queues m.m_entries)
+  mix2 (mix2 statuses (sum m.m_depth Fun.id)) queues
 
 let prop_spec_queue_length =
   QCheck.Test.make ~name:"spec: queue_length = queued addresses in a model"
@@ -464,8 +461,7 @@ let prop_spec_queue_length =
       let m =
         { m_status = Hashtbl.create 16;
           m_depth = Hashtbl.create 16;
-          m_queues = Array.init 4 (fun _ -> Queue.create ());
-          m_entries = 0 }
+          m_queues = Array.init 4 (fun _ -> Queue.create ()) }
       in
       let queued () =
         Hashtbl.fold

@@ -101,8 +101,25 @@ let test_stats () =
 
 let test_counter_handles () =
   let s = Stats.create () in
+  Stats.incr s "warm";
   let c = Stats.counter s "hot" in
+  (* Resolved but never bumped: a zero counter is not listed. *)
+  let listed () =
+    (Stats.names s, Stats.to_alist s, Format.asprintf "%a" Stats.pp s)
+  in
+  let names, alist, text = listed () in
+  Alcotest.(check (list string)) "unbumped handle: not in names" [ "warm" ]
+    names;
+  Alcotest.(check (list (pair string int))) "unbumped handle: not in to_alist"
+    [ ("warm", 1) ] alist;
+  Alcotest.(check string) "unbumped handle: not in pp"
+    (Printf.sprintf "%-40s %d\n" "warm" 1) text;
   Stats.bump c;
+  let names, alist, _ = listed () in
+  Alcotest.(check (list string)) "listed after its first bump" [ "hot"; "warm" ]
+    names;
+  Alcotest.(check (list (pair string int)))
+    "listed with the by-name cell's value" [ ("hot", 1); ("warm", 1) ] alist;
   Stats.bump_by c 4;
   Alcotest.(check int) "bumps land in the registry" 5 (Stats.get s "hot");
   Stats.incr s "hot";
@@ -120,7 +137,15 @@ let test_counter_handles () =
   Alcotest.(check int) "set_max keeps the maximum" 100 (Stats.get s "hot");
   Stats.bump c;
   Alcotest.(check int) "handles still live after set_max" 101
-    (Stats.get s "hot")
+    (Stats.get s "hot");
+  (* The handle-level max keeps the running maximum, by name as well. *)
+  let m = Stats.counter s "peak" in
+  Stats.bump_max m 7;
+  Stats.bump_max m 3;
+  Alcotest.(check int) "bump_max keeps the maximum" 7 (Stats.counter_value m);
+  Stats.set_max s "peak" 5;
+  Stats.bump_max m 9;
+  Alcotest.(check int) "bump_max raises the by-name cell" 9 (Stats.get s "peak")
 
 let test_probe () =
   let q = Event_queue.create () in

@@ -32,11 +32,11 @@ let setup ~threshold ~dwell =
   let memsys =
     Memsys.create q stats cfg layout ~page_table:prog.Program.page_table
   in
-  let morph = Morph.create q stats cfg manager memsys in
-  (q, manager, memsys, morph, prog)
+  ignore (Morph.create q stats cfg manager memsys : Morph.t);
+  (q, manager, memsys, stats, prog)
 
 let test_morphs_up_then_down () =
-  let q, manager, memsys, morph, prog = setup ~threshold:3 ~dwell:200 in
+  let q, manager, memsys, stats, prog = setup ~threshold:3 ~dwell:200 in
   (* Flood the queue: seed many distinct block addresses. The program's
      code is tiny, so each seed becomes a (fault) block — still a
      translation unit of work. *)
@@ -53,15 +53,16 @@ let test_morphs_up_then_down () =
     (Manager.active_slaves manager);
   Alcotest.(check int) "four banks again" 4 (Memsys.active_banks memsys);
   Alcotest.(check int) "exactly two reconfigurations (up, down)" 2
-    (Morph.morphs morph)
+    (Stats.get stats "morph.reconfigurations")
 
 let test_threshold_respected () =
-  let q, manager, _memsys, morph, prog = setup ~threshold:1000 ~dwell:200 in
+  let q, manager, _memsys, stats, prog = setup ~threshold:1000 ~dwell:200 in
   for k = 0 to 40 do
     Manager.seed manager (prog.Program.entry + (k * 4))
   done;
   Event_queue.run_until q ~limit:600_000;
-  Alcotest.(check int) "queue never crossed the bar" 0 (Morph.morphs morph);
+  Alcotest.(check int) "queue never crossed the bar" 0
+    (Stats.get stats "morph.reconfigurations");
   Alcotest.(check int) "still 6 translators" 6 (Manager.active_slaves manager)
 
 (* --- Quarantine monitor boundary conditions --------------------------- *)

@@ -586,9 +586,9 @@ let suite =
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
     Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "gzip" "db812690c45d53e2feae91a786fa8889");
+      (test_first_checkpoint_pinned "gzip" "b91764ad66d81becd82c57c790fc0a27");
     Alcotest.test_case "vm: mcf first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "mcf" "ec51b3669dfa4b145feef50beb89013d");
+      (test_first_checkpoint_pinned "mcf" "ddf4ff1f78413380e284f439cd257c42");
     Alcotest.test_case "vm: manager fail-stop recovered by rollback" `Quick
       test_manager_failstop_recovery;
     Alcotest.test_case "vm: dirty L2D parity loss recovered by rollback" `Quick

@@ -77,13 +77,13 @@ let test_digest_pinned (b : Suite.benchmark) () =
    here. One MD5 per config over the benchmarks' sorted [Stats], in
    suite order. *)
 let pinned_stats =
-  [ ("default", vm_result, "190461563daa615488d249f6f120ebd8");
+  [ ("default", vm_result, "fdd1e3b592dff201bce4cb39bd1940f8");
     ( "blocking misses",
       (fun b ->
         Vm.run ~fuel:50_000_000
           { Config.default with scoreboard = false }
           (Suite.load b)),
-      "e84f1a12e37601b74ace766c283a7b54" ) ]
+      "cfacd6c175cc651fdfee548cbeafdc38" ) ]
 
 let test_stats_pinned run md5 () =
   let buf = Buffer.create 65536 in
