@@ -17,12 +17,9 @@ type t = {
   max_block_insns : int;
   fault_tolerance : bool;
   fill_deadline_cycles : int;
-  fill_max_retries : int;
   mem_deadline_cycles : int;
   watchdog_stall_cycles : int;
-  checksum_cycles : int;
   ack_deadline_cycles : int;
-  ack_max_retries : int;
   quarantine_threshold : int;
 }
 
@@ -41,12 +38,9 @@ let default =
     max_block_insns = 32;
     fault_tolerance = false;
     fill_deadline_cycles = 6000;
-    fill_max_retries = 3;
     mem_deadline_cycles = 4000;
     watchdog_stall_cycles = 1_000_000;
-    checksum_cycles = 8;
     ack_deadline_cycles = 6000;
-    ack_max_retries = 3;
     quarantine_threshold = 4 }
 
 let l1_code_bytes = 24 * 1024        (* 32 KB IMem minus the runtime *)
@@ -83,8 +77,9 @@ let syscall_per_byte_cycles = 2
 let morph_flush_per_line = 4
 let morph_role_switch_cycles = 2500
 let sample_interval = 1000
-let fill_backoff_mult = 2
-let mem_max_retries = 3
+let max_retries = 3
+let backoff_mult = 2
+let checksum_cycles = 8
 let demand_translate_penalty_cycles = 300
 
 let fixed_tiles = 4
@@ -102,9 +97,8 @@ let validate t =
   else if t.max_block_insns < 1 then Error "max_block_insns must be positive"
   else if t.fault_tolerance
           && (t.fill_deadline_cycles < 1 || t.mem_deadline_cycles < 1
-              || t.fill_max_retries < 0 || t.watchdog_stall_cycles < 1
-              || t.checksum_cycles < 0 || t.ack_deadline_cycles < 1
-              || t.ack_max_retries < 0 || t.quarantine_threshold < 0)
+              || t.watchdog_stall_cycles < 1 || t.ack_deadline_cycles < 1
+              || t.quarantine_threshold < 0)
   then Error "fault-tolerance parameters invalid"
   else Ok ()
 

@@ -44,21 +44,13 @@ type t = {
   fault_tolerance : bool;
   fill_deadline_cycles : int;
       (** Base deadline for a code fill before it is retried. *)
-  fill_max_retries : int;
   mem_deadline_cycles : int;
       (** Base deadline for a data-memory access before it is retried. *)
   watchdog_stall_cycles : int;
       (** Abort when no guest instruction retires for this many cycles. *)
-  checksum_cycles : int;
-      (** Occupancy to compute/verify a translated block's checksum at an
-          integrity checkpoint (translation install, cache fetch, L1
-          install). Charged only when fault tolerance is armed. *)
   ack_deadline_cycles : int;
       (** Base deadline for a slave's install message to be acknowledged
           by the manager before it is retransmitted. *)
-  ack_max_retries : int;
-      (** Install retransmissions before the translation is requeued
-          wholesale (backoff multiplies the deadline each time). *)
   quarantine_threshold : int;
       (** Corruption events charged to one site (slave, L1.5 bank, L2D
           bank) before the quarantine monitor retires it like a fail-stop
@@ -111,10 +103,19 @@ val morph_flush_per_line : int
 val morph_role_switch_cycles : int
 val sample_interval : int
 (* Fault tolerance. *)
-val fill_backoff_mult : int
-(** Each retry multiplies the deadline (exponential backoff). *)
+val max_retries : int
+(** Resends of a fill, an install or a data access before its fallback:
+    demand translation, requeueing the translation wholesale, or a direct
+    DRAM access ({!Retry}). *)
 
-val mem_max_retries : int
+val backoff_mult : int
+(** Each resend multiplies the deadline (exponential backoff). *)
+
+val checksum_cycles : int
+(** Occupancy to compute/verify a translated block's checksum at an
+    integrity checkpoint (translation install, cache fetch, L1 install).
+    Charged only when fault tolerance is armed. *)
+
 val demand_translate_penalty_cycles : int
 (** Extra cycles when the manager demand-translates a block itself (the
     degraded path after fill retries are exhausted). *)

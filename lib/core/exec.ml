@@ -448,8 +448,7 @@ and fill_ready t block _sum =
   if now > t.cur.time then t.cur.time <- now;
   let install_cost =
     (Block.size_bytes block / Config.l1_install_bytes_per_cycle)
-    + (if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles
-       else 0)
+    + (if t.cfg.Config.fault_tolerance then Config.checksum_cycles else 0)
   in
   t.cur.time <- t.cur.time + max 1 install_cost;
   let next_entry = Code_cache.L1.install t.l1 block in
@@ -487,7 +486,7 @@ and enter t next_entry held =
          may point at the corrupt entry) and refetch from the hierarchy —
          the L2 master copy re-verifies on the way back. *)
       Stats.bump t.k.c_l1code_corrupt;
-      t.cur.time <- t.cur.time + t.cfg.Config.checksum_cycles;
+      t.cur.time <- t.cur.time + Config.checksum_cycles;
       let target = next_entry.Code_cache.L1.block.Block.guest_addr in
       Code_cache.L1.flush t.l1;
       t.entry <- None;

@@ -8,17 +8,20 @@ module Tr = Vat_trace.Trace
    the block content, and the receiving side discards the delivery instead
    of executing corrupt code. *)
 
+(* A slave's sequence-numbered install message. *)
+type install = {
+  seq : int;
+  slave : int;
+  block : Block.t;
+  sum : int;
+  gens : (int * int) list;
+}
+
 type mgr_req =
   | Fill of { addr : int; corrupt : bool; reply : Block.t -> int -> unit }
       (** [corrupt] marks a request whose eventual code delivery was
           garbled in flight: the manager serves it with a tampered sum. *)
-  | Translated of {
-      seq : int;
-      slave : int;
-      block : Block.t;
-      sum : int;
-      gens : (int * int) list;
-    }
+  | Translated of install
 
 type l15_req = {
   addr : int;
@@ -35,9 +38,9 @@ type slave = {
   mutable slow_until : int;
 }
 
-(* An install message awaiting the manager's ack. Presence in [unacked]
-   means not yet acknowledged; the sending slave retransmits on deadline. *)
-type pending = { p_slave : int; p_addr : int }
+(* A fill under fault tolerance: every resend carries [reply], which
+   passes on the first verified reply and sets [served]. *)
+type fill = { f_addr : int; served : bool ref; reply : Block.t -> int -> unit }
 
 (* Pre-resolved trace emitters (dead branches when tracing is off). The
    arg of [recover] says which recovery path ran: 1 install-retransmit,
@@ -81,7 +84,8 @@ type t = {
   waiters : (int, (Block.t -> int -> unit) list) Hashtbl.t;
   slave_corruptions : int array;      (* detected per slave, for quarantine *)
   l15_corruptions : int array;        (* detected per L1.5 bank *)
-  unacked : (int, pending) Hashtbl.t;
+  unacked : (int, install) Hashtbl.t;
+      (* not yet acknowledged; the sending slave retransmits on deadline *)
   acked : (int, unit) Hashtbl.t;
   mutable next_seq : int;
   mutable l15_alive : int array;      (* physical bank indexes still alive *)
@@ -101,6 +105,11 @@ let mgr t = match t.mgr_service with Some s -> s | None -> assert false
    pool slot [9 - i]. During a morph a tile changes hands but its
    coordinates (and hence latencies) stay put. *)
 let slave_pool_slot i = 9 - min 9 i
+
+let submit_install t r =
+  Service.submit (mgr t)
+    ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot r.slave))
+    (Translated r)
 
 (* The highest-index idle slave at or below [i], or -1. *)
 let rec last_idle_slave t i =
@@ -152,49 +161,42 @@ let rec kick_slaves t =
 
 (* Sequence-numbered install with ack deadline. The manager acks every
    accepted (or duplicate) install; a delivery that was dropped or whose
-   sum was garbled draws no ack, and the slave retransmits with
-   exponential backoff. After the retry budget the translation is requeued
-   wholesale — this also covers what the old install watchdog did for
-   plain message loss. *)
+   sum was garbled draws no ack, and the slave retransmits. *)
 and send_install t i (block : Block.t) gens =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let submit () =
-    Service.submit (mgr t)
-      ~delay:(Layout.lat_manager_slave t.layout (slave_pool_slot i))
-      (Translated { seq; slave = i; block; sum = block.Block.checksum; gens })
-  in
-  submit ();
-  if t.cfg.Config.fault_tolerance then begin
-    let addr = block.Block.guest_addr in
-    Hashtbl.replace t.unacked seq { p_slave = i; p_addr = addr };
-    (* A deadline finding [seq] still unacked comes from a live slave:
-       [retire_slave] removes a failed slave's [unacked] entries, and a
-       failed slave sends no further installs. *)
-    let rec watch retries deadline =
-      Event_queue.after t.q ~delay:deadline (fun () ->
-          if Hashtbl.mem t.unacked seq then begin
-            if retries < t.cfg.Config.ack_max_retries then begin
-              Stats.incr t.stats "corrupt.install_retransmits";
-              Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
-              submit ();
-              watch (retries + 1) (deadline * Config.fill_backoff_mult)
-            end
-            else begin
-              Hashtbl.remove t.unacked seq;
-              Stats.incr t.stats "fault.translations_requeued";
-              Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:2;
-              if not (Spec.is_done t.spec addr) then begin
-                Spec.forget t.spec addr;
-                if Hashtbl.mem t.waiters addr then
-                  Spec.request_demand t.spec addr;
-                kick_slaves t
-              end
-            end
-          end)
-    in
-    watch 0 t.cfg.Config.ack_deadline_cycles
+  let r = { seq; slave = i; block; sum = block.checksum; gens } in
+  if not t.cfg.Config.fault_tolerance then submit_install t r
+  else begin
+    Hashtbl.replace t.unacked seq r;
+    Retry.start install_retry t.q t r ~deadline:t.cfg.Config.ack_deadline_cycles
   end
+
+(* After the retry budget the translation is requeued wholesale, which
+   also recovers an install lost in flight. A deadline finding [seq]
+   still unacked comes from a live slave: [retire_slave] removes a
+   failed slave's [unacked] entries, and a failed slave sends no further
+   installs. *)
+and install_retry =
+  { Retry.send = submit_install;
+    pending = (fun t r -> Hashtbl.mem t.unacked r.seq);
+    expire =
+      (fun t _ resend ->
+        if resend then begin
+          Stats.incr t.stats "corrupt.install_retransmits";
+          Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1
+        end);
+    give_up =
+      (fun t r ->
+        let addr = r.block.guest_addr in
+        Hashtbl.remove t.unacked r.seq;
+        Stats.incr t.stats "fault.translations_requeued";
+        Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:2;
+        if not (Spec.is_done t.spec addr) then begin
+          Spec.forget t.spec addr;
+          if Hashtbl.mem t.waiters addr then Spec.request_demand t.spec addr;
+          kick_slaves t
+        end) }
 
 and notify_drained t =
   if t.drain_waiters <> []
@@ -222,20 +224,32 @@ let add_waiter t addr reply =
 let stream_cycles (block : Block.t) =
   Block.size_bytes block / Config.l1_install_bytes_per_cycle
 
-let verify_cost t = if t.cfg.Config.fault_tolerance then t.cfg.Config.checksum_cycles else 0
+let verify_cost t = if t.cfg.Config.fault_tolerance then Config.checksum_cycles else 0
+
+(* Look [addr] up in the L2 code cache. Under fault tolerance a resident
+   line whose stored sum no longer matches its content took a soft error:
+   it is discarded and reads as a miss, which demands retranslation —
+   corrupt code is never served. *)
+let find_l2 t addr (f : Code_cache.found) =
+  Code_cache.L2.find t.l2 addr f;
+  if f.hit && t.cfg.Config.fault_tolerance && f.sum <> f.block.Block.checksum
+  then begin
+    f.hit <- false;
+    Stats.incr t.stats "corrupt.l2code_detected";
+    Code_cache.L2.remove t.l2 addr
+  end
 
 (* The manager's and the L1.5 banks' [serve] look the block up and
    leave what they found in their service's slot ([mgr_found],
    [l15_found]); [complete] replies from that slot, not from a second
    lookup, since the cache may have changed by then. *)
 let serve_mgr t req =
-  let ft = t.cfg.Config.fault_tolerance in
   match req with
   | Fill { addr; _ } ->
     let f = t.mgr_found in
     Stats.bump t.c.l2code_accesses;
-    Code_cache.L2.find t.l2 addr f;
-    if f.hit && ((not ft) || f.sum = f.block.Block.checksum) then begin
+    find_l2 t addr f;
+    if f.hit then begin
       (* The L2 code cache lives in off-chip DRAM: the manager fetches
          the block before streaming it. *)
       Tr.emit t.pr.l2_hit ~cycle:(Event_queue.now t.q) ~arg:addr;
@@ -243,14 +257,6 @@ let serve_mgr t req =
       + verify_cost t
     end
     else begin
-      if f.hit then begin
-        (* Stored sum no longer matches the content: the resident line
-           took a soft error. Discard and demand retranslation — corrupt
-           code is never served. *)
-        f.hit <- false;
-        Stats.incr t.stats "corrupt.l2code_detected";
-        Code_cache.L2.remove t.l2 addr
-      end;
       Stats.bump t.c.l2code_misses;
       Tr.emit t.pr.l2_miss ~cycle:(Event_queue.now t.q) ~arg:addr;
       Config.mgr_lookup_cycles + verify_cost t
@@ -469,8 +475,7 @@ let create ?memo ?(trace = Tr.disabled) q stats cfg layout ~fetch ~page_gen =
       (Service.create ~trace
          ~on_corrupt:(function
            | Fill f -> Fill { f with corrupt = true }
-           | Translated { seq; slave; block; sum; gens } ->
-             Translated { seq; slave; block; sum = sum lxor 0x1000; gens })
+           | Translated r -> Translated { r with sum = r.sum lxor 0x1000 })
          q ~track:"manager" ~serve:(serve_mgr t) ~complete:(complete_mgr t));
   t.l15_services <-
     Array.init n_l15 (fun i ->
@@ -501,33 +506,25 @@ let submit_fill_once t ~addr ~reply =
 
 (* Degraded path once retries are exhausted: the manager stops waiting for
    the slave pool and translates (or re-reads) the block itself. Data is
-   functional, so this changes timing, never semantics. Only reachable
-   with fault tolerance armed, so the integrity check is unconditional. *)
-let degraded_fill t ~addr ~reply =
+   functional, so this changes timing, never semantics. *)
+let degraded_fill t { f_addr = addr; reply; _ } =
   Stats.incr t.stats "fault.demand_translates";
   Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:4;
-  let fresh () =
-    let b, _gens =
-      Translate.translate_memo ?memo:t.memo t.cfg ~fetch:t.fetch
-        ~page_gen:t.page_gen ~guest_addr:addr
-    in
-    Code_cache.L2.install t.l2 b;
-    Spec.mark_done t.spec addr;
-    Spec.note_block_translated t.spec b;
-    b
-  in
   (* Its own lookup result: the manager service's slot may hold the
      request in service's. *)
   let f = Code_cache.found () in
-  Code_cache.L2.find t.l2 addr f;
+  find_l2 t addr f;
   let block =
-    if f.hit && f.sum = f.block.Block.checksum then f.block
+    if f.hit then f.block
     else begin
-      if f.hit then begin
-        Stats.incr t.stats "corrupt.l2code_detected";
-        Code_cache.L2.remove t.l2 addr
-      end;
-      fresh ()
+      let b, _gens =
+        Translate.translate_memo ?memo:t.memo t.cfg ~fetch:t.fetch
+          ~page_gen:t.page_gen ~guest_addr:addr
+      in
+      Code_cache.L2.install t.l2 b;
+      Spec.mark_done t.spec addr;
+      Spec.note_block_translated t.spec b;
+      b
     end
   in
   Event_queue.after t.q
@@ -536,38 +533,38 @@ let degraded_fill t ~addr ~reply =
       + Layout.lat_manager_exec t.layout)
     (fun () -> reply block block.Block.checksum)
 
+let fill_retry =
+  { Retry.send = (fun t f -> submit_fill_once t ~addr:f.f_addr ~reply:f.reply);
+    pending = (fun _ f -> not !(f.served));
+    expire =
+      (fun t _ resend ->
+        Stats.incr t.stats "fault.fill_timeouts";
+        if resend then begin
+          Stats.incr t.stats "fault.fill_retries";
+          Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:3
+        end);
+    give_up = degraded_fill }
+
 let request_fill t ~addr ~on_ready =
   if not t.cfg.Config.fault_tolerance then
     submit_fill_once t ~addr ~reply:on_ready
   else begin
-    (* First verified reply wins; duplicates from retried requests and
+    (* First verified reply wins; duplicates from resent requests and
        deliveries whose sum fails the end-to-end check are dropped (the
-       deadline machinery fetches a clean copy). *)
-    let done_ = ref false in
+       deadline fetches a clean copy). *)
+    let served = ref false in
     let reply block sum =
-      if not !done_ then begin
+      if not !served then begin
         if sum <> (block : Block.t).checksum then
           Stats.incr t.stats "corrupt.fill_rejected"
         else begin
-          done_ := true;
+          served := true;
           on_ready block sum
         end
       end
     in
-    let rec attempt retries deadline =
-      submit_fill_once t ~addr ~reply;
-      Event_queue.after t.q ~delay:deadline (fun () ->
-          if not !done_ then begin
-            Stats.incr t.stats "fault.fill_timeouts";
-            if retries < t.cfg.Config.fill_max_retries then begin
-              Stats.incr t.stats "fault.fill_retries";
-              Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:3;
-              attempt (retries + 1) (deadline * Config.fill_backoff_mult)
-            end
-            else degraded_fill t ~addr ~reply
-          end)
-    in
-    attempt 0 t.cfg.Config.fill_deadline_cycles
+    Retry.start fill_retry t.q t { f_addr = addr; served; reply }
+      ~deadline:t.cfg.Config.fill_deadline_cycles
   end
 
 let note_on_path t addr = Spec.note_on_path t.spec addr
@@ -629,7 +626,8 @@ let retire_slave t i ~stat =
        unless the original delivery already landed. *)
     let doomed =
       Hashtbl.fold
-        (fun seq p acc -> if p.p_slave = i then (seq, p.p_addr) :: acc else acc)
+        (fun seq r acc ->
+          if r.slave = i then (seq, r.block.Block.guest_addr) :: acc else acc)
         t.unacked []
     in
     List.iter
@@ -742,7 +740,8 @@ let capture t =
   Wr.int w (Hashtbl.length t.unacked);
   Wr.int w
     (Hashtbl.fold
-       (fun seq p acc -> (acc + mix2 seq (mix2 p.p_slave p.p_addr)) land max_int)
+       (fun seq r acc ->
+         (acc + mix2 seq (mix2 r.slave r.block.Block.guest_addr)) land max_int)
        t.unacked 0);
   Wr.int w (Hashtbl.length t.acked);
   Wr.int w (Hashtbl.fold (fun seq () acc -> (acc + mix2 seq 1) land max_int) t.acked 0);

@@ -8,6 +8,10 @@ module Tr = Vat_trace.Trace
    fixed page table. *)
 type mmu_req = { vaddr : int; write : bool; on_done : unit -> unit }
 
+(* An access under fault tolerance: every resend sends [req], whose
+   [on_done] passes on the first reply and sets [served]. *)
+type access = { req : mmu_req; served : bool ref }
+
 (* Pre-resolved trace emitters (dead branches untraced). Bank cache events
    land on the "l2d.N" tracks; recovery instants on "mmu", whose arg says
    which path ran: 1 mem-retry, 2 direct-dram, 3 uncached-dram, 4 rebank
@@ -254,42 +258,42 @@ let create ?(trace = Tr.disabled) q stats cfg layout ~page_table =
   t.bank_services <- Array.init max_banks (make_bank_service t ~trace);
   t
 
-let submit_access t ~addr ~write ~on_done =
-  Service.submit (the_mmu t)
-    ~delay:(Layout.lat_exec_mmu t.layout)
-    { vaddr = addr; write; on_done }
+let submit_access t req =
+  Service.submit (the_mmu t) ~delay:(Layout.lat_exec_mmu t.layout) req
+
+(* A reply lost to a dead or lossy bank is resent (values are functional,
+   so duplicates only cost time), and the last resort is an uncached DRAM
+   access charged locally. *)
+let access_retry =
+  { Retry.send = (fun t a -> submit_access t a.req);
+    pending = (fun _ a -> not !(a.served));
+    expire =
+      (fun t _ resend ->
+        Stats.incr t.stats "fault.mem_timeouts";
+        if resend then begin
+          Stats.incr t.stats "fault.mem_retries";
+          Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1
+        end);
+    give_up =
+      (fun t a ->
+        Stats.incr t.stats "fault.mem_direct_dram";
+        Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:2;
+        Event_queue.after t.q ~delay:Config.dram_cycles a.req.on_done) }
 
 let access t ~addr ~write ~on_done =
-  if not t.cfg.Config.fault_tolerance then submit_access t ~addr ~write ~on_done
+  if not t.cfg.Config.fault_tolerance then
+    submit_access t { vaddr = addr; write; on_done }
   else begin
-    (* Per-request deadline: a reply lost to a dead or lossy bank is
-       retried (values are functional, so duplicates only cost time), and
-       the last resort is an uncached DRAM access charged locally. *)
-    let done_ = ref false in
+    let served = ref false in
     let reply () =
-      if not !done_ then begin
-        done_ := true;
+      if not !served then begin
+        served := true;
         on_done ()
       end
     in
-    let rec attempt retries deadline =
-      submit_access t ~addr ~write ~on_done:reply;
-      Event_queue.after t.q ~delay:deadline (fun () ->
-          if not !done_ then begin
-            Stats.incr t.stats "fault.mem_timeouts";
-            if retries < Config.mem_max_retries then begin
-              Stats.incr t.stats "fault.mem_retries";
-              Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:1;
-              attempt (retries + 1) (deadline * Config.fill_backoff_mult)
-            end
-            else begin
-              Stats.incr t.stats "fault.mem_direct_dram";
-              Tr.emit t.pr.recover ~cycle:(Event_queue.now t.q) ~arg:2;
-              Event_queue.after t.q ~delay:Config.dram_cycles reply
-            end
-          end)
-    in
-    attempt 0 t.cfg.Config.mem_deadline_cycles
+    Retry.start access_retry t.q t
+      { req = { vaddr = addr; write; on_done = reply }; served }
+      ~deadline:t.cfg.Config.mem_deadline_cycles
   end
 
 let active_banks t = t.n_banks

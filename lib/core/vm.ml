@@ -404,7 +404,6 @@ let capture a ~every now =
       al;
     Snap.Wr.contents b
   in
-  let trace = a.s.trace in
   Snap.v ~cycle:now ~fingerprint:(Lazy.force a.s.fp) ~interval:every
     ~sections:
       [ ("sched", sched);
@@ -414,14 +413,7 @@ let capture a ~every now =
         ("morph", ints (Morph.capture a.morph));
         ("fault", ints [ Fault.count_before a.s.faults ~cycle:now ]);
         ("stats", stats_s);
-        ("recovery", encode_ledger a.ledger);
-        (* Trace counters are observational high-water marks, not
-           replayed machine state: excluded from restore verification
-           (any section named "trace*" is). *)
-        ("trace.hwm",
-         ints
-           [ Tr.length trace; Tr.total trace; Tr.dropped trace;
-             Tr.max_cycle trace ]) ]
+        ("recovery", encode_ledger a.ledger) ]
 
 (* The replay has reached the cycle the snapshot was taken at: every
    machine section must match byte for byte, or the restore is not a
@@ -431,11 +423,7 @@ let capture a ~every now =
    machine. *)
 let verify_restore ref_snap snap =
   let diverging =
-    List.filter
-      (fun name ->
-        name <> "recovery"
-        && not (String.length name >= 5 && String.sub name 0 5 = "trace"))
-      (Snap.diff ref_snap snap)
+    List.filter (fun name -> name <> "recovery") (Snap.diff ref_snap snap)
   in
   if diverging <> [] then
     failwith

@@ -113,7 +113,7 @@ type t = {
 }
 
 let magic = "VATSNAP1"
-let version = 3
+let version = 4
 
 let v ~cycle ~fingerprint ~interval ~sections =
   let seen = Hashtbl.create 16 in

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Mutation survey of lib/ir, the event queue, the stats listing, restore
 # verification, the H-ISA word format and straight-line loop, the tile
-# service queue, the speculation state, copy-on-write guest memory and
-# the block checksum. Each test/mutants/*.patch plants one known fault in
-# an IR pass (the fused dead-code sweeps and the reset of the per-domain
-# pass workspace included), in lib/desim's Event_queue, in Stats'
-# skipping of zero counters, in Vm's checkpoint chain, in Hexec.encode's
-# field checks, in Hexec.run_straight's scoreboard, in Tiled.Service's
-# request ring, in Spec's per-address entries, in Mem.copy's page
-# ownership or in Block's checksum fold.
+# service queue, the speculation state, copy-on-write guest memory, the
+# block checksum and the retry loop. Each test/mutants/*.patch plants one
+# known fault in an IR pass (the fused dead-code sweeps and the reset of
+# the per-domain pass workspace included), in lib/desim's Event_queue, in
+# Stats' skipping of zero counters, in Vm's checkpoint chain, in
+# Hexec.encode's field checks, in Hexec.run_straight's scoreboard, in
+# Tiled.Service's request ring, in Spec's per-address entries, in
+# Mem.copy's page ownership, in Block's checksum fold or in Retry's
+# deadline backoff.
 # For each patch this applies it to a copy of the checkout, builds the
 # test runner, and runs the desim, guest-units, host-isa, ir-passes,
 # translator-units, translator-golden, snapshot, tiled-substrate,

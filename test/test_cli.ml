@@ -163,7 +163,8 @@ let test_exit_code_corrupt_snapshot () =
   check_clean_failure "corrupt snapshot" r
 
 (* A checkpoint from an older snapshot version (one whose blocks were
-   summed another way, or whose sections still held derived copies) is
+   summed another way, whose sections still held derived copies, or
+   which still carried the trace counters' section) is
    refused at load: a one-line usage error naming the version, not a
    failed restore or an uncaught exception. Each file is a real
    checkpoint with the version after the magic set back (the zigzag
@@ -198,7 +199,7 @@ let check_old_snapshot_version version =
      go 0)
 
 let test_exit_code_old_snapshot_version () =
-  List.iter check_old_snapshot_version [ 1; 2 ]
+  List.iter check_old_snapshot_version [ 1; 2; 3 ]
 
 (* A --checkpoint path that cannot be read or written is the operator's
    mistake: a usage error whose one-line diagnostic names the file. *)

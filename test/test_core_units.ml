@@ -516,6 +516,46 @@ let prop_spec_queue_length =
       in
       List.for_all step ops)
 
+(* --- Retry ------------------------------------------------------------- *)
+
+(* The deadline-and-retry loop driven on its own: every send, expiry and
+   give-up logged with its cycle. The request is answered at [answer_at]
+   (never, by default). *)
+let retry_log ?(answer_at = max_int) ~deadline () =
+  let q = Event_queue.create () in
+  let log = ref [] in
+  let note fmt =
+    Printf.ksprintf (fun s -> log := s :: !log) ("%d " ^^ fmt) (Event_queue.now q)
+  in
+  let answered = ref false in
+  if answer_at < max_int then
+    Event_queue.schedule q ~at:answer_at (fun () -> answered := true);
+  let p =
+    { Retry.send = (fun () () -> note "send");
+      pending = (fun () () -> not !answered);
+      expire = (fun () () resend -> note "expire resend=%b" resend);
+      give_up = (fun () () -> note "give up") }
+  in
+  Retry.start p q () () ~deadline;
+  Event_queue.run q;
+  List.rev !log
+
+(* A request that is never answered: sent at 0, d, 3d and 7d, each
+   deadline twice the last, and given up at 15d after the default budget
+   of three resends. *)
+let test_retry_schedule () =
+  let d = 100 in
+  Alcotest.(check (list string)) "unanswered"
+    [ "0 send"; "100 expire resend=true"; "100 send";
+      "300 expire resend=true"; "300 send"; "700 expire resend=true";
+      "700 send"; "1500 expire resend=false"; "1500 give up" ]
+    (retry_log ~deadline:d ());
+  (* Answered between its second and third send: never sent again, and
+     its later deadline finds nothing to do. *)
+  Alcotest.(check (list string)) "answered after one resend"
+    [ "0 send"; "100 expire resend=true"; "100 send" ]
+    (retry_log ~answer_at:(2 * d) ~deadline:d ())
+
 (* --- Analysis ---------------------------------------------------------- *)
 
 let test_analysis_decomposition () =
@@ -564,6 +604,7 @@ let suite =
       test_spec_no_speculation_mode;
     Alcotest.test_case "spec: stops at indirect" `Quick test_spec_indirect_stops;
     Alcotest.test_case "spec: forget_done" `Quick test_spec_forget_done;
+    Alcotest.test_case "retry: deadline schedule" `Quick test_retry_schedule;
     Alcotest.test_case "analysis: 4.5 decomposition" `Quick
       test_analysis_decomposition;
     Alcotest.test_case "analysis: Figure 11 intrinsics" `Quick

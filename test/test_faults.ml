@@ -220,15 +220,15 @@ let test_retry_backoff () =
     (get "fault.fill_retries" <= get "fault.fill_timeouts")
 
 let test_degraded_demand_translate () =
-  (* Zero retries: the first expired deadline goes straight to the
-     manager's own demand translation. *)
-  let cfg = { ft_cfg with Config.fill_max_retries = 0 } in
+  (* A burst of drops longer than a fill and its [Config.max_retries]
+     resends: the last expired deadline goes to the manager's own demand
+     translation. *)
   let plan =
     Fault.make ~seed:1
       [ { Fault.at = 10; site = Fault.site "manager";
-          kind = Fault.Drop_requests 2 } ]
+          kind = Fault.Drop_requests 8 } ]
   in
-  let rv = check_faulty_run ~cfg workload_program plan in
+  let rv = check_faulty_run ~cfg:ft_cfg workload_program plan in
   Alcotest.(check bool) "demand translations" true
     (Metrics.get rv "fault.demand_translates" >= 1)
 

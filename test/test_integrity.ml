@@ -407,9 +407,7 @@ let test_knobs_inert_without_ft () =
   let a = Vm.run ~fuel Config.default (Program.of_asm workload_program) in
   let noisy =
     { Config.default with
-      checksum_cycles = 123;
       ack_deadline_cycles = 77;
-      ack_max_retries = 9;
       quarantine_threshold = 1 }
   in
   let b = Vm.run ~fuel noisy (Program.of_asm workload_program) in

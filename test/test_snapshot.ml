@@ -238,8 +238,7 @@ let test_fingerprint_mismatch_rejected () =
 
 (* Every section [Vm] captures, in capture order. *)
 let section_names =
-  [ "sched"; "exec"; "mgr"; "l2d"; "morph"; "fault"; "stats"; "recovery";
-    "trace.hwm" ]
+  [ "sched"; "exec"; "mgr"; "l2d"; "morph"; "fault"; "stats"; "recovery" ]
 
 (* A real mid-run snapshot rebuilt with one byte of its exec section
    flipped: same cycle, fingerprint and interval, so only the replay's
@@ -586,9 +585,9 @@ let suite =
     Alcotest.test_case "vm: non-positive interval rejected" `Quick
       test_bad_interval_rejected;
     Alcotest.test_case "vm: gzip first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "gzip" "b91764ad66d81becd82c57c790fc0a27");
+      (test_first_checkpoint_pinned "gzip" "9c4c508066e89fbb33cefad8cac183ca");
     Alcotest.test_case "vm: mcf first checkpoint pinned" `Quick
-      (test_first_checkpoint_pinned "mcf" "ddf4ff1f78413380e284f439cd257c42");
+      (test_first_checkpoint_pinned "mcf" "a1dcdc1e9a97414dc48b5d88e1942152");
     Alcotest.test_case "vm: manager fail-stop recovered by rollback" `Quick
       test_manager_failstop_recovery;
     Alcotest.test_case "vm: dirty L2D parity loss recovered by rollback" `Quick

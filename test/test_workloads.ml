@@ -106,19 +106,19 @@ let test_stats_pinned run md5 () =
    builds and runs the tests; another compiler version or build profile
    allocates differently and needs its own pins. *)
 let engine_words =
-  [ ("164.gzip", 196703);
-    ("175.vpr", 535864);
-    ("176.gcc", 1457125);
-    ("181.mcf", 869138);
-    ("186.crafty", 341964);
-    ("197.parser", 439091);
-    ("253.perlbmk", 21000);
-    ("254.gap", 258258);
-    ("255.vortex", 126761);
-    ("256.bzip2", 256751);
-    ("300.twolf", 268605) ]
+  [ ("164.gzip", 185457);
+    ("175.vpr", 517802);
+    ("176.gcc", 1397783);
+    ("181.mcf", 857904);
+    ("186.crafty", 330952);
+    ("197.parser", 427827);
+    ("253.perlbmk", 20632);
+    ("254.gap", 250024);
+    ("255.vortex", 123981);
+    ("256.bzip2", 245469);
+    ("300.twolf", 260131) ]
 
-let checkpointed_words = [ ("164.gzip", 197562); ("181.mcf", 871804) ]
+let checkpointed_words = [ ("164.gzip", 186316); ("181.mcf", 860570) ]
 
 let warm_run_words ?checkpoint_every (b : Suite.benchmark) =
   let _, memo = primed b in
